@@ -10,7 +10,7 @@ Classic linear online learners and a test-then-train harness round out the
 benchmark tooling.
 """
 
-from .baselines import BASELINES, baseline_step, make_baseline
+from .baselines import BASELINES, make_baseline
 from .bilevel import (
     AdaptationRecord,
     BilevelConfig,
@@ -21,9 +21,10 @@ from .bilevel import (
     outer_interpolate,
 )
 from .drift import DRIFT, STABLE, DriftState, observe, reset
-from .errors import ConfigError, InputError, StateError, StreamFormatError
+from .errors import ConfigError, DivergenceError, InputError, StateError, StreamFormatError
 from .harness import (
     MetricsReport,
+    NetworkLearner,
     RunConfig,
     RunResult,
     prequential_run,
@@ -58,11 +59,13 @@ __all__ = [
     "BilevelConfig",
     "ConfigError",
     "DRIFT",
+    "DivergenceError",
     "DriftState",
     "EpisodicMemory",
     "InputError",
     "MetricsReport",
     "NetworkConfig",
+    "NetworkLearner",
     "NetworkParams",
     "RecentBuffer",
     "RunConfig",
@@ -75,7 +78,6 @@ __all__ = [
     "StreamSource",
     "adapt_on_drift",
     "backward",
-    "baseline_step",
     "forward",
     "gen_drift_stream",
     "hedge_update",

@@ -14,11 +14,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .memory import StreamInstance
-
-
-def _aug(x: np.ndarray) -> np.ndarray:
-    return np.append(x, 1.0)
+from .numerics import aug
 
 
 class LinearBaseline:
@@ -32,20 +28,21 @@ class LinearBaseline:
         self.w = np.zeros((classes, input_dim + 1))
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.w @ _aug(x)
+        return self.w @ aug(x)
 
     def predict(self, x: np.ndarray) -> int:
         return int(np.argmax(self.scores(x)))
 
-    def step(self, x: np.ndarray, y: int) -> int:
-        """Predict from pre-update weights, then learn; returns the prediction."""
+    def step(self, x: np.ndarray, y: int, position: int = -1) -> int:
+        """Predict from pre-update weights, then learn; returns the prediction.
+        `position` is accepted for the shared learner interface and unused."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
             raise InputError(f"feature shape {x.shape}, expected ({self.input_dim},)")
         if not 0 <= y < self.classes:
             raise InputError(f"label {y} outside 0..{self.classes - 1}")
         pred = self.predict(x)
-        xa = _aug(x)
+        xa = aug(x)
         self._begin_update()
         for c in range(self.classes):
             self._update_binary(c, xa, 1.0 if c == y else -1.0)
@@ -207,9 +204,3 @@ def make_baseline(name: str, input_dim: int, classes: int, **hyper) -> LinearBas
     except KeyError:
         raise ConfigError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}")
     return cls(input_dim, classes, **hyper)
-
-
-def baseline_step(model: LinearBaseline, inst: StreamInstance) -> tuple[int, LinearBaseline]:
-    """Test-then-train on one instance; prediction comes from pre-update weights."""
-    pred = model.step(inst.features, inst.label)
-    return pred, model

@@ -130,13 +130,12 @@ def outer_interpolate(params: NetworkParams, target: NetworkParams,
     Written as (1-gamma)*a + gamma*b so the endpoints gamma=0 and gamma=1
     reproduce the operands bit-exactly.
     """
-    mats_a, mats_b = params.matrices(), target.matrices()
-    for a, b in zip(mats_a, mats_b):
+    blended = []
+    for a, b in zip(params.matrices(), target.matrices()):
         if a.shape != b.shape:
             raise InputError(f"shape mismatch in interpolation: {a.shape} vs {b.shape}")
-    blend = lambda a, b: (1.0 - gamma) * a + gamma * b
-    return NetworkParams([blend(a, b) for a, b in zip(params.layers, target.layers)],
-                         [blend(a, b) for a, b in zip(params.heads, target.heads)])
+        blended.append((1.0 - gamma) * a + gamma * b)
+    return params.with_matrices(blended)
 
 
 def params_distance(a: NetworkParams, b: NetworkParams) -> float:

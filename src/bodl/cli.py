@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .harness import MetricsReport, RunConfig, prequential_run, run_suite
 from .streams import parse_stream_spec, write_stream_csv
 
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, DivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

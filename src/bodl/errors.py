@@ -15,3 +15,12 @@ class StateError(RuntimeError):
 
 class StreamFormatError(ValueError):
     """A data file could not be ingested; the message carries the offending row."""
+
+
+class DivergenceError(ArithmeticError):
+    """A learner's training loss stopped being finite; `position` is the
+    stream position of the instance that produced it."""
+
+    def __init__(self, position: int):
+        super().__init__(f"training loss is not finite at stream position {position}")
+        self.position = position

@@ -9,6 +9,7 @@ fixed config.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -18,7 +19,7 @@ import numpy as np
 from . import drift as drift_mod
 from .baselines import BASELINES, make_baseline
 from .bilevel import BilevelConfig, RecentBuffer, adapt_on_drift
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DivergenceError, InputError
 from .hedge_net import (
     NetworkConfig,
     apply_update,
@@ -204,11 +205,73 @@ def _resolve_stream(cfg: RunConfig) -> StreamSource:
     return parse_stream_spec(str(cfg.stream), default_seed=cfg.seed)
 
 
+class NetworkLearner:
+    """Hedged multi-depth network with drift detector, reservoir memory and, for
+    bodl-2, drift adaptation; drift events and adaptations go to `report`."""
+
+    def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
+        _, self.lam, self.use_bilevel = cfg.resolve_learner()
+        self.report = report
+        self.ncfg = NetworkConfig(input_dim=source.input_dim or 1, classes=source.classes or 2,
+                                  hidden_layers=cfg.hidden_layers, width=cfg.width,
+                                  eta=cfg.eta, lam=self.lam, lr=cfg.lr, optimizer=cfg.optimizer)
+        self.bcfg = BilevelConfig(cfg.inner_rate, cfg.outer_rate, cfg.inner_steps,
+                                  cfg.memory_batch, cfg.recent_window)
+        root = np.random.SeedSequence(cfg.seed)
+        init_seq, aux_seq = root.spawn(2)
+        self.params, self.weights = init_network(self.ncfg, int(init_seq.generate_state(1)[0]))
+        self.opt_state = init_opt_state(self.params, self.ncfg)
+        self.detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
+                                             sensitivity=cfg.detector_sensitivity)
+        self.memory = EpisodicMemory(cfg.memory_capacity)
+        self.recent = RecentBuffer(cfg.recent_window)
+        self.rng = np.random.default_rng(aux_seq)
+
+    def step(self, x: np.ndarray, y: int, position: int) -> int:
+        """Predict, then learn; returns the prediction. Raises DivergenceError
+        before the importances or parameters change if the loss is not finite."""
+        acts = forward(self.params, x)
+        pred = int(np.argmax(predict_ensemble(acts, self.weights)))
+
+        seen = StreamInstance(x, y, position)
+        self.recent.append(seen)
+        loss, per_head = total_loss(acts, self.weights, y, self.lam)
+        if not math.isfinite(loss):
+            raise DivergenceError(position)
+        self.weights = hedge_update(self.weights, per_head, self.ncfg.eta, self.ncfg.weight_floor)
+        self.detector, status = drift_mod.observe(self.detector, int(pred != y))
+        adapted = False
+        if status == drift_mod.DRIFT:
+            self.report.drift_events.append({
+                "position": int(position),
+                "error_rate": float(self.detector.error_rate),
+                "threshold": float(self.detector.threshold),
+            })
+            if self.use_bilevel:
+                self.params, rec = adapt_on_drift(self.params, self.recent, self.memory,
+                                                  self.weights, self.bcfg, self.lam, self.rng,
+                                                  position)
+                self.report.adaptations.append({
+                    "position": int(rec.position),
+                    "loss_before": float(rec.loss_before),
+                    "loss_after": float(rec.loss_after),
+                    "shift_norm": float(rec.shift_norm),
+                    "memory_batch": int(rec.memory_batch),
+                })
+                adapted = True
+            self.detector = drift_mod.reset(self.detector)
+        if not adapted:
+            grads = backward(self.params, acts, self.weights, y, self.lam)
+            self.params, self.opt_state = apply_update(self.params, grads, self.opt_state,
+                                                       self.ncfg)
+        self.memory.maybe_insert(seen, self.rng)
+        return pred
+
+
 def prequential_run(cfg: RunConfig) -> MetricsReport:
     """Run one learner over one stream, scoring every prediction before the
     corresponding update. Returns the finalized report."""
     cfg.validate()
-    kind, lam, use_bilevel = cfg.resolve_learner()
     source = _resolve_stream(cfg)
 
     report = MetricsReport(classes=source.classes)
@@ -222,66 +285,15 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
     started = time.perf_counter()
     std = Standardizer(source.input_dim) if cfg.standardize and len(source) else None
 
-    if kind == "baseline":
+    if cfg.learner in BASELINES:
         hyper = {"lr": cfg.lr} if cfg.learner == "ogd" else {}
-        model = make_baseline(cfg.learner, source.input_dim, source.classes, **hyper)
-        for inst in source:
-            x = std.standardize(inst.features) if std else np.asarray(inst.features, dtype=np.float64)
-            pred = model.step(x, inst.label)
-            update_metrics(report, pred, inst.label)
-        report.wall_time = time.perf_counter() - started
-        return report
-
-    ncfg = NetworkConfig(input_dim=source.input_dim or 1, classes=source.classes or 2,
-                         hidden_layers=cfg.hidden_layers, width=cfg.width,
-                         eta=cfg.eta, lam=lam, lr=cfg.lr, optimizer=cfg.optimizer)
-    bcfg = BilevelConfig(cfg.inner_rate, cfg.outer_rate, cfg.inner_steps,
-                         cfg.memory_batch, cfg.recent_window)
-    root = np.random.SeedSequence(cfg.seed)
-    init_seq, aux_seq = root.spawn(2)
-    params, weights = init_network(ncfg, int(init_seq.generate_state(1)[0]))
-    opt_state = init_opt_state(params, ncfg)
-    detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
-                                    sensitivity=cfg.detector_sensitivity)
-    memory = EpisodicMemory(cfg.memory_capacity)
-    recent = RecentBuffer(cfg.recent_window)
-    rng = np.random.default_rng(aux_seq)
-
+        learner = make_baseline(cfg.learner, source.input_dim, source.classes, **hyper)
+    else:
+        learner = NetworkLearner(cfg, source, report)
     for inst in source:
         x = std.standardize(inst.features) if std else np.asarray(inst.features, dtype=np.float64)
-        acts = forward(params, x)
-        pred = int(np.argmax(predict_ensemble(acts, weights)))
+        pred = learner.step(x, inst.label, inst.position)
         update_metrics(report, pred, inst.label)
-
-        seen = StreamInstance(x, inst.label, inst.position)
-        recent.append(seen)
-        _, per_head = total_loss(acts, weights, inst.label, lam)
-        weights = hedge_update(weights, per_head, ncfg.eta, ncfg.weight_floor,
-                               normalize=ncfg.normalize_weights)
-        detector, status = drift_mod.observe(detector, int(pred != inst.label))
-        adapted = False
-        if status == drift_mod.DRIFT:
-            report.drift_events.append({
-                "position": int(inst.position),
-                "error_rate": float(detector.error_rate),
-                "threshold": float(detector.threshold),
-            })
-            if use_bilevel:
-                params, rec = adapt_on_drift(params, recent, memory, weights,
-                                             bcfg, lam, rng, inst.position)
-                report.adaptations.append({
-                    "position": int(rec.position),
-                    "loss_before": float(rec.loss_before),
-                    "loss_after": float(rec.loss_after),
-                    "shift_norm": float(rec.shift_norm),
-                    "memory_batch": int(rec.memory_batch),
-                })
-                adapted = True
-            detector = drift_mod.reset(detector)
-        if not adapted:
-            grads = backward(params, acts, weights, inst.label, lam)
-            params, opt_state = apply_update(params, grads, opt_state, ncfg)
-        memory.maybe_insert(seen, rng)
 
     report.wall_time = time.perf_counter() - started
     return report

@@ -13,13 +13,12 @@ input, head n reads hidden layer n.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import AdamState, adam_step, cross_entropy, relu, softmax
+from .numerics import AdamState, adam_step, aug, cross_entropy, relu, softmax
 
 # Per-head losses are capped before exponentiation so exp(-eta * loss) cannot
 # underflow; unreachable in normal operation (the probability floor already
@@ -38,7 +37,6 @@ class NetworkConfig:
     lr: float = 0.01
     optimizer: str = "adam"    # "adam" | "sgd"
     weight_floor: float | None = None   # default 1e-4 / (N + 1)
-    normalize_weights: bool = True
 
     def __post_init__(self):
         if self.hidden_layers < 1:
@@ -62,24 +60,24 @@ class NetworkConfig:
         if self.weight_floor * (self.hidden_layers + 1) >= 1.0:
             raise ConfigError("weight floor too large: floors cannot sum past 1")
 
-    @property
-    def n_heads(self) -> int:
-        return self.hidden_layers + 1
-
 
 @dataclass
 class NetworkParams:
-    """All trainable matrices: hidden layer weights and per-head classifiers."""
+    """All trainable matrices, or their gradients: layer weights and per-head classifiers."""
 
     layers: list    # layers[n]: width x (prev_dim + 1), n = 0..N-1
     heads: list     # heads[n]: classes x (feature_dim + 1), n = 0..N
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.layers],
-                             [t.copy() for t in self.heads])
+        return self.with_matrices([m.copy() for m in self.matrices()])
 
     def matrices(self) -> list:
         return self.layers + self.heads
+
+    def with_matrices(self, mats: list) -> "NetworkParams":
+        """Same layout, holding `mats` given in `matrices()` order."""
+        n = len(self.layers)
+        return NetworkParams(mats[:n], mats[n:])
 
 
 @dataclass
@@ -88,27 +86,6 @@ class LayerActivations:
 
     hidden: list    # h_0 = x, h_1..h_N post-ReLU
     probs: list     # f_0..f_N, one probability vector per head
-
-
-@dataclass
-class Gradients:
-    layers: list
-    heads: list
-
-    def matrices(self) -> list:
-        return self.layers + self.heads
-
-
-@dataclass
-class OptimizerState:
-    kind: str
-    layer_states: list | None = None
-    head_states: list | None = None
-
-
-def _aug(v: np.ndarray) -> np.ndarray:
-    """Append the bias constant 1."""
-    return np.append(v, 1.0)
 
 
 def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.ndarray]:
@@ -138,8 +115,8 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
         raise InputError("input contains non-finite values")
     hidden = [x]
     for w in params.layers:
-        hidden.append(relu(w @ _aug(hidden[-1])))
-    probs = [softmax(t @ _aug(h)) for t, h in zip(params.heads, hidden)]
+        hidden.append(relu(w @ aug(hidden[-1])))
+    probs = [softmax(t @ aug(h)) for t, h in zip(params.heads, hidden)]
     return LayerActivations(hidden, probs)
 
 
@@ -172,7 +149,7 @@ def total_loss(acts: LayerActivations, weights: np.ndarray, y: int,
 
 
 def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
-             y: int, lam: float) -> Gradients:
+             y: int, lam: float) -> NetworkParams:
     """Exact gradient of `total_loss` w.r.t. every matrix.
 
     Head importances are treated as constants. Head n backpropagates into
@@ -190,7 +167,7 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     for w_n, f_n, h_n in zip(weights, probs, hidden):
         g = w_n * (f_n - e_y)
         score_grads.append(g)
-        head_grads.append(np.outer(g, _aug(h_n)))
+        head_grads.append(np.outer(g, aug(h_n)))
 
     sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
     layer_grads = [None] * n
@@ -203,10 +180,10 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
             if i >= 2:
                 g_h = g_h + sim_coef * (hidden[i] - hidden[i - 1])
         delta = g_h * (hidden[i] > 0)
-        layer_grads[i - 1] = np.outer(delta, _aug(hidden[i - 1]))
+        layer_grads[i - 1] = np.outer(delta, aug(hidden[i - 1]))
         if i > 1:
             carry = params.layers[i - 1][:, :-1].T @ delta
-    return Gradients(layer_grads, head_grads)
+    return NetworkParams(layer_grads, head_grads)
 
 
 def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
@@ -230,68 +207,38 @@ def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
 
 
 def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float,
-                 weight_floor: float, normalize: bool = True) -> np.ndarray:
+                 weight_floor: float) -> np.ndarray:
     """Discount each head importance by exp(-eta * loss), floor, renormalize."""
     capped = np.minimum(per_head_losses, HEDGE_LOSS_CAP)
     raw = weights * np.exp(-eta * capped)
-    if not normalize:
-        return np.maximum(raw, weight_floor)
     return _floor_and_renormalize(raw, weight_floor)
 
 
-def init_opt_state(params: NetworkParams, config: NetworkConfig) -> OptimizerState:
+def init_opt_state(params: NetworkParams, config: NetworkConfig) -> list | None:
+    """None for SGD; for Adam one AdamState per matrix, in `matrices()` order."""
     if config.optimizer == "sgd":
-        return OptimizerState("sgd")
-    return OptimizerState(
-        "adam",
-        [AdamState.zeros_like(w) for w in params.layers],
-        [AdamState.zeros_like(t) for t in params.heads],
-    )
+        return None
+    return [AdamState.zeros_like(m) for m in params.matrices()]
 
 
-def apply_update(params: NetworkParams, grads: Gradients, opt_state: OptimizerState,
-                 config: NetworkConfig) -> tuple[NetworkParams, OptimizerState]:
-    """Step every matrix with the configured optimizer."""
+def apply_update(params: NetworkParams, grads: NetworkParams, opt_state: list | None,
+                 config: NetworkConfig) -> tuple[NetworkParams, list | None]:
+    """Step every matrix with the configured optimizer; each step checks shapes."""
+    if config.optimizer == "sgd":
+        return sgd_step(params, grads, config.lr), opt_state
+    new_mats, new_states = [], []
+    for p, g, s in zip(params.matrices(), grads.matrices(), opt_state):
+        p2, s2 = adam_step(p, g, s, config.lr)
+        new_mats.append(p2)
+        new_states.append(s2)
+    return params.with_matrices(new_mats), new_states
+
+
+def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
+    """Plain gradient step at a caller-chosen rate."""
+    stepped = []
     for p, g in zip(params.matrices(), grads.matrices()):
         if p.shape != g.shape:
             raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    if config.optimizer == "sgd":
-        new = NetworkParams([w - config.lr * g for w, g in zip(params.layers, grads.layers)],
-                            [t - config.lr * g for t, g in zip(params.heads, grads.heads)])
-        return new, opt_state
-    new_layers, new_lstates = [], []
-    for w, g, s in zip(params.layers, grads.layers, opt_state.layer_states):
-        w2, s2 = adam_step(w, g, s, config.lr)
-        new_layers.append(w2)
-        new_lstates.append(s2)
-    new_heads, new_hstates = [], []
-    for t, g, s in zip(params.heads, grads.heads, opt_state.head_states):
-        t2, s2 = adam_step(t, g, s, config.lr)
-        new_heads.append(t2)
-        new_hstates.append(s2)
-    return NetworkParams(new_layers, new_heads), OptimizerState("adam", new_lstates, new_hstates)
-
-
-def sgd_step(params: NetworkParams, grads: Gradients, lr: float) -> NetworkParams:
-    """Plain gradient step at a caller-chosen rate (used by the drift adapter)."""
-    return NetworkParams([w - lr * g for w, g in zip(params.layers, grads.layers)],
-                         [t - lr * g for t, g in zip(params.heads, grads.heads)])
-
-
-def save_checkpoint(path, config: NetworkConfig, params: NetworkParams,
-                    weights: np.ndarray) -> None:
-    """Dump config + every matrix; round-trips bit-exactly via float64 npz."""
-    arrays = {f"layer_{i}": w for i, w in enumerate(params.layers)}
-    arrays.update({f"head_{i}": t for i, t in enumerate(params.heads)})
-    arrays["head_importances"] = weights
-    arrays["config_json"] = np.array(json.dumps(asdict(config), sort_keys=True))
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> tuple[NetworkConfig, NetworkParams, np.ndarray]:
-    with np.load(path, allow_pickle=False) as data:
-        config = NetworkConfig(**json.loads(str(data["config_json"])))
-        layers = [data[f"layer_{i}"] for i in range(config.hidden_layers)]
-        heads = [data[f"head_{i}"] for i in range(config.n_heads)]
-        weights = data["head_importances"]
-    return config, NetworkParams(layers, heads), weights
+        stepped.append(p - lr * g)
+    return params.with_matrices(stepped)

@@ -6,7 +6,6 @@ capacity/s, so the memory is always a uniform sample of the whole stream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +53,3 @@ class EpisodicMemory:
             return []
         idx = rng.integers(0, len(self.items), size=k)
         return [self.items[i] for i in idx]
-
-    def to_csv(self, path) -> None:
-        """Debug dump: position, label, then the feature values."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for inst in self.items:
-                writer.writerow([inst.position, inst.label, *inst.features.tolist()])

@@ -18,6 +18,11 @@ from .errors import InputError
 PROB_CLIP = 1e-12
 
 
+def aug(v: np.ndarray) -> np.ndarray:
+    """Append the bias constant 1."""
+    return np.append(v, 1.0)
+
+
 def relu(v: np.ndarray) -> np.ndarray:
     """Elementwise max(0, v)."""
     return np.maximum(v, 0.0)

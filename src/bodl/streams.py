@@ -9,6 +9,7 @@ e.g. ``csv:data/pima.csv``, ``sea:seg=2000,2000;noise=0.1;seed=7`` or
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,7 +72,8 @@ def load_csv(
     column name. ``has_header=None`` sniffs: the first row is a header when
     any non-label cell fails to parse as a number. Labels are encoded by
     first appearance. ``shuffle_seed`` applies a seeded permutation, meant
-    for stationary sets only.
+    for stationary sets only. A non-finite feature (``nan``, ``inf``) is
+    rejected with its line number.
     """
     path = Path(path)
     if not path.exists():
@@ -113,17 +115,17 @@ def load_csv(
         if raw_label not in label_map:
             label_map[raw_label] = len(label_map)
             label_names.append(raw_label)
-        feats = np.empty(width - 1)
-        j = 0
+        feats = []
         for i, cell in enumerate(row):
             if i == label_idx:
                 continue
             try:
-                feats[j] = float(cell)
+                feats.append(float(cell))
             except ValueError:
                 raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
-            j += 1
-        instances.append(StreamInstance(feats, label_map[raw_label], len(instances)))
+        if not all(map(math.isfinite, feats)):
+            raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
+        instances.append(StreamInstance(np.array(feats), label_map[raw_label], len(instances)))
 
     if len(label_map) < 2:
         raise StreamFormatError(f"{path}: found {len(label_map)} distinct label(s), need at least 2")

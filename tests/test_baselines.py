@@ -14,11 +14,9 @@ from bodl.baselines import (
     ROMMA,
     SCW,
     Perceptron,
-    baseline_step,
     make_baseline,
 )
 from bodl.errors import ConfigError, InputError
-from bodl.memory import StreamInstance
 
 from oracles import scalar_arow
 
@@ -97,14 +95,6 @@ def test_scores_use_trailing_bias():
     scores = model.scores(np.array([10.0, -1.0]))
     assert scores[0] == pytest.approx(10.0 - 2.0 + 3.0, abs=1e-15)
     assert scores[1] == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_baseline_step_wrapper():
-    model = make_baseline("perceptron", 2, 2)
-    inst = StreamInstance(np.array([1.0, 0.0]), 0, 0)
-    pred, same = baseline_step(model, inst)
-    assert pred == 0
-    assert same is model
 
 
 # ---------------------------------------------------------------- perceptron

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from bodl.cli import _parse_seeds, main
@@ -83,6 +84,15 @@ def test_run_forwards_hyperparameters(tmp_path):
 def test_run_bad_stream_exits_2(capsys):
     assert run_cli("run", "--stream", "nope:whatever", *FAST) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_diverging_network_exits_2(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("run", "--stream", "hyperplane:seg=300,300;mode=flip;d=8",
+                       "--seed", "1", "--optimizer", "sgd", "--lr", "50")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_run_unknown_learner_exits_2(capsys):

@@ -5,16 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from bodl.errors import ConfigError, InputError
+from bodl.errors import ConfigError, DivergenceError, InputError
 from bodl.harness import (
     MetricsReport,
+    NetworkLearner,
     RunConfig,
     prequential_run,
     run_suite,
     update_metrics,
 )
 from bodl.memory import StreamInstance
-from bodl.streams import StreamSource, gen_drift_stream
+from bodl.streams import StreamSource, gen_drift_stream, parse_stream_spec
 
 # fast two-concept stream that reliably trips the detector (flip drift is
 # maximally abrupt), paired with a small one-layer network
@@ -215,6 +216,32 @@ def test_detector_rearm_gap_between_drifts():
     assert np.all(gaps >= cfg.detector_min_instances)
 
 
+def test_event_positions_come_from_the_stream():
+    # positions start at 1000, so a learner-side counter would not match
+    src = parse_stream_spec(FAST_DRIFT, default_seed=3)
+    shifted = StreamSource([StreamInstance(i.features, i.label, i.position + 1000)
+                            for i in src], src.input_dim, src.classes, "shifted")
+    report = prequential_run(fast_config("bodl-2", stream=shifted))
+    positions = {inst.position for inst in shifted}
+    assert report.drift_events and report.adaptations
+    for event in report.drift_events + report.adaptations:
+        assert event["position"] in positions
+
+
+def test_divergence_is_caught_before_the_importances_update():
+    # SGD at lr=50 overflows within a few instances on the default shape
+    source = parse_stream_spec(FAST_DRIFT, default_seed=1)
+    cfg = RunConfig(source, seed=1, optimizer="sgd", lr=50.0, standardize=False)
+    learner = NetworkLearner(cfg, source, MetricsReport(classes=source.classes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            for inst in source:
+                learner.step(inst.features, inst.label, inst.position)
+    assert info.value.position == inst.position
+    assert np.all(np.isfinite(learner.weights))
+    assert abs(float(learner.weights.sum()) - 1.0) <= 1e-12
+
+
 def test_run_is_deterministic():
     a = prequential_run(fast_config("bodl-2")).as_dict()
     b = prequential_run(fast_config("bodl-2")).as_dict()
@@ -250,6 +277,15 @@ def test_run_suite_preserves_order_and_captures_errors():
     assert not results[1].ok
     assert "ConfigError" in results[1].error
     assert results[1].report is None
+
+
+def test_run_suite_records_divergence():
+    cfg = RunConfig(FAST_DRIFT, seed=1, optimizer="sgd", lr=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        [result] = run_suite([cfg])
+    assert not result.ok
+    assert result.report is None
+    assert "DivergenceError" in result.error and "position 5" in result.error
 
 
 def test_run_suite_parallel_matches_sequential():

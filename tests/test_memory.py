@@ -120,12 +120,3 @@ def test_invalid_capacity_rejected():
     with pytest.raises(ConfigError):
         EpisodicMemory(capacity=0)
 
-
-def test_csv_dump(tmp_path):
-    mem = EpisodicMemory(capacity=3)
-    offer_stream(mem, 3, np.random.default_rng(12))
-    out = tmp_path / "mem.csv"
-    mem.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].split(",")[0] == "0"

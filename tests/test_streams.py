@@ -93,6 +93,13 @@ def test_load_csv_non_numeric_feature_reports_line(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_load_csv_non_finite_feature_reports_line(tmp_path, cell):
+    p = write_lines(tmp_path / "bad.csv", f"1,2,a\n3,{cell},b\n")
+    with pytest.raises(StreamFormatError, match="line 2: non-finite"):
+        load_csv(p)
+
+
 def test_load_csv_single_label_rejected(tmp_path):
     p = write_lines(tmp_path / "one.csv", "1,2,a\n3,4,a\n")
     with pytest.raises(StreamFormatError, match="at least 2"):
