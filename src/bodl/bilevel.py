@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, StateError
-from .hedge_net import NetworkParams, backward, forward, sgd_step, total_loss
+from .errors import ConfigError, StateError
+from .hedge_net import NetworkParams, backward, flat_pair, forward, sgd_step, total_loss
 from .memory import EpisodicMemory, StreamInstance
 
 
@@ -84,16 +84,13 @@ def _mean_grad_step(params: NetworkParams, batch: list[StreamInstance],
     acc = None
     for inst in batch:
         acts = forward(params, inst.features)
-        g = backward(params, acts, weights, inst.label, lam)
+        g = backward(params, acts, weights, inst.label, lam).flat
         if acc is None:
             acc = g
         else:
-            for a, b in zip(acc.matrices(), g.matrices()):
-                a += b
-    scale = 1.0 / len(batch)
-    for a in acc.matrices():
-        a *= scale
-    return sgd_step(params, acc, rate)
+            acc += g
+    acc *= 1.0 / len(batch)
+    return sgd_step(params, params.with_flat(acc), rate)
 
 
 def inner_adapt(params: NetworkParams, buf: RecentBuffer, weights: np.ndarray,
@@ -130,20 +127,21 @@ def outer_interpolate(params: NetworkParams, target: NetworkParams,
     Written as (1-gamma)*a + gamma*b so the endpoints gamma=0 and gamma=1
     reproduce the operands bit-exactly.
     """
-    blended = []
-    for a, b in zip(params.matrices(), target.matrices()):
-        if a.shape != b.shape:
-            raise InputError(f"shape mismatch in interpolation: {a.shape} vs {b.shape}")
-        blended.append((1.0 - gamma) * a + gamma * b)
-    return params.with_matrices(blended)
+    a, b = flat_pair(params, target)
+    return params.with_flat((1.0 - gamma) * a + gamma * b)
 
 
 def params_distance(a: NetworkParams, b: NetworkParams) -> float:
-    """Frobenius distance over all matrices."""
+    """Frobenius distance over all matrices.
+
+    Summed matrix by matrix, in `matrices()` order: one sum over the whole
+    vector would add in a different order and round differently.
+    """
+    x, y = flat_pair(a, b)
+    diff = x - y
     total = 0.0
-    for x, y in zip(a.matrices(), b.matrices()):
-        diff = x - y
-        total += float(np.sum(diff * diff))
+    for sq in a.with_flat(diff * diff).matrices():
+        total += float(np.sum(sq))
     return float(np.sqrt(total))
 
 

@@ -13,12 +13,14 @@ input, head n reads hidden layer n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import AdamState, adam_step, aug, cross_entropy, relu, softmax
+from .numerics import AdamState, adam_step, cross_entropy, relu, softmax
 
 # Per-head losses are capped before exponentiation so exp(-eta * loss) cannot
 # underflow; unreachable in normal operation (the probability floor already
@@ -61,23 +63,70 @@ class NetworkConfig:
             raise ConfigError("weight floor too large: floors cannot sum past 1")
 
 
-@dataclass
-class NetworkParams:
-    """All trainable matrices, or their gradients: layer weights and per-head classifiers."""
+class Layout(NamedTuple):
+    """Where each matrix of a NetworkParams sits in its vector."""
 
-    layers: list    # layers[n]: width x (prev_dim + 1), n = 0..N-1
-    heads: list     # heads[n]: classes x (feature_dim + 1), n = 0..N
+    n_layers: int
+    shapes: tuple       # matrix shapes in matrices() order
+    offsets: tuple      # start of each matrix in the vector, then the total size
+
+
+class NetworkParams:
+    """All trainable matrices, or their gradients, in one contiguous float64 vector.
+
+    `flat` holds every matrix back to back in `matrices()` order; `layers`
+    (layers[n]: width x (prev_dim + 1), n = 0..N-1) and `heads` (heads[n]:
+    classes x (feature_dim + 1), n = 0..N) are reshaped views into it, so a
+    write to a matrix writes `flat` and a whole-vector update moves every
+    matrix. `NetworkParams(layers, heads)` copies the matrices into a new vector.
+    """
+
+    def __init__(self, layers: list, heads: list):
+        mats = [np.asarray(m, dtype=np.float64) for m in (*layers, *heads)]
+        offsets = [0]
+        for m in mats:
+            offsets.append(offsets[-1] + m.size)
+        layout = Layout(len(layers), tuple(m.shape for m in mats), tuple(offsets))
+        self._bind(np.concatenate([m.ravel() for m in mats]), layout)
+
+    def _bind(self, flat: np.ndarray, layout: Layout) -> None:
+        self.flat = flat
+        self.layout = layout
+        bounds = layout.offsets
+        self._views = [flat[a:b].reshape(shape)
+                       for a, b, shape in zip(bounds, bounds[1:], layout.shapes)]
+        self.layers = self._views[:layout.n_layers]
+        self.heads = self._views[layout.n_layers:]
+
+    def with_flat(self, flat: np.ndarray) -> "NetworkParams":
+        """Same layout, viewing `flat` (not copied)."""
+        if flat.shape != self.flat.shape:
+            raise InputError(f"vector of shape {flat.shape} for a layout of {self.flat.size}")
+        other = NetworkParams.__new__(NetworkParams)
+        other._bind(flat, self.layout)
+        return other
 
     def copy(self) -> "NetworkParams":
-        return self.with_matrices([m.copy() for m in self.matrices()])
+        return self.with_flat(self.vector().copy())
 
     def matrices(self) -> list:
         return self.layers + self.heads
 
-    def with_matrices(self, mats: list) -> "NetworkParams":
-        """Same layout, holding `mats` given in `matrices()` order."""
-        n = len(self.layers)
-        return NetworkParams(mats[:n], mats[n:])
+    def vector(self) -> np.ndarray:
+        """`flat`, once every matrix in `layers` and `heads` is checked to still
+        be its view: a matrix replaced by an outside array would be silently
+        ignored by a whole-vector update."""
+        mats = self.layers + self.heads
+        if len(mats) != len(self._views) or not all(map(operator.is_, mats, self._views)):
+            raise InputError("a matrix was replaced by an array outside the parameter vector")
+        return self.flat
+
+
+def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors of two parameter sets, after checking they share a layout."""
+    if a.layout != b.layout:
+        raise InputError(f"matrix shapes differ: {list(a.layout.shapes)} vs {list(b.layout.shapes)}")
+    return a.vector(), b.vector()
 
 
 @dataclass
@@ -86,6 +135,7 @@ class LayerActivations:
 
     hidden: list    # h_0 = x, h_1..h_N post-ReLU
     probs: list     # f_0..f_N, one probability vector per head
+    augmented: list = field(default_factory=list)   # [h_n; 1] for n = 0..N, from forward
 
 
 def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.ndarray]:
@@ -106,18 +156,30 @@ def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.nd
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
-    """Run the ReLU chain and every softmax head."""
+    """Run the ReLU chain and every softmax head.
+
+    Each layer's input sits in one buffer followed by the bias constant 1, and
+    each ReLU writes its output into the next such slot, so the augmented
+    vectors the heads and `backward` read are never built by appending.
+    """
     x = np.asarray(x, dtype=np.float64)
     expected = params.layers[0].shape[1] - 1
     if x.shape != (expected,):
         raise InputError(f"input has shape {x.shape}, expected ({expected},)")
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
+    buf = np.ones(expected + 1 + sum(w.shape[0] + 1 for w in params.layers))
+    buf[:expected] = x
+    augmented = [buf[:expected + 1]]
     hidden = [x]
+    start = expected + 1
     for w in params.layers:
-        hidden.append(relu(w @ aug(hidden[-1])))
-    probs = [softmax(t @ aug(h)) for t, h in zip(params.heads, hidden)]
-    return LayerActivations(hidden, probs)
+        stop = start + w.shape[0]
+        hidden.append(relu(w @ augmented[-1], out=buf[start:stop]))
+        augmented.append(buf[start:stop + 1])
+        start = stop + 1
+    probs = [softmax(t @ a) for t, a in zip(params.heads, augmented)]
+    return LayerActivations(hidden, probs, augmented)
 
 
 def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
@@ -156,21 +218,24 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     layers 1..n scaled by its importance; the similarity penalty contributes
     through both members of each consecutive pair.
     """
-    hidden, probs = acts.hidden, acts.probs
+    hidden, probs, augmented = acts.hidden, acts.probs, acts.augmented
     n = len(params.layers)
+    if not len(weights) == len(probs) == len(augmented) == len(params.heads):
+        raise InputError(f"{len(params.heads)} heads, but {len(weights)} importances, "
+                         f"{len(probs)} head outputs and {len(augmented)} head inputs "
+                         "(activations must come from forward)")
     c = len(probs[0])
     e_y = np.zeros(c)
     e_y[y] = 1.0
+    grads = params.with_flat(np.empty_like(params.flat))   # every entry written below
 
-    head_grads = []
     score_grads = []            # d loss / d head-scores, scaled by importance
-    for w_n, f_n, h_n in zip(weights, probs, hidden):
+    for w_n, f_n, a_n, out in zip(weights, probs, augmented, grads.heads):
         g = w_n * (f_n - e_y)
         score_grads.append(g)
-        head_grads.append(np.outer(g, aug(h_n)))
+        np.outer(g, a_n, out=out)
 
     sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
-    layer_grads = [None] * n
     carry = np.zeros_like(hidden[n])   # gradient flowing into h_n from above
     for i in range(n, 0, -1):          # hidden layer i, weight matrix layers[i-1]
         g_h = params.heads[i][:, :-1].T @ score_grads[i] + carry
@@ -180,10 +245,10 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
             if i >= 2:
                 g_h = g_h + sim_coef * (hidden[i] - hidden[i - 1])
         delta = g_h * (hidden[i] > 0)
-        layer_grads[i - 1] = np.outer(delta, aug(hidden[i - 1]))
+        np.outer(delta, augmented[i - 1], out=grads.layers[i - 1])
         if i > 1:
             carry = params.layers[i - 1][:, :-1].T @ delta
-    return NetworkParams(layer_grads, head_grads)
+    return grads
 
 
 def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
@@ -214,31 +279,24 @@ def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float,
     return _floor_and_renormalize(raw, weight_floor)
 
 
-def init_opt_state(params: NetworkParams, config: NetworkConfig) -> list | None:
-    """None for SGD; for Adam one AdamState per matrix, in `matrices()` order."""
+def init_opt_state(params: NetworkParams, config: NetworkConfig) -> AdamState | None:
+    """None for SGD; for Adam one AdamState over the whole parameter vector."""
     if config.optimizer == "sgd":
         return None
-    return [AdamState.zeros_like(m) for m in params.matrices()]
+    return AdamState.zeros_like(params.flat)
 
 
-def apply_update(params: NetworkParams, grads: NetworkParams, opt_state: list | None,
-                 config: NetworkConfig) -> tuple[NetworkParams, list | None]:
-    """Step every matrix with the configured optimizer; each step checks shapes."""
+def apply_update(params: NetworkParams, grads: NetworkParams, opt_state: AdamState | None,
+                 config: NetworkConfig) -> tuple[NetworkParams, AdamState | None]:
+    """One optimizer step on the whole parameter vector."""
     if config.optimizer == "sgd":
         return sgd_step(params, grads, config.lr), opt_state
-    new_mats, new_states = [], []
-    for p, g, s in zip(params.matrices(), grads.matrices(), opt_state):
-        p2, s2 = adam_step(p, g, s, config.lr)
-        new_mats.append(p2)
-        new_states.append(s2)
-    return params.with_matrices(new_mats), new_states
+    p, g = flat_pair(params, grads)
+    stepped, state = adam_step(p, g, opt_state, config.lr)
+    return params.with_flat(stepped), state
 
 
 def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
     """Plain gradient step at a caller-chosen rate."""
-    stepped = []
-    for p, g in zip(params.matrices(), grads.matrices()):
-        if p.shape != g.shape:
-            raise InputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        stepped.append(p - lr * g)
-    return params.with_matrices(stepped)
+    p, g = flat_pair(params, grads)
+    return params.with_flat(p - lr * g)

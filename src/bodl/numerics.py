@@ -1,8 +1,9 @@
 """Dense float64 kernels shared by every learner: activations, losses, Adam.
 
-All functions are pure; optimizer state is passed in and returned. Everything
-runs in double precision so that analytic gradients can be checked against
-central finite differences.
+All functions are pure (they write only into arrays they allocate, or into
+an `out` the caller passes); optimizer state is passed in and returned.
+Everything runs in double precision so that analytic gradients can be
+checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ def aug(v: np.ndarray) -> np.ndarray:
     return np.append(v, 1.0)
 
 
-def relu(v: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, v)."""
-    return np.maximum(v, 0.0)
+def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, v), written into `out` if given."""
+    return np.maximum(v, 0.0, out=out)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -65,14 +66,29 @@ class AdamState:
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new parameter and state."""
+    """One bias-corrected Adam update; returns the new parameter and state.
+
+    Computes param - lr * m_hat / (sqrt(v_hat) + eps) with the same roundings
+    in the same order as that expression, but into two temporaries instead
+    of one new array per operation.
+    """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise InputError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, moment {state.m.shape}")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_param, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
+    b1, b2 = state.beta1, state.beta2
+    tmp = np.multiply(grad, 1.0 - b1)
+    m = np.multiply(state.m, b1)
+    m += tmp
+    np.multiply(grad, grad, out=tmp)
+    tmp *= 1.0 - b2
+    v = np.multiply(state.v, b2)
+    v += tmp
+    step = np.divide(m, 1.0 - b1 ** t)  # m_hat
+    step *= lr
+    np.divide(v, 1.0 - b2 ** t, out=tmp)  # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    step /= tmp
+    new_param = np.subtract(param, step, out=step)
+    return new_param, AdamState(m, v, t, b1, b2, state.eps)

@@ -249,6 +249,17 @@ def _parse_kv(body: str, spec: str) -> dict[str, str]:
     return out
 
 
+def _number(opts: dict[str, str], key: str, kind: type, spec: str, default=None):
+    """Option `key` converted by `kind` (int or float), or `default` if absent."""
+    if key not in opts:
+        return default
+    try:
+        return kind(opts[key])
+    except ValueError:
+        raise ConfigError(f"option {key}={opts[key]!r} in stream spec {spec!r} "
+                          f"is not {'an integer' if kind is int else 'a number'}") from None
+
+
 def resolve_csv_path(token: str) -> Path:
     """Map a csv token to a file: a literal path, or a known dataset name."""
     p = Path(token)
@@ -288,12 +299,16 @@ def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
             label = int(label)
         except ValueError:
             pass  # header column name
-        header = None
-        if "header" in opts:
-            header = bool(int(opts["header"]))
-        shuffle = int(opts["shuffle"]) if "shuffle" in opts else None
+        header = _number(opts, "header", int, spec)
+        if header is not None:
+            header = bool(header)
+        shuffle = _number(opts, "shuffle", int, spec)
+        delim = opts.get("delim", ",")
+        if len(delim) != 1:
+            raise ConfigError(f"option delim={delim!r} in stream spec {spec!r} "
+                              "is not a single character")
         return load_csv(resolve_csv_path(token), label_column=label,
-                        delimiter=opts.get("delim", ","), has_header=header,
+                        delimiter=delim, has_header=header,
                         shuffle_seed=shuffle)
     if kind in ("sea", "hyperplane"):
         opts = _parse_kv(body, spec)
@@ -306,9 +321,9 @@ def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
         return gen_drift_stream(
             kind,
             segments,
-            noise=float(opts.get("noise", 0.0)),
-            dim=int(opts["d"]) if "d" in opts else None,
-            seed=int(opts.get("seed", default_seed)),
+            noise=_number(opts, "noise", float, spec, 0.0),
+            dim=_number(opts, "d", int, spec),
+            seed=_number(opts, "seed", int, spec, default_seed),
             mode=opts.get("mode", "redraw"),
         )
     raise ConfigError(f"unknown stream kind {kind!r} in {spec!r}")

@@ -224,3 +224,118 @@ def reservoir_final_positions(seed, capacity, offers):
     uniq, last_from_rev = np.unique(slots[::-1], return_index=True)
     occupant[uniq] = positions[::-1][last_from_rev]
     return np.sort(occupant)
+
+
+# ---------------------------------------------------------------------------
+# The network learner with every matrix in its own array: the bias constant
+# appended to each layer input, Adam and SGD applied matrix by matrix, the
+# drift adaptation over lists. The library keeps all matrices as views of one
+# vector but performs the same elementwise operations on the same matmul
+# operands, so its results must equal these bit for bit.
+
+def list_softmax(v):
+    e = np.exp(v - np.max(v))
+    return e / np.sum(e)
+
+
+def list_forward(layers, heads, x):
+    """Hidden activations (input first) and per-head probability vectors."""
+    hidden = [x]
+    for w in layers:
+        hidden.append(np.maximum(w @ np.append(hidden[-1], 1.0), 0.0))
+    probs = [list_softmax(t @ np.append(h, 1.0)) for t, h in zip(heads, hidden)]
+    return hidden, probs
+
+
+def list_total_loss(hidden, probs, weights, y, lam, clip=1e-12):
+    """Weighted per-head cross-entropy plus the mean consecutive-layer distance."""
+    per_head = np.array([-np.log(max(float(f[y]), clip)) for f in probs])
+    n = len(hidden) - 1
+    penalty = 0.0
+    if n >= 2:
+        for i in range(1, n):
+            diff = hidden[i] - hidden[i + 1]
+            penalty += float(diff @ diff)
+        penalty /= n - 1
+    return float(weights @ per_head + lam * penalty), per_head
+
+
+def list_backward(layers, heads, hidden, probs, weights, y, lam):
+    """Gradients of `list_total_loss` as (layer grads, head grads)."""
+    n = len(layers)
+    e_y = np.zeros(len(probs[0]))
+    e_y[y] = 1.0
+    head_grads, score_grads = [], []
+    for w_n, f_n, h_n in zip(weights, probs, hidden):
+        g = w_n * (f_n - e_y)
+        score_grads.append(g)
+        head_grads.append(np.outer(g, np.append(h_n, 1.0)))
+    sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
+    layer_grads = [None] * n
+    carry = np.zeros_like(hidden[n])
+    for i in range(n, 0, -1):
+        g_h = heads[i][:, :-1].T @ score_grads[i] + carry
+        if sim_coef:
+            if i <= n - 1:
+                g_h = g_h + sim_coef * (hidden[i] - hidden[i + 1])
+            if i >= 2:
+                g_h = g_h + sim_coef * (hidden[i] - hidden[i - 1])
+        delta = g_h * (hidden[i] > 0)
+        layer_grads[i - 1] = np.outer(delta, np.append(hidden[i - 1], 1.0))
+        if i > 1:
+            carry = layers[i - 1][:, :-1].T @ delta
+    return layer_grads, head_grads
+
+
+def list_adam_step(mats, grads, states, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam on each matrix; `states` holds one (m, v, t) per matrix."""
+    new_mats, new_states = [], []
+    for p, g, (m, v, t) in zip(mats, grads, states):
+        t += 1
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        new_mats.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_states.append((m, v, t))
+    return new_mats, new_states
+
+
+def list_sgd_step(mats, grads, lr):
+    return [p - lr * g for p, g in zip(mats, grads)]
+
+
+def list_adapt_on_drift(mats, n_layers, recent, batch, weights, lam, mu, gamma,
+                        inner_steps):
+    """Inner steps on `recent`, one mean-gradient step on `batch`, then the
+    interpolation. `recent` and `batch` are (features, label) lists. Returns
+    (final matrices, loss before, loss after, shift norm)."""
+    def grads_of(ms, x, y):
+        layers, heads = ms[:n_layers], ms[n_layers:]
+        hidden, probs = list_forward(layers, heads, x)
+        lg, hg = list_backward(layers, heads, hidden, probs, weights, y, lam)
+        return lg + hg
+
+    def mean_loss(ms):
+        total = 0.0
+        for x, y in recent:
+            hidden, probs = list_forward(ms[:n_layers], ms[n_layers:], x)
+            total += list_total_loss(hidden, probs, weights, y, lam)[0]
+        return total / len(recent)
+
+    adapted = [m.copy() for m in mats]
+    for i in range(inner_steps):
+        x, y = recent[i % len(recent)]
+        adapted = list_sgd_step(adapted, grads_of(adapted, x, y), mu)
+    acc = None
+    for x, y in batch:
+        g = grads_of(adapted, x, y)
+        acc = g if acc is None else [a + b for a, b in zip(acc, g)]
+    scale = 1.0 / len(batch)
+    target = list_sgd_step(adapted, [a * scale for a in acc], mu)
+    final = [(1.0 - gamma) * a + gamma * b for a, b in zip(mats, target)]
+    shift = 0.0
+    for a, b in zip(target, mats):
+        diff = a - b
+        shift += float(np.sum(diff * diff))
+    return final, mean_loss(mats), mean_loss(adapted), float(np.sqrt(shift))

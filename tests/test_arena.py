@@ -1,0 +1,194 @@
+"""Parameter arena: every matrix is a view of one vector, and the whole-vector
+updates reproduce the matrix-by-matrix reference in oracles.py bit for bit."""
+
+import numpy as np
+import pytest
+
+from bodl.bilevel import (
+    BilevelConfig,
+    RecentBuffer,
+    adapt_on_drift,
+    lookahead,
+    outer_interpolate,
+)
+from bodl.errors import InputError
+from bodl.hedge_net import (
+    LayerActivations,
+    NetworkConfig,
+    NetworkParams,
+    apply_update,
+    backward,
+    forward,
+    hedge_update,
+    init_network,
+    init_opt_state,
+    sgd_step,
+    total_loss,
+)
+from bodl.memory import EpisodicMemory, StreamInstance
+
+from oracles import (
+    list_adam_step,
+    list_adapt_on_drift,
+    list_backward,
+    list_forward,
+    list_sgd_step,
+    list_total_loss,
+)
+
+
+def small_net(seed=3, optimizer="adam"):
+    cfg = NetworkConfig(input_dim=5, classes=3, hidden_layers=4, width=6,
+                        lam=0.1, optimizer=optimizer)
+    params, weights = init_network(cfg, seed)
+    return cfg, params, weights
+
+
+def assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def snapshot(params):
+    return [m.copy() for m in params.matrices()]
+
+
+# ---------------------------------------------------------------- bit-exact oracle
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_arena_matches_list_of_matrices_reference(optimizer):
+    cfg, params, weights = small_net(optimizer=optimizer)
+    n = cfg.hidden_layers
+    ref = snapshot(params)
+    ref_weights = weights.copy()
+    ref_states = [(np.zeros_like(m), np.zeros_like(m), 0) for m in ref]
+    opt = init_opt_state(params, cfg)
+    rng = np.random.default_rng(8)
+    buf = RecentBuffer(16)
+    mem = EpisodicMemory(32)
+    for position in range(50):
+        x = rng.standard_normal(cfg.input_dim)
+        y = int(rng.integers(cfg.classes))
+
+        acts = forward(params, x)
+        hidden, probs = list_forward(ref[:n], ref[n:], x)
+        assert_all_equal(acts.hidden, hidden)
+        assert_all_equal(acts.probs, probs)
+
+        loss, per_head = total_loss(acts, weights, y, cfg.lam)
+        ref_loss, ref_per_head = list_total_loss(hidden, probs, ref_weights, y, cfg.lam)
+        assert loss == ref_loss
+        assert np.array_equal(per_head, ref_per_head)
+
+        weights = hedge_update(weights, per_head, cfg.eta, cfg.weight_floor)
+        ref_weights = hedge_update(ref_weights, ref_per_head, cfg.eta, cfg.weight_floor)
+        assert np.array_equal(weights, ref_weights)
+
+        grads = backward(params, acts, weights, y, cfg.lam)
+        ref_grads = list_backward(ref[:n], ref[n:], hidden, probs, ref_weights, y, cfg.lam)
+        assert_all_equal(grads.matrices(), ref_grads[0] + ref_grads[1])
+
+        params, opt = apply_update(params, grads, opt, cfg)
+        if optimizer == "adam":
+            ref, ref_states = list_adam_step(ref, ref_grads[0] + ref_grads[1],
+                                             ref_states, cfg.lr)
+        else:
+            ref = list_sgd_step(ref, ref_grads[0] + ref_grads[1], cfg.lr)
+        assert_all_equal(params.matrices(), ref)
+
+        inst = StreamInstance(x, y, position)
+        buf.append(inst)
+        mem.maybe_insert(inst, rng)
+
+    bcfg = BilevelConfig()
+    adapted, record = adapt_on_drift(params, buf, mem, weights, bcfg, cfg.lam,
+                                     np.random.default_rng(5), position=50)
+    batch = mem.sample_batch(bcfg.memory_batch, np.random.default_rng(5))
+    want, loss_before, loss_after, shift = list_adapt_on_drift(
+        ref, n, [(i.features, i.label) for i in buf.items()],
+        [(i.features, i.label) for i in batch], weights, cfg.lam,
+        bcfg.inner_rate, bcfg.outer_rate, bcfg.inner_steps)
+    assert_all_equal(adapted.matrices(), want)
+    assert record.loss_before == loss_before
+    assert record.loss_after == loss_after
+    assert record.shift_norm == shift
+
+
+# ---------------------------------------------------------------- arena invariants
+
+def test_every_matrix_is_a_view_of_flat():
+    _, params, w = small_net()
+    grads = backward(params, forward(params, np.ones(5)), w, 0, 0.1)
+    for p in (params, grads, params.copy()):
+        assert p.flat.ndim == 1 and p.flat.dtype == np.float64
+        assert p.flat.size == sum(m.size for m in p.matrices())
+        for m in p.matrices():
+            assert np.shares_memory(m, p.flat)
+
+
+def test_constructor_copies_matrices():
+    layer = np.array([[1.0, 2.0]])
+    head = np.array([[3.0, 4.0], [5.0, 6.0]])
+    built = NetworkParams([layer], [head, head])
+    layer[0, 0] = 99.0
+    assert built.layers[0][0, 0] == 1.0
+    assert not np.shares_memory(built.heads[0], built.heads[1])
+    assert np.array_equal(built.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 3.0, 4.0, 5.0, 6.0])
+
+
+def test_copy_is_independent():
+    _, params, _ = small_net()
+    before = snapshot(params)
+    dup = params.copy()
+    dup.flat[:] = 7.0
+    dup.heads[2][0, 0] = -1.0
+    assert_all_equal(params.matrices(), before)
+    assert not np.shares_memory(dup.flat, params.flat)
+
+
+def test_updates_never_mutate_their_inputs():
+    cfg, params, w = small_net()
+    x = np.random.default_rng(1).standard_normal(5)
+    grads = backward(params, forward(params, x), w, 2, 0.1)
+    target = params.copy()
+    target.flat *= 0.5
+    kept = [snapshot(params), snapshot(grads), snapshot(target)]
+    opt = init_opt_state(params, cfg)
+    opt_m, opt_v = opt.m.copy(), opt.v.copy()
+
+    apply_update(params, grads, opt, cfg)
+    sgd_step(params, grads, 0.1)
+    outer_interpolate(params, target, 0.3)
+    batch = [StreamInstance(x, 1, 0), StreamInstance(-x, 0, 1)]
+    lookahead(params, batch, w, BilevelConfig(), 0.1)
+
+    assert_all_equal(params.matrices(), kept[0])
+    assert_all_equal(grads.matrices(), kept[1])
+    assert_all_equal(target.matrices(), kept[2])
+    assert np.array_equal(opt.m, opt_m) and np.array_equal(opt.v, opt_v)
+    assert opt.step == 0
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_foreign_gradient_matrix_rejected(optimizer):
+    # same shape, so only the detachment from the vector can catch it
+    cfg, params, w = small_net(optimizer=optimizer)
+    grads = backward(params, forward(params, np.zeros(5)), w, 0, 0.1)
+    grads.heads[2] = grads.heads[2].copy()
+    with pytest.raises(InputError):
+        apply_update(params, grads, init_opt_state(params, cfg), cfg)
+    with pytest.raises(InputError):
+        sgd_step(params, grads, 0.1)
+
+
+def test_backward_rejects_activations_not_from_forward():
+    # the gradient vector starts uninitialized, so a head without inputs or
+    # an importance must be an error, not an unwritten matrix
+    _, params, w = small_net()
+    acts = forward(params, np.zeros(5))
+    hand_built = LayerActivations(acts.hidden, acts.probs)
+    with pytest.raises(InputError):
+        backward(params, hand_built, w, 0, 0.1)
+    with pytest.raises(InputError):
+        backward(params, acts, w[:-1], 0, 0.1)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodl.errors import ConfigError, InputError
 from bodl.hedge_net import (
     LayerActivations,
+    _floor_and_renormalize,
     NetworkConfig,
     NetworkParams,
     apply_update,
@@ -355,6 +358,37 @@ def test_hedge_scale_invariance_of_prediction():
     assert np.allclose(a, b, atol=1e-12)
 
 
+# Raw masses and a floor below 1/n: the projection's domain. Masses span 24
+# orders of magnitude, so some entries land far below the floor.
+simplex_inputs = st.integers(2, 20).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-12, 1e12), min_size=n, max_size=n).map(np.array),
+    st.floats(1e-9, 0.99).map(lambda frac: frac / n)))
+
+
+def assert_on_floored_simplex(out, floor):
+    assert abs(float(out.sum()) - 1.0) <= 1e-12
+    assert np.all(out >= floor)
+    again = _floor_and_renormalize(out, floor)
+    assert np.allclose(again, out, rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(simplex_inputs)
+def test_floor_and_renormalize_projects_onto_floored_simplex(case):
+    raw, floor = case
+    assert_on_floored_simplex(_floor_and_renormalize(raw, floor), floor)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(simplex_inputs, st.data(), st.floats(1e-4, 10.0))
+def test_hedge_update_stays_on_floored_simplex(case, data, eta):
+    raw, floor = case
+    weights = _floor_and_renormalize(raw, floor)
+    losses = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(raw),
+                                         max_size=len(raw))))
+    assert_on_floored_simplex(hedge_update(weights, losses, eta, floor), floor)
+
+
 # ---------------------------------------------------------------- updates
 
 def test_apply_update_zero_gradients_identity():
@@ -387,7 +421,7 @@ def test_apply_update_adam_matches_per_matrix_kernel():
     for p, g, got in zip(params.matrices(), grads.matrices(), new_params.matrices()):
         expected, _ = adam_step(p, g, AdamState.zeros_like(p), cfg.lr)
         assert np.allclose(got, expected, atol=1e-15)
-    assert new_opt[0].step == 1
+    assert new_opt.step == 1
 
 
 def test_apply_update_shape_mismatch_rejected():

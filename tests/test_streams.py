@@ -331,6 +331,19 @@ def test_parse_spec_errors(tmp_path):
             parse_stream_spec(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "hyperplane:seg=100;noise=abc", "sea:seg=100;d=2.5", "sea:seg=100;seed=x",
+    "csv:{p};header=yes", "csv:{p};shuffle=1e3", "csv:{p};delim="])
+def test_parse_spec_malformed_option_names_it(tmp_path, bad):
+    p = write_lines(tmp_path / "ok.csv", "1,a\n2,b\n")
+    spec = bad.format(p=p)
+    key, val = spec.rsplit(";", 1)[1].split("=", 1)
+    with pytest.raises(ConfigError) as err:
+        parse_stream_spec(spec)
+    assert f"{key}={val!r}" in str(err.value)
+    assert spec in str(err.value)
+
+
 # ---------------------------------------------------------------- paths
 
 def test_data_dir_env_override(monkeypatch, tmp_path):
