@@ -8,13 +8,14 @@ representations together so deep heads do not stall.
 
 Parameter matrices carry their bias as a trailing column, so a layer computes
 W @ [h; 1]. With N hidden layers there are N+1 heads: head 0 reads the raw
-input, head n reads hidden layer n.
+input, head n reads hidden layer n. All hidden layers share one width, so
+heads 1..N are scored by one batched matmul into one (N+1, classes) array.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,15 +79,23 @@ class NetworkParams:
     (layers[n]: width x (prev_dim + 1), n = 0..N-1) and `heads` (heads[n]:
     classes x (feature_dim + 1), n = 0..N) are reshaped views into it, so a
     write to a matrix writes `flat` and a whole-vector update moves every
-    matrix. `NetworkParams(layers, heads)` copies the matrices into a new vector.
+    matrix. `hidden_heads` views heads 1..N, which sit back to back in `flat`,
+    as one (N, classes, width + 1) array; for that the hidden layers must share
+    one width and heads 1..N one shape. `NetworkParams(layers, heads)` checks
+    this and copies the matrices into a new vector.
     """
 
     def __init__(self, layers: list, heads: list):
         mats = [np.asarray(m, dtype=np.float64) for m in (*layers, *heads)]
+        n, shapes = len(layers), tuple(m.shape for m in mats)
+        if (len(heads) != n + 1 or len({s[0] for s in shapes[:n]}) > 1
+                or len(set(shapes[1:n])) > 1 or len(set(shapes[n + 1:])) > 1):
+            raise InputError("need N hidden layers of one width and N+1 heads, heads 1..N "
+                             f"of one shape; got layers {list(shapes[:n])}, heads {list(shapes[n:])}")
         offsets = [0]
         for m in mats:
             offsets.append(offsets[-1] + m.size)
-        layout = Layout(len(layers), tuple(m.shape for m in mats), tuple(offsets))
+        layout = Layout(n, shapes, tuple(offsets))
         self._bind(np.concatenate([m.ravel() for m in mats]), layout)
 
     def _bind(self, flat: np.ndarray, layout: Layout) -> None:
@@ -95,8 +104,10 @@ class NetworkParams:
         bounds = layout.offsets
         self._views = [flat[a:b].reshape(shape)
                        for a, b, shape in zip(bounds, bounds[1:], layout.shapes)]
-        self.layers = self._views[:layout.n_layers]
-        self.heads = self._views[layout.n_layers:]
+        n = layout.n_layers
+        self.layers = self._views[:n]
+        self.heads = self._views[n:]
+        self.hidden_heads = flat[bounds[n + 1]:bounds[-1]].reshape(n, *layout.shapes[n + 1])
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParams":
         """Same layout, viewing `flat` (not copied)."""
@@ -131,11 +142,12 @@ def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class LayerActivations:
-    """Forward-pass record: hidden[0] is the raw input."""
+    """Forward-pass record: hidden[0] is the raw input; from `forward`, hidden[n]
+    is row n-1 of the augmented block without its trailing 1."""
 
-    hidden: list    # h_0 = x, h_1..h_N post-ReLU
-    probs: list     # f_0..f_N, one probability vector per head
-    augmented: list = field(default_factory=list)   # [h_n; 1] for n = 0..N, from forward
+    hidden: list        # h_0 = x, h_1..h_N post-ReLU
+    probs: np.ndarray   # (N+1, classes): row n is head n's probability vector
+    augmented: tuple = ()   # ([x; 1], (N, width + 1) block of rows [h_n; 1]), from forward
 
 
 def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.ndarray]:
@@ -156,35 +168,35 @@ def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.nd
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
-    """Run the ReLU chain and every softmax head.
+    """Run the ReLU chain, then every softmax head at once.
 
-    Each layer's input sits in one buffer followed by the bias constant 1, and
-    each ReLU writes its output into the next such slot, so the augmented
-    vectors the heads and `backward` read are never built by appending.
+    One buffer holds [x; 1] and then the (N, width + 1) block of hidden rows,
+    whose last column stays 1, so each ReLU writes its output straight into
+    its row and the augmented vectors are never built by appending.
     """
     x = np.asarray(x, dtype=np.float64)
-    expected = params.layers[0].shape[1] - 1
-    if x.shape != (expected,):
-        raise InputError(f"input has shape {x.shape}, expected ({expected},)")
+    d = params.layers[0].shape[1] - 1
+    if x.shape != (d,):
+        raise InputError(f"input has shape {x.shape}, expected ({d},)")
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
-    buf = np.ones(expected + 1 + sum(w.shape[0] + 1 for w in params.layers))
-    buf[:expected] = x
-    augmented = [buf[:expected + 1]]
-    hidden = [x]
-    start = expected + 1
-    for w in params.layers:
-        stop = start + w.shape[0]
-        hidden.append(relu(w @ augmented[-1], out=buf[start:stop]))
-        augmented.append(buf[start:stop + 1])
-        start = stop + 1
-    probs = [softmax(t @ a) for t, a in zip(params.heads, augmented)]
-    return LayerActivations(hidden, probs, augmented)
+    n, c, u1 = params.hidden_heads.shape
+    buf = np.ones(d + 1 + n * u1)
+    buf[:d] = x
+    inputs, block = buf[:d + 1], buf[d + 1:].reshape(n, u1)
+    prev = inputs
+    for w, row in zip(params.layers, block):
+        relu(w @ prev, out=row[:-1])
+        prev = row
+    scores = np.empty((n + 1, c))
+    np.matmul(params.heads[0], inputs, out=scores[0])
+    np.matmul(params.hidden_heads, block[:, :, None], out=scores[1:, :, None])
+    return LayerActivations([x, *block[:, :-1]], softmax(scores), (inputs, block))
 
 
 def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
     """Importance-weighted vote over the heads; a probability vector."""
-    return weights @ np.stack(acts.probs)
+    return weights @ acts.probs
 
 
 def _similarity_penalty(hidden: list) -> float:
@@ -192,10 +204,11 @@ def _similarity_penalty(hidden: list) -> float:
     n = len(hidden) - 1
     if n < 2:
         return 0.0
+    block = np.asarray(hidden[1:])
+    diffs = block[:-1] - block[1:]
     total = 0.0
-    for i in range(1, n):
-        diff = hidden[i] - hidden[i + 1]
-        total += float(diff @ diff)
+    for sq in np.matmul(diffs[:, None, :], diffs[:, :, None]).ravel().tolist():
+        total += sq     # pair by pair, in order: one np.sum would round differently
     return total / (n - 1)
 
 
@@ -206,7 +219,7 @@ def total_loss(acts: LayerActivations, weights: np.ndarray, y: int,
     Returns the scalar objective and the vector of raw per-head losses (the
     input to the multiplicative importance update).
     """
-    per_head = np.array([cross_entropy(f, y) for f in acts.probs])
+    per_head = cross_entropy(acts.probs, y)
     return float(weights @ per_head + lam * _similarity_penalty(acts.hidden)), per_head
 
 
@@ -216,36 +229,43 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
 
     Head importances are treated as constants. Head n backpropagates into
     layers 1..n scaled by its importance; the similarity penalty contributes
-    through both members of each consecutive pair.
+    through both members of each consecutive pair. Every head's gradient and
+    back-projection is computed at once; only the chain through the hidden
+    layers is a loop.
     """
-    hidden, probs, augmented = acts.hidden, acts.probs, acts.augmented
+    probs = acts.probs
     n = len(params.layers)
-    if not len(weights) == len(probs) == len(augmented) == len(params.heads):
-        raise InputError(f"{len(params.heads)} heads, but {len(weights)} importances, "
-                         f"{len(probs)} head outputs and {len(augmented)} head inputs "
+    if len(acts.augmented) != 2 or not len(weights) == len(probs) == len(params.heads):
+        raise InputError(f"{len(params.heads)} heads, but {len(weights)} importances and "
+                         f"{len(probs)} head outputs, or no head inputs "
                          "(activations must come from forward)")
-    c = len(probs[0])
-    e_y = np.zeros(c)
+    inputs, block = acts.augmented
+    hidden = block[:, :-1]
+    e_y = np.zeros(probs.shape[1])
     e_y[y] = 1.0
     grads = params.with_flat(np.empty_like(params.flat))   # every entry written below
 
-    score_grads = []            # d loss / d head-scores, scaled by importance
-    for w_n, f_n, a_n, out in zip(weights, probs, augmented, grads.heads):
-        g = w_n * (f_n - e_y)
-        score_grads.append(g)
-        np.outer(g, a_n, out=out)
+    score_grads = weights[:, None] * (probs - e_y)   # d loss / d head-scores, scaled by importance
+    np.multiply(score_grads[0, :, None], inputs, out=grads.heads[0])   # outer products
+    np.multiply(score_grads[1:, :, None], block[:, None, :], out=grads.hidden_heads)
+    from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
+                           score_grads[1:, :, None])[:, :, 0]
 
     sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
-    carry = np.zeros_like(hidden[n])   # gradient flowing into h_n from above
-    for i in range(n, 0, -1):          # hidden layer i, weight matrix layers[i-1]
-        g_h = params.heads[i][:, :-1].T @ score_grads[i] + carry
+    if sim_coef:
+        to_next = sim_coef * (hidden[:-1] - hidden[1:])   # row i-1: pull of h_i toward h_{i+1}
+        to_prev = sim_coef * (hidden[1:] - hidden[:-1])   # row i-2: pull of h_i toward h_{i-1}
+    slope = (hidden > 0).astype(np.float64)   # ReLU derivative
+    carry = np.zeros(hidden.shape[1])   # gradient flowing into h_n from above
+    for i in range(n, 0, -1):           # hidden layer i, weight matrix layers[i-1]
+        g_h = from_heads[i - 1] + carry
         if sim_coef:
             if i <= n - 1:
-                g_h = g_h + sim_coef * (hidden[i] - hidden[i + 1])
+                g_h += to_next[i - 1]
             if i >= 2:
-                g_h = g_h + sim_coef * (hidden[i] - hidden[i - 1])
-        delta = g_h * (hidden[i] > 0)
-        np.outer(delta, augmented[i - 1], out=grads.layers[i - 1])
+                g_h += to_prev[i - 2]
+        delta = g_h * slope[i - 1]
+        np.multiply(delta[:, None], block[i - 2] if i > 1 else inputs, out=grads.layers[i - 1])
         if i > 1:
             carry = params.layers[i - 1][:, :-1].T @ delta
     return grads

@@ -30,20 +30,22 @@ def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax: shifts by the max so exp never overflows."""
-    z = v - np.max(v)
+    """Stable softmax over the last axis: shifts by the max so exp never overflows."""
+    z = v - np.max(v, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def cross_entropy(dist: np.ndarray, label: int) -> float:
-    """-log(dist[label]), with the probability floored at PROB_CLIP.
+def cross_entropy(dist: np.ndarray, label: int) -> np.ndarray | float:
+    """-log(dist[..., label]), with the probability floored at PROB_CLIP.
 
-    `dist` must be a probability vector; `label` a valid class index.
+    `dist` holds probability vectors along its last axis; `label` must be a
+    valid class index. A single vector gives a scalar, a stack one loss per row.
     """
-    if label < 0 or label >= len(dist):
-        raise InputError(f"label {label} outside distribution of size {len(dist)}")
-    return float(-np.log(max(float(dist[label]), PROB_CLIP)))
+    dist = np.asarray(dist)
+    if label < 0 or label >= dist.shape[-1]:
+        raise InputError(f"label {label} outside distribution of size {dist.shape[-1]}")
+    return -np.log(np.maximum(dist[..., label], PROB_CLIP))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from bodl.hedge_net import (
     total_loss,
 )
 from bodl.memory import EpisodicMemory, StreamInstance
+from bodl.numerics import PROB_CLIP
 
 from oracles import (
     list_adam_step,
@@ -37,9 +38,9 @@ from oracles import (
 )
 
 
-def small_net(seed=3, optimizer="adam"):
-    cfg = NetworkConfig(input_dim=5, classes=3, hidden_layers=4, width=6,
-                        lam=0.1, optimizer=optimizer)
+def small_net(seed=3, optimizer="adam", **shape):
+    dims = {"input_dim": 5, "classes": 3, "hidden_layers": 4, "width": 6, **shape}
+    cfg = NetworkConfig(lam=0.1, optimizer=optimizer, **dims)
     params, weights = init_network(cfg, seed)
     return cfg, params, weights
 
@@ -56,9 +57,32 @@ def snapshot(params):
 
 # ---------------------------------------------------------------- bit-exact oracle
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_arena_matches_list_of_matrices_reference(optimizer):
-    cfg, params, weights = small_net(optimizer=optimizer)
+# A 4x6, 3-class network under both optimizers, then the benchmark's network
+# shapes: the paper default (15 layers of 30, Adam) and the one-layer SGD
+# network of the drift-heavy workload, where the stacked head view has a single
+# row and the similarity penalty has no pair.
+REFERENCE_SHAPES = [
+    pytest.param("adam", {}, id="adam"),
+    pytest.param("sgd", {}, id="sgd"),
+    pytest.param("adam", dict(input_dim=20, classes=2, hidden_layers=15, width=30),
+                 id="deep-flip"),
+    pytest.param("sgd", dict(input_dim=10, classes=2, hidden_layers=1, width=32, lr=0.02),
+                 id="drift-storm"),
+]
+CLIP_STEP = 25      # the step whose input drives head 0's target probability below PROB_CLIP
+
+
+def clipping_instance(params):
+    """An input along head 0's class-0 minus class-1 weight direction, scaled
+    so that class 1 trails by about 40 nats, and the label 1."""
+    head = params.heads[0]
+    direction = head[0, :-1] - head[1, :-1]
+    return direction * (40.0 / float(direction @ direction)), 1
+
+
+@pytest.mark.parametrize("optimizer, shape", REFERENCE_SHAPES)
+def test_arena_matches_list_of_matrices_reference(optimizer, shape):
+    cfg, params, weights = small_net(optimizer=optimizer, **shape)
     n = cfg.hidden_layers
     ref = snapshot(params)
     ref_weights = weights.copy()
@@ -70,11 +94,16 @@ def test_arena_matches_list_of_matrices_reference(optimizer):
     for position in range(50):
         x = rng.standard_normal(cfg.input_dim)
         y = int(rng.integers(cfg.classes))
+        if position == CLIP_STEP:
+            x, y = clipping_instance(params)
 
         acts = forward(params, x)
         hidden, probs = list_forward(ref[:n], ref[n:], x)
+        assert acts.probs.shape == (n + 1, cfg.classes)
         assert_all_equal(acts.hidden, hidden)
         assert_all_equal(acts.probs, probs)
+        if position == CLIP_STEP:
+            assert acts.probs[0, y] < PROB_CLIP
 
         loss, per_head = total_loss(acts, weights, y, cfg.lam)
         ref_loss, ref_per_head = list_total_loss(hidden, probs, ref_weights, y, cfg.lam)
@@ -135,6 +164,29 @@ def test_constructor_copies_matrices():
     assert built.layers[0][0, 0] == 1.0
     assert not np.shares_memory(built.heads[0], built.heads[1])
     assert np.array_equal(built.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 3.0, 4.0, 5.0, 6.0])
+
+
+def test_hidden_heads_is_one_view_of_heads_one_to_n():
+    _, params, _ = small_net()
+    for p in (params, params.copy(), params.with_flat(params.flat * 2.0)):
+        assert p.hidden_heads.shape == (4, 3, 7)
+        assert np.shares_memory(p.hidden_heads, p.flat)
+        assert np.array_equal(p.hidden_heads, np.stack(p.heads[1:]))
+    params.hidden_heads[2, 1, 0] = 42.0
+    assert params.heads[3][1, 0] == 42.0
+
+
+@pytest.mark.parametrize("layers, heads", [
+    ([np.zeros((3, 5)), np.zeros((4, 4))], [np.zeros((2, 5))] * 3),      # widths 3 and 4
+    ([np.zeros((3, 5)), np.zeros((3, 4)), np.zeros((3, 5))],              # layers 1..N differ
+     [np.zeros((2, 5))] + [np.zeros((2, 4))] * 3),
+    ([np.zeros((3, 5))] * 2,                                              # heads 1..N differ
+     [np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((3, 4))]),
+    ([np.zeros((3, 5))] * 2, [np.zeros((2, 5)), np.zeros((2, 4))]),       # N heads, not N+1
+])
+def test_constructor_rejects_unequal_hidden_shapes(layers, heads):
+    with pytest.raises(InputError, match=r"got layers \[\(3, 5\)"):
+        NetworkParams(layers, heads)
 
 
 def test_copy_is_independent():

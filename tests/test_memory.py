@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bodl.errors import ConfigError, StateError
@@ -78,6 +80,23 @@ def test_inclusion_uniform_across_stream_positions():
         binned += np.bincount(kept // (offers // bins), minlength=bins)
     assert binned.sum() == capacity * reps
     assert stats.chisquare(binned).pvalue > 0.01
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(st.integers(1, 40))
+def test_algorithm_r_keeps_each_offer_with_probability_capacity_over_n(capacity):
+    # Vitter's Algorithm R: after n offers each one is in the reservoir with
+    # probability capacity / n, whatever its position in the stream
+    offers, seeds = 40, 2000
+    kept = np.zeros(offers, dtype=np.int64)
+    for seed in range(seeds):
+        mem = EpisodicMemory(capacity)
+        offer_stream(mem, offers, np.random.default_rng(seed))
+        kept[[it.position for it in mem.items]] += 1
+    q = capacity / offers
+    sd = np.sqrt(seeds * q * (1.0 - q))
+    assert kept.sum() == capacity * seeds
+    assert np.all(np.abs(kept - seeds * q) <= 4.0 * sd)
 
 
 def test_sample_batch_empty_k():

@@ -84,6 +84,35 @@ def test_cross_entropy_label_out_of_range():
         cross_entropy(np.array([0.5, 0.5]), -1)
 
 
+# Row counts and widths of the network's head stacks, plus widths at and past
+# 8, where numpy's summation switches from a plain loop to unrolled partial sums.
+ROW_SHAPES = [(16, 2), (2, 2), (5, 3), (4, 8), (3, 9), (3, 20)]
+
+
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_softmax_of_rows_equals_softmax_of_each_row(shape):
+    rng = np.random.default_rng(shape[1])
+    scores = rng.standard_normal(shape) * rng.uniform(0.01, 1e3, size=(shape[0], 1))
+    rows = softmax(scores)
+    assert rows.shape == shape
+    assert np.array_equal(rows, np.stack([softmax(v) for v in scores]))
+
+
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_cross_entropy_of_rows_equals_each_row(shape):
+    rng = np.random.default_rng(shape[1])
+    dist = softmax(rng.standard_normal(shape) * 40.0)    # some entries below the clip
+    for label in range(shape[1]):
+        got = cross_entropy(dist, label)
+        assert got.shape == (shape[0],)
+        assert np.array_equal(got, [cross_entropy(f, label) for f in dist])
+    assert np.min(dist) < PROB_CLIP
+    with pytest.raises(InputError):
+        cross_entropy(dist, shape[1])
+    with pytest.raises(InputError):
+        cross_entropy(dist, -1)
+
+
 def test_adam_zero_gradient_is_identity():
     param = np.array([[1.0, -2.0], [0.5, 3.0]])
     state = AdamState.zeros_like(param)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodl.errors import ConfigError, StreamFormatError
 from bodl.streams import (
@@ -191,6 +193,31 @@ def test_standardizer_never_peeks_at_current_instance():
     # an extreme outlier must be scored against the old stats only
     z = st.standardize(np.array([1e6]))
     assert z[0] == pytest.approx((1e6 - 1.5) / 0.5, rel=1e-12)
+
+
+# A stream of k instances with d features in [-1e6, 1e6], some features held
+# constant at their first value.
+standardizer_streams = st.tuples(st.integers(1, 60), st.integers(1, 4)).flatmap(
+    lambda kd: st.tuples(
+        st.lists(st.lists(st.floats(-1e6, 1e6), min_size=kd[1], max_size=kd[1]),
+                 min_size=kd[0], max_size=kd[0]).map(np.array),
+        st.lists(st.booleans(), min_size=kd[1], max_size=kd[1]).map(np.array)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(standardizer_streams)
+def test_standardizer_running_stats_match_two_pass(stream):
+    xs, constant = stream
+    xs[:, constant] = xs[0, constant]
+    stz = Standardizer(xs.shape[1])
+    for x in xs:
+        assert np.all(np.isfinite(stz.standardize(x)))
+    # errors of Welford's update scale with the data, so the bound is relative
+    # to its largest magnitude (squared for the variance)
+    scale = float(np.max(np.abs(xs)))
+    assert stz.count == len(xs)
+    assert np.allclose(stz.mean, xs.mean(axis=0), rtol=1e-9, atol=1e-9 * scale)
+    assert np.allclose(stz.variance, xs.var(axis=0), rtol=1e-9, atol=1e-9 * scale * scale)
 
 
 def test_standardizer_validation():
