@@ -41,8 +41,8 @@ class LinearBaseline:
             raise InputError(f"feature shape {x.shape}, expected ({self.input_dim},)")
         if not 0 <= y < self.classes:
             raise InputError(f"label {y} outside 0..{self.classes - 1}")
-        pred = self.predict(x)
         xa = aug(x)
+        pred = int(np.argmax(self.w @ xa))
         self._begin_update()
         for c in range(self.classes):
             self._update_binary(c, xa, 1.0 if c == y else -1.0)

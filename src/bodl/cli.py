@@ -105,7 +105,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                           **({"lam": None} if learner == "bodl-base" else {}))
         for learner in ABLATION_LEARNERS for seed in seeds
     ]
-    results = run_suite(configs, workers=args.workers)
+    results = run_suite(configs)
 
     rows = []
     by_learner: dict[str, list[float]] = {name: [] for name in ABLATION_LEARNERS}
@@ -152,7 +152,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if unknown:
             raise ConfigError(f"{args.config}: entry {i} has unknown keys {sorted(unknown)}")
         configs.append(RunConfig(**entry))
-    results = run_suite(configs, workers=args.workers)
+    results = run_suite(configs)
 
     out_csv = args.out or str(Path(args.config).with_suffix(".results.csv"))
     failed = 0
@@ -207,13 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_abl, with_learner=False)
     p_abl.add_argument("--seeds", default="1..5", help="e.g. 1..5 or 3,7,11")
     p_abl.add_argument("--out", required=True, help="CSV table path")
-    p_abl.add_argument("--workers", type=int, default=1)
     p_abl.set_defaults(func=cmd_ablate)
 
     p_bench = sub.add_parser("bench", help="run a declarative suite file")
     p_bench.add_argument("--config", required=True,
                          help="JSON file: list of run entries (RunConfig fields)")
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out", default=None, help="flat CSV path "
                          "(default: alongside the suite file)")
     p_bench.add_argument("--timing", action="store_true")

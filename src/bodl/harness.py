@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -319,12 +318,7 @@ def _execute(cfg: RunConfig) -> RunResult:
         return RunResult(cfg.echo(), error=f"{type(exc).__name__}: {exc}")
 
 
-def run_suite(configs: list[RunConfig], workers: int = 1) -> list[RunResult]:
-    """Execute runs independently, preserving input order. Failures are
-    captured per entry; parallel and sequential execution agree."""
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if workers == 1 or len(configs) <= 1:
-        return [_execute(cfg) for cfg in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute, configs))
+def run_suite(configs: list[RunConfig]) -> list[RunResult]:
+    """Execute runs one after another, in input order. Failures are captured
+    per entry."""
+    return [_execute(cfg) for cfg in configs]

@@ -14,9 +14,7 @@ heads 1..N are scored by one batched matmul into one (N+1, classes) array.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,90 +62,80 @@ class NetworkConfig:
             raise ConfigError("weight floor too large: floors cannot sum past 1")
 
 
-class Layout(NamedTuple):
-    """Where each matrix of a NetworkParams sits in its vector."""
-
-    n_layers: int
-    shapes: tuple       # matrix shapes in matrices() order
-    offsets: tuple      # start of each matrix in the vector, then the total size
+def _shapes(dims: tuple) -> list:
+    """Matrix shapes in `matrices()` order for dims (input_dim, width, classes, N)."""
+    d, u, c, n = dims
+    return [(u, d + 1)] + [(u, u + 1)] * (n - 1) + [(c, d + 1)] + [(c, u + 1)] * n
 
 
 class NetworkParams:
     """All trainable matrices, or their gradients, in one contiguous float64 vector.
 
-    `flat` holds every matrix back to back in `matrices()` order; `layers`
-    (layers[n]: width x (prev_dim + 1), n = 0..N-1) and `heads` (heads[n]:
-    classes x (feature_dim + 1), n = 0..N) are reshaped views into it, so a
-    write to a matrix writes `flat` and a whole-vector update moves every
-    matrix. `hidden_heads` views heads 1..N, which sit back to back in `flat`,
-    as one (N, classes, width + 1) array; for that the hidden layers must share
-    one width and heads 1..N one shape. `NetworkParams(layers, heads)` checks
-    this and copies the matrices into a new vector.
+    The network is fixed by `dims = (input_dim, width, classes, N)`: N >= 1
+    hidden layers of one width and N+1 heads. `flat` holds every matrix back
+    to back in `matrices()` order: layers[0] (width, input_dim + 1), layers
+    1..N-1 (width, width + 1), heads[0] (classes, input_dim + 1) and heads 1..N
+    (classes, width + 1). `layers` and `heads` are tuples of views into `flat`,
+    so a write to a matrix writes `flat`, a whole-vector update moves every
+    matrix, and a matrix cannot be swapped for an outside array.
+    `hidden_heads` views heads 1..N as one (N, classes, width + 1) array.
+    `NetworkParams(layers, heads)` checks the shapes against `dims` and copies
+    the matrices into a new vector.
     """
 
     def __init__(self, layers: list, heads: list):
         mats = [np.asarray(m, dtype=np.float64) for m in (*layers, *heads)]
-        n, shapes = len(layers), tuple(m.shape for m in mats)
-        if (len(heads) != n + 1 or len({s[0] for s in shapes[:n]}) > 1
-                or len(set(shapes[1:n])) > 1 or len(set(shapes[n + 1:])) > 1):
-            raise InputError("need N hidden layers of one width and N+1 heads, heads 1..N "
-                             f"of one shape; got layers {list(shapes[:n])}, heads {list(shapes[n:])}")
-        offsets = [0]
-        for m in mats:
-            offsets.append(offsets[-1] + m.size)
-        layout = Layout(n, shapes, tuple(offsets))
-        self._bind(np.concatenate([m.ravel() for m in mats]), layout)
+        n, shapes = len(layers), [m.shape for m in mats]
+        ok = n >= 1 and len(heads) == n + 1 and all(len(s) == 2 for s in shapes)
+        if ok:
+            dims = (shapes[0][1] - 1, shapes[0][0], shapes[n][0], n)
+            ok = shapes == _shapes(dims)
+        if not ok:
+            raise InputError("need N >= 1 hidden layers of one width, each reading the one "
+                             "before, and N+1 heads of one class count; "
+                             f"got layers {shapes[:n]}, heads {shapes[n:]}")
+        self._bind(np.concatenate([m.ravel() for m in mats]), dims)
 
-    def _bind(self, flat: np.ndarray, layout: Layout) -> None:
-        self.flat = flat
-        self.layout = layout
-        bounds = layout.offsets
-        self._views = [flat[a:b].reshape(shape)
-                       for a, b, shape in zip(bounds, bounds[1:], layout.shapes)]
-        n = layout.n_layers
-        self.layers = self._views[:n]
-        self.heads = self._views[n:]
-        self.hidden_heads = flat[bounds[n + 1]:bounds[-1]].reshape(n, *layout.shapes[n + 1])
+    def _bind(self, flat: np.ndarray, dims: tuple) -> None:
+        d, u, c, n = dims
+        first = u * (d + 1)                       # end of layers[0]
+        head0 = first + (n - 1) * u * (u + 1)     # start of heads[0]
+        head1 = head0 + c * (d + 1)               # start of heads[1]
+        self.flat, self.dims = flat, dims
+        self.layers = (flat[:first].reshape(u, d + 1),
+                       *flat[first:head0].reshape(n - 1, u, u + 1))
+        self.hidden_heads = flat[head1:].reshape(n, c, u + 1)
+        self.heads = (flat[head0:head1].reshape(c, d + 1), *self.hidden_heads)
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParams":
-        """Same layout, viewing `flat` (not copied)."""
+        """Same dims, viewing `flat` (not copied)."""
         if flat.shape != self.flat.shape:
-            raise InputError(f"vector of shape {flat.shape} for a layout of {self.flat.size}")
+            raise InputError(f"vector of shape {flat.shape} for {self.flat.size} parameters")
         other = NetworkParams.__new__(NetworkParams)
-        other._bind(flat, self.layout)
+        other._bind(flat, self.dims)
         return other
 
     def copy(self) -> "NetworkParams":
-        return self.with_flat(self.vector().copy())
+        return self.with_flat(self.flat.copy())
 
     def matrices(self) -> list:
-        return self.layers + self.heads
-
-    def vector(self) -> np.ndarray:
-        """`flat`, once every matrix in `layers` and `heads` is checked to still
-        be its view: a matrix replaced by an outside array would be silently
-        ignored by a whole-vector update."""
-        mats = self.layers + self.heads
-        if len(mats) != len(self._views) or not all(map(operator.is_, mats, self._views)):
-            raise InputError("a matrix was replaced by an array outside the parameter vector")
-        return self.flat
+        return [*self.layers, *self.heads]
 
 
 def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors of two parameter sets, after checking they share a layout."""
-    if a.layout != b.layout:
-        raise InputError(f"matrix shapes differ: {list(a.layout.shapes)} vs {list(b.layout.shapes)}")
-    return a.vector(), b.vector()
+    """The vectors of two parameter sets, after checking they share dims."""
+    if a.dims != b.dims:
+        raise InputError(f"network dims (input, width, classes, N) differ: {a.dims} vs {b.dims}")
+    return a.flat, b.flat
 
 
 @dataclass
 class LayerActivations:
-    """Forward-pass record: hidden[0] is the raw input; from `forward`, hidden[n]
-    is row n-1 of the augmented block without its trailing 1."""
+    """Forward-pass record: slices of the one buffer `forward` fills."""
 
-    hidden: list        # h_0 = x, h_1..h_N post-ReLU
-    probs: np.ndarray   # (N+1, classes): row n is head n's probability vector
-    augmented: tuple = ()   # ([x; 1], (N, width + 1) block of rows [h_n; 1]), from forward
+    inputs: np.ndarray   # [x; 1]
+    block: np.ndarray    # (N, width + 1): row n-1 is [h_n; 1], h_n post-ReLU
+    probs: np.ndarray    # (N+1, classes): row n is head n's probability vector
 
 
 def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.ndarray]:
@@ -172,18 +160,18 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
 
     One buffer holds [x; 1] and then the (N, width + 1) block of hidden rows,
     whose last column stays 1, so each ReLU writes its output straight into
-    its row and the augmented vectors are never built by appending.
+    its row and the augmented vectors are never built by appending. The
+    returned record holds the two slices of that buffer.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = params.layers[0].shape[1] - 1
+    d, u, c, n = params.dims
     if x.shape != (d,):
         raise InputError(f"input has shape {x.shape}, expected ({d},)")
     if not np.all(np.isfinite(x)):
         raise InputError("input contains non-finite values")
-    n, c, u1 = params.hidden_heads.shape
-    buf = np.ones(d + 1 + n * u1)
+    buf = np.ones(d + 1 + n * (u + 1))
     buf[:d] = x
-    inputs, block = buf[:d + 1], buf[d + 1:].reshape(n, u1)
+    inputs, block = buf[:d + 1], buf[d + 1:].reshape(n, u + 1)
     prev = inputs
     for w, row in zip(params.layers, block):
         relu(w @ prev, out=row[:-1])
@@ -191,7 +179,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
     scores = np.empty((n + 1, c))
     np.matmul(params.heads[0], inputs, out=scores[0])
     np.matmul(params.hidden_heads, block[:, :, None], out=scores[1:, :, None])
-    return LayerActivations([x, *block[:, :-1]], softmax(scores), (inputs, block))
+    return LayerActivations(inputs, block, softmax(scores))
 
 
 def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
@@ -199,13 +187,12 @@ def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
     return weights @ acts.probs
 
 
-def _similarity_penalty(hidden: list) -> float:
-    """Mean squared distance between consecutive hidden layers (input excluded)."""
-    n = len(hidden) - 1
+def _similarity_penalty(hidden: np.ndarray) -> float:
+    """Mean squared distance between consecutive rows of the (N, width) hidden block."""
+    n = len(hidden)
     if n < 2:
         return 0.0
-    block = np.asarray(hidden[1:])
-    diffs = block[:-1] - block[1:]
+    diffs = hidden[:-1] - hidden[1:]
     total = 0.0
     for sq in np.matmul(diffs[:, None, :], diffs[:, :, None]).ravel().tolist():
         total += sq     # pair by pair, in order: one np.sum would round differently
@@ -220,7 +207,7 @@ def total_loss(acts: LayerActivations, weights: np.ndarray, y: int,
     input to the multiplicative importance update).
     """
     per_head = cross_entropy(acts.probs, y)
-    return float(weights @ per_head + lam * _similarity_penalty(acts.hidden)), per_head
+    return float(weights @ per_head + lam * _similarity_penalty(acts.block[:, :-1])), per_head
 
 
 def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
@@ -235,11 +222,10 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     """
     probs = acts.probs
     n = len(params.layers)
-    if len(acts.augmented) != 2 or not len(weights) == len(probs) == len(params.heads):
+    if not len(weights) == len(probs) == len(params.heads):
         raise InputError(f"{len(params.heads)} heads, but {len(weights)} importances and "
-                         f"{len(probs)} head outputs, or no head inputs "
-                         "(activations must come from forward)")
-    inputs, block = acts.augmented
+                         f"{len(probs)} head outputs")
+    inputs, block = acts.inputs, acts.block
     hidden = block[:, :-1]
     e_y = np.zeros(probs.shape[1])
     e_y[y] = 1.0

@@ -197,8 +197,8 @@ def test_interpolate_shape_mismatch_rejected():
 
 
 def test_params_distance():
-    a = NetworkParams([np.array([[0.0, 0.0]])], [np.array([[0.0]]), np.array([[0.0]])])
-    b = NetworkParams([np.array([[3.0, 0.0]])], [np.array([[4.0]]), np.array([[0.0]])])
+    a = NetworkParams([np.array([[0.0, 0.0]])], [np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]])])
+    b = NetworkParams([np.array([[3.0, 0.0]])], [np.array([[4.0, 0.0]]), np.array([[0.0, 0.0]])])
     assert params_distance(a, b) == pytest.approx(5.0, abs=1e-15)
 
 

@@ -286,17 +286,3 @@ def test_run_suite_records_divergence():
     assert not result.ok
     assert result.report is None
     assert "DivergenceError" in result.error and "position 5" in result.error
-
-
-def test_run_suite_parallel_matches_sequential():
-    configs = [fast_config("bodl-base", stream="sea:seg=50;noise=0", seed=s)
-               for s in (1, 2)]
-    seq = run_suite(configs, workers=1)
-    par = run_suite(configs, workers=2)
-    for a, b in zip(seq, par):
-        assert a.report.as_dict() == b.report.as_dict()
-
-
-def test_run_suite_rejects_zero_workers():
-    with pytest.raises(ConfigError):
-        run_suite([fast_config("pa")], workers=0)

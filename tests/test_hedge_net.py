@@ -33,6 +33,14 @@ def small_net(seed, n=3, u=5, d=4, c=3):
     return cfg, params, weights
 
 
+def acts_of(hidden, probs):
+    """Activations laid out as `forward` leaves them: hidden[0] is the input,
+    hidden[1:] the hidden layers, each given its trailing 1."""
+    inputs, *rows = [np.append(h, 1.0) for h in hidden] or [np.ones(1)]
+    block = np.array(rows) if rows else np.ones((0, 1))
+    return LayerActivations(inputs, block, np.asarray(probs))
+
+
 # ---------------------------------------------------------------- init
 
 def test_init_uniform_head_importances():
@@ -103,7 +111,7 @@ def test_forward_zero_network_uniform_heads():
     for mat in params.matrices():
         mat[:] = 0.0
     acts = forward(params, np.array([0.3, -1.0, 2.0]))
-    for h in acts.hidden[1:]:
+    for h in acts.block[:, :-1]:
         assert np.array_equal(h, np.zeros(5))
     for f in acts.probs:
         assert np.allclose(f, [0.25] * 4, atol=1e-15)
@@ -117,7 +125,7 @@ def test_forward_hand_computed_single_layer():
                np.array([[0.5, -0.5, 1.0], [1.0, 1.0, 0.0]])],
     )
     acts = forward(params, np.array([1.0, -1.0]))
-    assert np.allclose(acts.hidden[1], [2.5, 1.0], atol=1e-15)
+    assert np.allclose(acts.block[0, :-1], [2.5, 1.0], atol=1e-15)
     # head 0 scores: [1, -1]; head 1 scores: [0.5*2.5 - 0.5*1 + 1, 2.5 + 1]
     assert np.allclose(acts.probs[0], scalar_softmax([1.0, -1.0]), atol=1e-15)
     assert np.allclose(acts.probs[1], scalar_softmax([1.75, 3.5]), atol=1e-15)
@@ -145,13 +153,13 @@ def test_forward_rejects_bad_input():
 
 def test_predict_ensemble_fixed_point():
     p = np.array([0.2, 0.5, 0.3])
-    acts = LayerActivations(hidden=[], probs=[p, p, p])
+    acts = acts_of([], [p, p, p])
     out = predict_ensemble(acts, np.array([0.6, 0.3, 0.1]))
     assert np.allclose(out, p, atol=1e-15)
 
 
 def test_predict_ensemble_two_point_combination():
-    acts = LayerActivations(hidden=[], probs=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    acts = acts_of([], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     out = predict_ensemble(acts, np.array([0.25, 0.75]))
     assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
@@ -164,7 +172,7 @@ def test_predict_ensemble_matches_summation_loop():
     naive = np.zeros(4)
     for wn, f in zip(w, probs):
         naive += wn * f
-    out = predict_ensemble(LayerActivations(hidden=[], probs=probs), w)
+    out = predict_ensemble(acts_of([], probs), w)
     assert np.allclose(out, naive, atol=1e-12)
 
 
@@ -174,7 +182,7 @@ def test_predict_ensemble_convex_bounds():
         probs = [np.asarray(scalar_softmax(list(rng.standard_normal(3)))) for _ in range(5)]
         w = rng.random(5)
         w /= w.sum()
-        out = predict_ensemble(LayerActivations(hidden=[], probs=probs), w)
+        out = predict_ensemble(acts_of([], probs), w)
         stacked = np.stack(probs)
         assert np.all(out >= stacked.min(axis=0) - 1e-12)
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
@@ -185,7 +193,7 @@ def test_predict_ensemble_convex_bounds():
 def test_total_loss_perfect_fit_is_zero():
     one_hot = np.array([0.0, 1.0])
     h = np.array([0.5, 0.5, 0.5])
-    acts = LayerActivations(hidden=[np.zeros(2), h, h], probs=[one_hot] * 3)
+    acts = acts_of([np.zeros(2), h, h], [one_hot] * 3)
     loss, per_head = total_loss(acts, np.array([1 / 3] * 3), 1, lam=0.7)
     assert loss == 0.0
     assert np.array_equal(per_head, np.zeros(3))
@@ -193,8 +201,7 @@ def test_total_loss_perfect_fit_is_zero():
 
 def test_total_loss_uniform_heads_ln2():
     uniform = np.array([0.5, 0.5])
-    acts = LayerActivations(hidden=[np.zeros(2), np.ones(3), np.ones(3)],
-                            probs=[uniform] * 3)
+    acts = acts_of([np.zeros(2), np.ones(3), np.ones(3)], [uniform] * 3)
     loss, per_head = total_loss(acts, np.array([1 / 3] * 3), 0, lam=0.0)
     assert loss == pytest.approx(math.log(2), rel=1e-12)
     assert np.allclose(per_head, math.log(2), rtol=1e-12)
@@ -206,7 +213,7 @@ def test_total_loss_hand_computed_two_layers():
     h1, h2 = np.array([1.0, 2.0]), np.array([0.5, 1.0])
     w = np.array([0.5, 0.25, 0.25])
     lam = 0.1
-    acts = LayerActivations(hidden=[np.zeros(3), h1, h2], probs=[f0, f1, f2])
+    acts = acts_of([np.zeros(3), h1, h2], [f0, f1, f2])
     loss, per_head = total_loss(acts, w, 0, lam)
     pair_gap = (1.0 - 0.5) ** 2 + (2.0 - 1.0) ** 2
     expected = (0.5 * -math.log(0.7) + 0.25 * -math.log(0.4)
@@ -218,14 +225,14 @@ def test_total_loss_hand_computed_two_layers():
 def test_total_loss_single_hidden_layer_has_no_penalty():
     # one hidden layer means no consecutive pair; lam must not matter
     uniform = np.array([0.5, 0.5])
-    acts = LayerActivations(hidden=[np.zeros(2), np.full(3, 9.0)], probs=[uniform] * 2)
+    acts = acts_of([np.zeros(2), np.full(3, 9.0)], [uniform] * 2)
     a, _ = total_loss(acts, np.array([0.5, 0.5]), 0, lam=0.0)
     b, _ = total_loss(acts, np.array([0.5, 0.5]), 0, lam=123.0)
     assert a == b
 
 
 def test_total_loss_invalid_label():
-    acts = LayerActivations(hidden=[np.zeros(2)], probs=[np.array([0.5, 0.5])])
+    acts = acts_of([np.zeros(2)], [np.array([0.5, 0.5])])
     with pytest.raises(InputError):
         total_loss(acts, np.array([1.0]), 2, lam=0.0)
 
@@ -425,18 +432,17 @@ def test_apply_update_adam_matches_per_matrix_kernel():
 
 
 def test_apply_update_shape_mismatch_rejected():
-    cfg, params, w = small_net(5)
-    grads = backward(params, forward(params, np.zeros(4)), w, 0, 0.0)
-    grads.layers[0] = np.zeros((2, 2))
-    with pytest.raises(InputError):
+    cfg, params, _ = small_net(5)
+    _, narrow, w = small_net(5, u=4)
+    grads = backward(narrow, forward(narrow, np.zeros(4)), w, 0, 0.0)
+    with pytest.raises(InputError, match="dims"):
         apply_update(params, grads, init_opt_state(params, cfg), cfg)
 
 
 def test_sgd_update_shape_mismatch_rejected():
-    cfg, params, w = small_net(5)
+    cfg, params, _ = small_net(5)
     cfg.optimizer = "sgd"
-    grads = backward(params, forward(params, np.zeros(4)), w, 0, 0.0)
-    grads.heads[1] = np.zeros((3, 1))     # would broadcast without the check
-    with pytest.raises(InputError):
+    _, narrow, w = small_net(5, u=4)
+    grads = backward(narrow, forward(narrow, np.zeros(4)), w, 0, 0.0)
+    with pytest.raises(InputError, match="dims"):
         apply_update(params, grads, init_opt_state(params, cfg), cfg)
-
