@@ -228,14 +228,20 @@ def test_updates_never_mutate_their_inputs():
     assert opt.step == 0
 
 
-def test_matrices_cannot_be_replaced():
-    # a matrix outside the vector would be ignored by every whole-vector update
-    _, params, w = small_net()
-    grads = backward(params, forward(params, np.zeros(5)), w, 0, 0.1)
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_foreign_gradient_matrix_rejected(optimizer):
+    # a matrix outside the vector would be ignored by every whole-vector
+    # update, so replacing one is refused and writing into one is seen
+    cfg, params, w = small_net(optimizer=optimizer)
+    grads = backward(params, forward(params, np.ones(5)), w, 0, 0.1)
     with pytest.raises(TypeError):
         grads.heads[2] = grads.heads[2].copy()
     with pytest.raises(TypeError):
         grads.layers[0] = grads.layers[0].copy()
+    grads.heads[2][:] = 0.0
+    stepped, _ = apply_update(params, grads, init_opt_state(params, cfg), cfg)
+    assert np.array_equal(stepped.heads[2], params.heads[2])
+    assert not np.array_equal(stepped.heads[1], params.heads[1])
 
 
 def test_backward_rejects_activations_not_from_forward():
