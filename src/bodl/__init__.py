@@ -12,9 +12,7 @@ benchmark tooling.
 
 from .baselines import BASELINES, make_baseline
 from .bilevel import (
-    AdaptationRecord,
     BilevelConfig,
-    RecentBuffer,
     adapt_on_drift,
     inner_adapt,
     lookahead,
@@ -41,9 +39,10 @@ from .hedge_net import (
     predict_ensemble,
     total_loss,
 )
-from .memory import EpisodicMemory, StreamInstance
+from .memory import EpisodicMemory
 from .streams import (
     Standardizer,
+    StreamInstance,
     StreamSource,
     gen_drift_stream,
     load_csv,
@@ -54,7 +53,6 @@ from .streams import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptationRecord",
     "BASELINES",
     "BilevelConfig",
     "ConfigError",
@@ -67,7 +65,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkLearner",
     "NetworkParams",
-    "RecentBuffer",
     "RunConfig",
     "RunResult",
     "STABLE",

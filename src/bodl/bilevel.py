@@ -10,14 +10,12 @@ importances and the online optimizer's moments are never touched.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, StateError
 from .hedge_net import NetworkParams, backward, flat_pair, forward, sgd_step, total_loss
-from .memory import EpisodicMemory, StreamInstance
 
 
 @dataclass
@@ -41,83 +39,55 @@ class BilevelConfig:
             raise ConfigError("recent window must be >= 1")
 
 
-class RecentBuffer:
-    """The last `size` stream instances, in arrival order."""
-
-    def __init__(self, size: int = 16):
-        self._items: deque[StreamInstance] = deque(maxlen=size)
-
-    def append(self, inst: StreamInstance) -> None:
-        self._items.append(inst)
-
-    def items(self) -> list[StreamInstance]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-@dataclass
-class AdaptationRecord:
-    """Log entry emitted for each drift adaptation."""
-
-    position: int
-    loss_before: float
-    loss_after: float
-    shift_norm: float           # parameter distance covered by the outer move
-    memory_batch: int           # 0 when memory was empty (inner-only fallback)
-
-
-def _mean_loss(params: NetworkParams, batch: list[StreamInstance],
+def _mean_loss(params: NetworkParams, X: np.ndarray, y: np.ndarray,
                weights: np.ndarray, lam: float) -> float:
     total = 0.0
-    for inst in batch:
-        acts = forward(params, inst.features)
-        loss, _ = total_loss(acts, weights, inst.label, lam)
+    for x, label in zip(X, y):
+        acts = forward(params, x)
+        loss, _ = total_loss(acts, weights, label, lam)
         total += loss
-    return total / len(batch)
+    return total / len(X)
 
 
-def _mean_grad_step(params: NetworkParams, batch: list[StreamInstance],
+def _mean_grad_step(params: NetworkParams, X: np.ndarray, y: np.ndarray,
                     weights: np.ndarray, lam: float, rate: float) -> NetworkParams:
     """One gradient step on the batch-averaged objective."""
     acc = None
-    for inst in batch:
-        acts = forward(params, inst.features)
-        g = backward(params, acts, weights, inst.label, lam).flat
+    for x, label in zip(X, y):
+        acts = forward(params, x)
+        g = backward(params, acts, weights, label, lam).flat
         if acc is None:
             acc = g
         else:
             acc += g
-    acc *= 1.0 / len(batch)
+    acc *= 1.0 / len(X)
     return sgd_step(params, params.with_flat(acc), rate)
 
 
-def inner_adapt(params: NetworkParams, buf: RecentBuffer, weights: np.ndarray,
+def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
                 cfg: BilevelConfig, lam: float) -> NetworkParams:
-    """Refine a copy of the parameters on the recent drifted instances.
+    """Refine a copy of the parameters on the recent drifted rows `(X, y)`.
 
-    Plain single-instance gradient steps at the inner rate, cycling through
-    the buffer; head importances stay frozen.
+    Plain single-row gradient steps at the inner rate, cycling through the
+    rows in order; head importances stay frozen.
     """
-    recent = buf.items()
-    if not recent:
-        raise StateError("recent buffer is empty; nothing to adapt on")
+    if not len(X):
+        raise StateError("recent window is empty; nothing to adapt on")
     adapted = params.copy()
     for i in range(cfg.inner_steps):
-        inst = recent[i % len(recent)]
-        acts = forward(adapted, inst.features)
-        grads = backward(adapted, acts, weights, inst.label, lam)
+        k = i % len(X)
+        acts = forward(adapted, X[k])
+        grads = backward(adapted, acts, weights, y[k], lam)
         adapted = sgd_step(adapted, grads, cfg.inner_rate)
     return adapted
 
 
-def lookahead(adapted: NetworkParams, mem_batch: list[StreamInstance],
+def lookahead(adapted: NetworkParams, X: np.ndarray, y: np.ndarray,
               weights: np.ndarray, cfg: BilevelConfig, lam: float) -> NetworkParams:
-    """One further step on the mean loss over a memory batch."""
-    if not mem_batch:
+    """One further step on the mean loss over a replayed batch `(X, y)`."""
+    if not len(X):
         raise StateError("memory batch is empty")
-    return _mean_grad_step(adapted, mem_batch, weights, lam, cfg.inner_rate)
+    return _mean_grad_step(adapted, X, y, weights, lam, cfg.inner_rate)
 
 
 def outer_interpolate(params: NetworkParams, target: NetworkParams,
@@ -145,29 +115,34 @@ def params_distance(a: NetworkParams, b: NetworkParams) -> float:
     return float(np.sqrt(total))
 
 
-def adapt_on_drift(params: NetworkParams, buf: RecentBuffer, mem: EpisodicMemory,
-                   weights: np.ndarray, cfg: BilevelConfig, lam: float,
-                   rng: np.random.Generator,
-                   position: int = -1) -> tuple[NetworkParams, AdaptationRecord]:
-    """Full drift response; returns the new main parameters and a log record.
+def adapt_on_drift(params: NetworkParams, recent: tuple[np.ndarray, np.ndarray],
+                   replay: tuple[np.ndarray, np.ndarray], weights: np.ndarray,
+                   cfg: BilevelConfig, lam: float,
+                   position: int = -1) -> tuple[NetworkParams, dict]:
+    """Full drift response; returns the new main parameters and the report's
+    record of it (position, loss before and after the inner refinement, the
+    distance to the look-ahead copy, and the replay batch size).
 
-    With an empty memory the inner refinement is returned directly (nothing
-    to replay); otherwise the look-ahead copy is built on a memory batch and
-    the main parameters are interpolated toward it.
+    `recent` and `replay` are `(X, y)` pairs of rows and labels. With no
+    replay rows (empty memory) the inner refinement is returned directly;
+    otherwise the look-ahead copy is built on the replay batch and the main
+    parameters are interpolated toward it.
     """
-    recent = buf.items()
-    if not recent:
-        raise StateError("recent buffer is empty; nothing to adapt on")
-    loss_before = _mean_loss(params, recent, weights, lam)
-    adapted = inner_adapt(params, buf, weights, cfg, lam)
-    loss_after = _mean_loss(adapted, recent, weights, lam)
-    if len(mem) == 0:
-        record = AdaptationRecord(position, loss_before, loss_after,
-                                  params_distance(adapted, params), 0)
-        return adapted, record
-    batch = mem.sample_batch(cfg.memory_batch, rng)
-    target = lookahead(adapted, batch, weights, cfg, lam)
-    new_params = outer_interpolate(params, target, cfg.outer_rate)
-    record = AdaptationRecord(position, loss_before, loss_after,
-                              params_distance(target, params), len(batch))
-    return new_params, record
+    X, y = recent
+    if not len(X):
+        raise StateError("recent window is empty; nothing to adapt on")
+    loss_before = _mean_loss(params, X, y, weights, lam)
+    adapted = inner_adapt(params, X, y, weights, cfg, lam)
+    loss_after = _mean_loss(adapted, X, y, weights, lam)
+    if len(replay[0]):
+        target = lookahead(adapted, *replay, weights, cfg, lam)
+        new_params = outer_interpolate(params, target, cfg.outer_rate)
+    else:
+        target = new_params = adapted
+    return new_params, {
+        "position": int(position),
+        "loss_before": float(loss_before),
+        "loss_after": float(loss_after),
+        "shift_norm": float(params_distance(target, params)),
+        "memory_batch": len(replay[0]),
+    }

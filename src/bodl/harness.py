@@ -17,7 +17,7 @@ import numpy as np
 
 from . import drift as drift_mod
 from .baselines import BASELINES, make_baseline
-from .bilevel import BilevelConfig, RecentBuffer, adapt_on_drift
+from .bilevel import BilevelConfig, adapt_on_drift
 from .errors import ConfigError, DivergenceError, InputError
 from .hedge_net import (
     NetworkConfig,
@@ -30,7 +30,7 @@ from .hedge_net import (
     predict_ensemble,
     total_loss,
 )
-from .memory import EpisodicMemory, StreamInstance
+from .memory import EpisodicMemory
 from .streams import Standardizer, StreamSource, parse_stream_spec
 
 NETWORK_LEARNERS = ("bodl-2", "bodl-1", "bodl-base")
@@ -206,7 +206,11 @@ def _resolve_stream(cfg: RunConfig) -> StreamSource:
 
 class NetworkLearner:
     """Hedged multi-depth network with drift detector, reservoir memory and, for
-    bodl-2, drift adaptation; drift events and adaptations go to `report`."""
+    bodl-2, drift adaptation; drift events and adaptations go to `report`.
+
+    The learner steps over `source`'s instances: row t of the history `X`, `y`
+    is step t's features and label, and the memory keeps row numbers.
+    """
 
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
         _, self.lam, self.use_bilevel = cfg.resolve_learner()
@@ -223,7 +227,9 @@ class NetworkLearner:
         self.detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
                                              sensitivity=cfg.detector_sensitivity)
         self.memory = EpisodicMemory(cfg.memory_capacity)
-        self.recent = RecentBuffer(cfg.recent_window)
+        self.X = np.empty((len(source), self.ncfg.input_dim))
+        self.y = np.empty(len(source), dtype=np.int64)
+        self.t = 0
         self.rng = np.random.default_rng(aux_seq)
 
     def step(self, x: np.ndarray, y: int, position: int) -> int:
@@ -232,8 +238,9 @@ class NetworkLearner:
         acts = forward(self.params, x)
         pred = int(np.argmax(predict_ensemble(acts, self.weights)))
 
-        seen = StreamInstance(x, y, position)
-        self.recent.append(seen)
+        t = self.t
+        self.t += 1
+        self.X[t], self.y[t] = x, y
         loss, per_head = total_loss(acts, self.weights, y, self.lam)
         if not math.isfinite(loss):
             raise DivergenceError(position)
@@ -247,23 +254,20 @@ class NetworkLearner:
                 "threshold": float(self.detector.threshold),
             })
             if self.use_bilevel:
-                self.params, rec = adapt_on_drift(self.params, self.recent, self.memory,
-                                                  self.weights, self.bcfg, self.lam, self.rng,
-                                                  position)
-                self.report.adaptations.append({
-                    "position": int(rec.position),
-                    "loss_before": float(rec.loss_before),
-                    "loss_after": float(rec.loss_after),
-                    "shift_norm": float(rec.shift_norm),
-                    "memory_batch": int(rec.memory_batch),
-                })
+                lo = max(0, t + 1 - self.bcfg.recent_window)
+                rows = (self.memory.sample_batch(self.bcfg.memory_batch, self.rng)
+                        if len(self.memory) else [])
+                self.params, record = adapt_on_drift(
+                    self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
+                    (self.X[rows], self.y[rows]), self.weights, self.bcfg, self.lam, position)
+                self.report.adaptations.append(record)
                 adapted = True
             self.detector = drift_mod.reset(self.detector)
         if not adapted:
             grads = backward(self.params, acts, self.weights, y, self.lam)
             self.params, self.opt_state = apply_update(self.params, grads, self.opt_state,
                                                        self.ncfg)
-        self.memory.maybe_insert(seen, self.rng)
+        self.memory.maybe_insert(t, self.rng)
         return pred
 
 

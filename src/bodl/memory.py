@@ -1,52 +1,43 @@
 """Fixed-capacity episodic memory via reservoir sampling.
 
-After s offered instances every one of them is retained with probability
+After s offered items every one of them is retained with probability
 capacity/s, so the memory is always a uniform sample of the whole stream.
+The items are opaque to the memory; the network learner offers row numbers
+into its history arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, StateError
 
 
-@dataclass
-class StreamInstance:
-    """One labelled observation plus its position in the stream."""
-
-    features: np.ndarray
-    label: int
-    position: int
-
-
 class EpisodicMemory:
-    """Uniform reservoir of past instances."""
+    """Uniform reservoir of past items."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ConfigError("memory capacity must be >= 1")
         self.capacity = capacity
-        self.items: list[StreamInstance] = []
+        self.items: list = []
         self.seen = 0
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def maybe_insert(self, inst: StreamInstance, rng: np.random.Generator) -> None:
-        """Offer one instance; keeps it with probability capacity/seen."""
+    def maybe_insert(self, item, rng: np.random.Generator) -> None:
+        """Offer one item; keeps it with probability capacity/seen."""
         self.seen += 1
         if len(self.items) < self.capacity:
-            self.items.append(inst)
+            self.items.append(item)
         else:
             slot = int(rng.integers(0, self.seen))
             if slot < self.capacity:
-                self.items[slot] = inst
+                self.items[slot] = item
 
-    def sample_batch(self, k: int, rng: np.random.Generator) -> list[StreamInstance]:
-        """k instances drawn uniformly with replacement."""
+    def sample_batch(self, k: int, rng: np.random.Generator) -> list:
+        """k items drawn uniformly with replacement."""
         if not self.items:
             raise StateError("cannot sample from an empty memory")
         if k <= 0:

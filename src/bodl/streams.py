@@ -9,6 +9,7 @@ e.g. ``csv:data/pima.csv``, ``sea:seg=2000,2000;noise=0.1;seed=7`` or
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .memory import StreamInstance
 
 # thresholds on x0 + x1 for the piecewise SEA-style concept, cycled per segment
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
@@ -25,6 +25,15 @@ SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 # short names for bundled benchmark CSVs resolved under the data directory;
 # files are headerless with the label in the last column
 NAMED_DATASETS = {"pima": "pima.csv", "magic": "magic.csv"}
+
+
+@dataclass(slots=True)
+class StreamInstance:
+    """One labelled observation plus its position in the stream."""
+
+    features: np.ndarray
+    label: int
+    position: int
 
 
 @dataclass
@@ -79,53 +88,53 @@ def load_csv(
     if not path.exists():
         raise StreamFormatError(f"no such file: {path}")
     with open(path, newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))
-                if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise StreamFormatError(f"{path}: no data rows")
+        rows = ((i, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+                if row and any(cell.strip() for cell in row))
+        first_line, first = next(rows, (0, None))
+        if first is None:
+            raise StreamFormatError(f"{path}: no data rows")
 
-    first_line, first = rows[0]
-    width = len(first)
-    if isinstance(label_column, str):
-        if has_header is False:
-            raise StreamFormatError("label column given by name but has_header=False")
-        has_header = True
-        try:
-            label_idx = first.index(label_column)
-        except ValueError:
-            raise StreamFormatError(f"{path}: no column named {label_column!r} in header")
-    else:
-        label_idx = label_column if label_column >= 0 else width + label_column
-        if not 0 <= label_idx < width:
-            raise StreamFormatError(f"{path}: label column {label_column} out of range for width {width}")
-        if has_header is None:
-            has_header = _looks_like_header(first, label_idx)
-    if has_header:
-        rows = rows[1:]
-        if not rows:
-            raise StreamFormatError(f"{path}: header only, no data rows")
-
-    label_map: dict[str, int] = {}
-    label_names: list[str] = []
-    instances: list[StreamInstance] = []
-    for line_no, row in rows:
-        if len(row) != width:
-            raise StreamFormatError(f"{path} line {line_no}: {len(row)} cells, expected {width}")
-        raw_label = row[label_idx].strip()
-        if raw_label not in label_map:
-            label_map[raw_label] = len(label_map)
-            label_names.append(raw_label)
-        feats = []
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
+        width = len(first)
+        if isinstance(label_column, str):
+            if has_header is False:
+                raise StreamFormatError("label column given by name but has_header=False")
+            has_header = True
             try:
-                feats.append(float(cell))
+                label_idx = first.index(label_column)
             except ValueError:
-                raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
-        if not all(map(math.isfinite, feats)):
-            raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
-        instances.append(StreamInstance(np.array(feats), label_map[raw_label], len(instances)))
+                raise StreamFormatError(f"{path}: no column named {label_column!r} in header")
+        else:
+            label_idx = label_column if label_column >= 0 else width + label_column
+            if not 0 <= label_idx < width:
+                raise StreamFormatError(f"{path}: label column {label_column} out of range for width {width}")
+            if has_header is None:
+                has_header = _looks_like_header(first, label_idx)
+        if not has_header:
+            rows = itertools.chain([(first_line, first)], rows)
+
+        label_map: dict[str, int] = {}
+        label_names: list[str] = []
+        instances: list[StreamInstance] = []
+        for line_no, row in rows:
+            if len(row) != width:
+                raise StreamFormatError(f"{path} line {line_no}: {len(row)} cells, expected {width}")
+            raw_label = row[label_idx].strip()
+            if raw_label not in label_map:
+                label_map[raw_label] = len(label_map)
+                label_names.append(raw_label)
+            feats = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
+            if not all(map(math.isfinite, feats)):
+                raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
+            instances.append(StreamInstance(np.array(feats), label_map[raw_label], len(instances)))
+    if not instances:
+        raise StreamFormatError(f"{path}: header only, no data rows")
 
     if len(label_map) < 2:
         raise StreamFormatError(f"{path}: found {len(label_map)} distinct label(s), need at least 2")

@@ -16,7 +16,6 @@ from scipy import stats
 from bodl.baselines import AROW, PA
 from bodl.bilevel import (
     BilevelConfig,
-    RecentBuffer,
     adapt_on_drift,
     inner_adapt,
     lookahead,
@@ -32,7 +31,8 @@ from bodl.hedge_net import (
     init_network,
     total_loss,
 )
-from bodl.memory import EpisodicMemory, StreamInstance
+from bodl.memory import EpisodicMemory
+from bodl.streams import StreamInstance
 
 from conftest import dataset_path, requires_dataset
 from oracles import (
@@ -226,33 +226,27 @@ def test_reservoir_inclusion_is_uniform():
 def test_drift_adaptation_is_exact():
     ncfg = NetworkConfig(input_dim=2, classes=2, hidden_layers=2, width=3)
     params, weights = init_network(ncfg, 5)
-    buf = RecentBuffer(8)
-    buf.append(StreamInstance(np.array([0.4, -0.7]), 1, 0))
-    mem_inst = StreamInstance(np.array([0.2, 0.9]), 0, 0)
-    mem = EpisodicMemory(4)
-    mem.maybe_insert(mem_inst, np.random.default_rng(0))
+    recent = (np.array([[0.4, -0.7]]), np.array([1]))
+    # the batch a single-item memory yields: that item, memory_batch times
+    replay = (np.tile([0.2, 0.9], (32, 1)), np.zeros(32, dtype=np.int64))
 
     # interpolation endpoints are bitwise: 0 keeps the originals, 1 adopts
     # the look-ahead copy computed on the memory batch
-    at_zero, _ = adapt_on_drift(params, buf, mem, weights,
-                                BilevelConfig(inner_rate=0.1, outer_rate=0.0),
-                                0.1, np.random.default_rng(1))
+    at_zero, _ = adapt_on_drift(params, recent, replay, weights,
+                                BilevelConfig(inner_rate=0.1, outer_rate=0.0), 0.1)
     zero_ok = all(np.array_equal(a, b) for a, b in
                   zip(at_zero.matrices(), params.matrices()))
 
     cfg_one = BilevelConfig(inner_rate=0.1, outer_rate=1.0)
-    at_one, _ = adapt_on_drift(params, buf, mem, weights, cfg_one, 0.1,
-                               np.random.default_rng(1))
-    inner = inner_adapt(params, buf, weights, cfg_one, 0.1)
-    target = lookahead(inner, [mem_inst] * cfg_one.memory_batch, weights,
-                       cfg_one, 0.1)
+    at_one, _ = adapt_on_drift(params, recent, replay, weights, cfg_one, 0.1)
+    inner = inner_adapt(params, *recent, weights, cfg_one, 0.1)
+    target = lookahead(inner, *replay, weights, cfg_one, 0.1)
     one_ok = all(np.array_equal(a, b) for a, b in
                  zip(at_one.matrices(), target.matrices()))
 
     # a zero inner rate makes the whole response the identity
-    frozen, _ = adapt_on_drift(params, buf, mem, weights,
-                               BilevelConfig(inner_rate=0.0), 0.1,
-                               np.random.default_rng(1))
+    frozen, _ = adapt_on_drift(params, recent, replay, weights,
+                               BilevelConfig(inner_rate=0.0), 0.1)
     mu_ok = all(np.array_equal(a, b) for a, b in
                 zip(frozen.matrices(), params.matrices()))
 
@@ -261,16 +255,10 @@ def test_drift_adaptation_is_exact():
         layers=[np.array([[0.9, 0.7]])],
         heads=[np.array([[0.2, -0.1], [-0.3, 0.4]]),
                np.array([[0.5, 0.1], [-0.2, 0.3]])])
-    recent = RecentBuffer(4)
-    recent.append(StreamInstance(np.array([0.8]), 1, 0))
-    recent.append(StreamInstance(np.array([-0.5]), 0, 1))
-    tiny_mem = EpisodicMemory(4)
-    tiny_mem.maybe_insert(StreamInstance(np.array([0.3]), 1, 0),
-                          np.random.default_rng(0))
     got, _ = adapt_on_drift(
-        tiny, recent, tiny_mem, np.array([0.6, 0.4]),
-        BilevelConfig(inner_rate=0.05, outer_rate=0.25, inner_steps=3),
-        0.0, np.random.default_rng(1))
+        tiny, (np.array([[0.8], [-0.5]]), np.array([1, 0])),
+        (np.tile([0.3], (32, 1)), np.ones(32, dtype=np.int64)), np.array([0.6, 0.4]),
+        BilevelConfig(inner_rate=0.05, outer_rate=0.25, inner_steps=3), 0.0)
     want, _ = tiny_net_adaptation(
         [0.9, 0.7], [[0.2, -0.1], [-0.3, 0.4]], [[0.5, 0.1], [-0.2, 0.3]],
         [0.6, 0.4], recent=[(0.8, 1), (-0.5, 0)], memory=[(0.3, 1)] * 32,

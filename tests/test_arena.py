@@ -8,7 +8,6 @@ import pytest
 
 from bodl.bilevel import (
     BilevelConfig,
-    RecentBuffer,
     adapt_on_drift,
     lookahead,
     outer_interpolate,
@@ -26,7 +25,7 @@ from bodl.hedge_net import (
     sgd_step,
     total_loss,
 )
-from bodl.memory import EpisodicMemory, StreamInstance
+from bodl.memory import EpisodicMemory
 from bodl.numerics import PROB_CLIP
 
 from oracles import (
@@ -90,7 +89,7 @@ def test_arena_matches_list_of_matrices_reference(optimizer, shape):
     ref_states = [(np.zeros_like(m), np.zeros_like(m), 0) for m in ref]
     opt = init_opt_state(params, cfg)
     rng = np.random.default_rng(8)
-    buf = RecentBuffer(16)
+    seen_x, seen_y = np.empty((50, cfg.input_dim)), np.empty(50, dtype=np.int64)
     mem = EpisodicMemory(32)
     for position in range(50):
         x = rng.standard_normal(cfg.input_dim)
@@ -127,22 +126,22 @@ def test_arena_matches_list_of_matrices_reference(optimizer, shape):
             ref = list_sgd_step(ref, ref_grads[0] + ref_grads[1], cfg.lr)
         assert_all_equal(params.matrices(), ref)
 
-        inst = StreamInstance(x, y, position)
-        buf.append(inst)
-        mem.maybe_insert(inst, rng)
+        seen_x[position], seen_y[position] = x, y
+        mem.maybe_insert(position, rng)
 
     bcfg = BilevelConfig()
-    adapted, record = adapt_on_drift(params, buf, mem, weights, bcfg, cfg.lam,
-                                     np.random.default_rng(5), position=50)
-    batch = mem.sample_batch(bcfg.memory_batch, np.random.default_rng(5))
+    recent = (seen_x[-16:], seen_y[-16:])
+    picked = mem.sample_batch(bcfg.memory_batch, np.random.default_rng(5))
+    replay = (seen_x[picked], seen_y[picked])
+    adapted, record = adapt_on_drift(params, recent, replay, weights, bcfg, cfg.lam,
+                                     position=50)
     want, loss_before, loss_after, shift = list_adapt_on_drift(
-        ref, n, [(i.features, i.label) for i in buf.items()],
-        [(i.features, i.label) for i in batch], weights, cfg.lam,
+        ref, n, list(zip(*recent)), list(zip(*replay)), weights, cfg.lam,
         bcfg.inner_rate, bcfg.outer_rate, bcfg.inner_steps)
     assert_all_equal(adapted.matrices(), want)
-    assert record.loss_before == loss_before
-    assert record.loss_after == loss_after
-    assert record.shift_norm == shift
+    assert record["loss_before"] == loss_before
+    assert record["loss_after"] == loss_after
+    assert record["shift_norm"] == shift
 
 
 # ---------------------------------------------------------------- arena invariants
@@ -218,8 +217,7 @@ def test_updates_never_mutate_their_inputs():
     apply_update(params, grads, opt, cfg)
     sgd_step(params, grads, 0.1)
     outer_interpolate(params, target, 0.3)
-    batch = [StreamInstance(x, 1, 0), StreamInstance(-x, 0, 1)]
-    lookahead(params, batch, w, BilevelConfig(), 0.1)
+    lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, BilevelConfig(), 0.1)
 
     assert_all_equal(params.matrices(), kept[0])
     assert_all_equal(grads.matrices(), kept[1])

@@ -7,7 +7,6 @@ import pytest
 
 from bodl.bilevel import (
     BilevelConfig,
-    RecentBuffer,
     adapt_on_drift,
     inner_adapt,
     lookahead,
@@ -16,7 +15,7 @@ from bodl.bilevel import (
 )
 from bodl.errors import ConfigError, InputError, StateError
 from bodl.hedge_net import NetworkConfig, NetworkParams, backward, forward, init_network, sgd_step
-from bodl.memory import EpisodicMemory, StreamInstance
+from bodl.memory import EpisodicMemory
 
 from oracles import tiny_net_adaptation, tiny_net_grads
 
@@ -27,11 +26,13 @@ def toy_setup(seed=0, n=1, u=3, d=2):
     return params, weights
 
 
-def filled_buffer(instances, size=16):
-    buf = RecentBuffer(size)
-    for inst in instances:
-        buf.append(inst)
-    return buf
+def rows(features, labels):
+    """(X, y) arrays: one row of features and one label per instance."""
+    return np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+def no_rows():
+    return rows(np.empty((0, 2)), [])
 
 
 def tiny_params():
@@ -60,21 +61,13 @@ def test_config_validation():
         BilevelConfig(recent_window=0)
 
 
-def test_recent_buffer_evicts_oldest():
-    buf = RecentBuffer(3)
-    for i in range(5):
-        buf.append(StreamInstance(np.array([float(i)]), 0, i))
-    assert [inst.position for inst in buf.items()] == [2, 3, 4]
-    assert len(buf) == 3
-
-
 # ---------------------------------------------------------------- inner
 
 def test_inner_zero_rate_is_identity():
     params, weights = toy_setup()
-    buf = filled_buffer([StreamInstance(np.array([1.0, -1.0]), 1, 0)])
+    X, y = rows([[1.0, -1.0]], [1])
     cfg = BilevelConfig(inner_rate=0.0, inner_steps=4)
-    adapted = inner_adapt(params, buf, weights, cfg, lam=0.1)
+    adapted = inner_adapt(params, X, y, weights, cfg, lam=0.1)
     for a, b in zip(adapted.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
@@ -82,20 +75,19 @@ def test_inner_zero_rate_is_identity():
 def test_inner_stationary_point_is_identity():
     # zero head importances and no penalty: the objective is flat
     params, _ = toy_setup()
-    buf = filled_buffer([StreamInstance(np.array([0.5, 0.5]), 0, 0)])
+    X, y = rows([[0.5, 0.5]], [0])
     cfg = BilevelConfig(inner_rate=0.1, inner_steps=3)
-    adapted = inner_adapt(params, buf, np.zeros(2), cfg, lam=0.0)
+    adapted = inner_adapt(params, X, y, np.zeros(2), cfg, lam=0.0)
     for a, b in zip(adapted.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
 
 def test_inner_single_step_matches_gradient_step():
     params, weights = toy_setup(seed=5)
-    inst = StreamInstance(np.array([0.3, -0.8]), 1, 0)
-    buf = filled_buffer([inst])
+    X, y = rows([[0.3, -0.8]], [1])
     cfg = BilevelConfig(inner_rate=0.07, inner_steps=1)
-    adapted = inner_adapt(params, buf, weights, cfg, lam=0.1)
-    grads = backward(params, forward(params, inst.features), weights, inst.label, 0.1)
+    adapted = inner_adapt(params, X, y, weights, cfg, lam=0.1)
+    grads = backward(params, forward(params, X[0]), weights, 1, 0.1)
     expected = sgd_step(params, grads, 0.07)
     for a, b in zip(adapted.matrices(), expected.matrices()):
         assert np.allclose(a, b, atol=1e-15)
@@ -104,13 +96,12 @@ def test_inner_single_step_matches_gradient_step():
 def test_inner_cycles_the_buffer():
     # three steps over two instances: the first instance is visited twice
     params, weights = toy_setup(seed=6)
-    insts = [StreamInstance(np.array([0.2, 0.4]), 0, 0),
-             StreamInstance(np.array([-0.6, 1.0]), 1, 1)]
+    X, y = rows([[0.2, 0.4], [-0.6, 1.0]], [0, 1])
     cfg = BilevelConfig(inner_rate=0.05, inner_steps=3)
-    adapted = inner_adapt(params, filled_buffer(insts), weights, cfg, lam=0.1)
+    adapted = inner_adapt(params, X, y, weights, cfg, lam=0.1)
     manual = params.copy()
-    for inst in [insts[0], insts[1], insts[0]]:
-        g = backward(manual, forward(manual, inst.features), weights, inst.label, 0.1)
+    for k in [0, 1, 0]:
+        g = backward(manual, forward(manual, X[k]), weights, y[k], 0.1)
         manual = sgd_step(manual, g, 0.05)
     for a, b in zip(adapted.matrices(), manual.matrices()):
         assert np.allclose(a, b, atol=1e-15)
@@ -119,14 +110,14 @@ def test_inner_cycles_the_buffer():
 def test_inner_empty_buffer_rejected():
     params, weights = toy_setup()
     with pytest.raises(StateError):
-        inner_adapt(params, RecentBuffer(4), weights, BilevelConfig(), lam=0.1)
+        inner_adapt(params, *no_rows(), weights, BilevelConfig(), lam=0.1)
 
 
 def test_inner_leaves_originals_untouched():
     params, weights = toy_setup(seed=7)
     snapshot = params.copy()
-    buf = filled_buffer([StreamInstance(np.array([1.0, 1.0]), 1, 0)])
-    inner_adapt(params, buf, weights, BilevelConfig(inner_rate=0.2), lam=0.1)
+    X, y = rows([[1.0, 1.0]], [1])
+    inner_adapt(params, X, y, weights, BilevelConfig(inner_rate=0.2), lam=0.1)
     for a, b in zip(params.matrices(), snapshot.matrices()):
         assert np.array_equal(a, b)
 
@@ -135,17 +126,17 @@ def test_inner_leaves_originals_untouched():
 
 def test_lookahead_zero_rate_is_identity():
     params, weights = toy_setup()
-    batch = [StreamInstance(np.array([0.1, 0.2]), 0, 0)]
-    out = lookahead(params, batch, weights, BilevelConfig(inner_rate=0.0), lam=0.1)
+    X, y = rows([[0.1, 0.2]], [0])
+    out = lookahead(params, X, y, weights, BilevelConfig(inner_rate=0.0), lam=0.1)
     for a, b in zip(out.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
 
 def test_lookahead_single_instance_matches_gradient_step():
     params, weights = toy_setup(seed=8)
-    inst = StreamInstance(np.array([0.9, -0.2]), 0, 3)
-    out = lookahead(params, [inst], weights, BilevelConfig(inner_rate=0.03), lam=0.1)
-    grads = backward(params, forward(params, inst.features), weights, inst.label, 0.1)
+    X, y = rows([[0.9, -0.2]], [0])
+    out = lookahead(params, X, y, weights, BilevelConfig(inner_rate=0.03), lam=0.1)
+    grads = backward(params, forward(params, X[0]), weights, 0, 0.1)
     expected = sgd_step(params, grads, 0.03)
     for a, b in zip(out.matrices(), expected.matrices()):
         assert np.allclose(a, b, atol=1e-15)
@@ -154,7 +145,7 @@ def test_lookahead_single_instance_matches_gradient_step():
 def test_lookahead_empty_batch_rejected():
     params, weights = toy_setup()
     with pytest.raises(StateError):
-        lookahead(params, [], weights, BilevelConfig(), lam=0.1)
+        lookahead(params, *no_rows(), weights, BilevelConfig(), lam=0.1)
 
 
 # ---------------------------------------------------------------- interpolate
@@ -206,91 +197,85 @@ def test_params_distance():
 
 def test_adapt_gamma_zero_keeps_parameters():
     params, weights = toy_setup(seed=14)
-    buf = filled_buffer([StreamInstance(np.array([0.5, -0.5]), 1, 4)])
-    mem = EpisodicMemory(8)
-    mem.maybe_insert(StreamInstance(np.array([0.1, 0.1]), 0, 0), np.random.default_rng(0))
+    recent = rows([[0.5, -0.5]], [1])
     cfg = BilevelConfig(inner_rate=0.1, outer_rate=0.0, inner_steps=2)
-    out, record = adapt_on_drift(params, buf, mem, weights, cfg, 0.1,
-                                 np.random.default_rng(1), position=4)
+    replay = rows(np.tile([0.1, 0.1], (cfg.memory_batch, 1)), [0] * cfg.memory_batch)
+    out, record = adapt_on_drift(params, recent, replay, weights, cfg, 0.1, position=4)
     for a, b in zip(out.matrices(), params.matrices()):
         assert np.array_equal(a, b)
-    assert record.memory_batch == cfg.memory_batch
+    assert record["memory_batch"] == cfg.memory_batch
 
 
 def test_adapt_gamma_one_adopts_lookahead():
     params, weights = toy_setup(seed=15)
-    inst = StreamInstance(np.array([0.5, -0.5]), 1, 4)
-    mem_inst = StreamInstance(np.array([0.2, 0.8]), 0, 1)
-    mem = EpisodicMemory(8)
-    mem.maybe_insert(mem_inst, np.random.default_rng(0))
+    recent = rows([[0.5, -0.5]], [1])
     cfg = BilevelConfig(inner_rate=0.1, outer_rate=1.0, inner_steps=2)
-    out, _ = adapt_on_drift(params, filled_buffer([inst]), mem, weights, cfg, 0.1,
-                            np.random.default_rng(1), position=4)
-    # single-item memory makes the batch deterministic: [mem_inst] * batch
-    inner = inner_adapt(params, filled_buffer([inst]), weights, cfg, 0.1)
-    target = lookahead(inner, [mem_inst] * cfg.memory_batch, weights, cfg, 0.1)
+    # the batch a single-item memory yields: that item, memory_batch times
+    replay = rows(np.tile([0.2, 0.8], (cfg.memory_batch, 1)), [0] * cfg.memory_batch)
+    out, _ = adapt_on_drift(params, recent, replay, weights, cfg, 0.1, position=4)
+    inner = inner_adapt(params, *recent, weights, cfg, 0.1)
+    target = lookahead(inner, *replay, weights, cfg, 0.1)
     for a, b in zip(out.matrices(), target.matrices()):
         assert np.array_equal(a, b)
 
 
 def test_adapt_zero_rate_is_identity_at_default_gamma():
     params, weights = toy_setup(seed=16)
-    buf = filled_buffer([StreamInstance(np.array([1.0, 0.0]), 0, 2)])
-    mem = EpisodicMemory(8)
-    mem.maybe_insert(StreamInstance(np.array([0.0, 1.0]), 1, 0), np.random.default_rng(2))
     cfg = BilevelConfig(inner_rate=0.0)
-    out, _ = adapt_on_drift(params, buf, mem, weights, cfg, 0.1,
-                            np.random.default_rng(3), position=2)
+    replay = rows(np.tile([0.0, 1.0], (cfg.memory_batch, 1)), [1] * cfg.memory_batch)
+    out, _ = adapt_on_drift(params, rows([[1.0, 0.0]], [0]), replay, weights, cfg, 0.1,
+                            position=2)
     for a, b in zip(out.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
 
 def test_adapt_empty_memory_falls_back_to_inner_result():
     params, weights = toy_setup(seed=17)
-    inst = StreamInstance(np.array([0.4, 0.6]), 1, 9)
+    X, y = rows([[0.4, 0.6]], [1])
     cfg = BilevelConfig(inner_rate=0.05, inner_steps=1)
-    out, record = adapt_on_drift(params, filled_buffer([inst]), EpisodicMemory(8),
-                                 weights, cfg, 0.1, np.random.default_rng(4), position=9)
-    grads = backward(params, forward(params, inst.features), weights, inst.label, 0.1)
+    out, record = adapt_on_drift(params, (X, y), no_rows(), weights, cfg, 0.1, position=9)
+    grads = backward(params, forward(params, X[0]), weights, 1, 0.1)
     expected = sgd_step(params, grads, 0.05)
     for a, b in zip(out.matrices(), expected.matrices()):
         assert np.array_equal(a, b)
-    assert record.memory_batch == 0
-    assert record.position == 9
+    assert record["memory_batch"] == 0
+    assert record["position"] == 9
 
 
 def test_adapt_empty_buffer_rejected():
     params, weights = toy_setup()
     with pytest.raises(StateError):
-        adapt_on_drift(params, RecentBuffer(4), EpisodicMemory(4), weights,
-                       BilevelConfig(), 0.1, np.random.default_rng(0))
+        adapt_on_drift(params, no_rows(), no_rows(), weights, BilevelConfig(), 0.1)
 
 
 def test_adapt_does_not_mutate_inputs():
     params, weights = toy_setup(seed=18)
     p_snap = params.copy()
     w_snap = weights.copy()
-    buf = filled_buffer([StreamInstance(np.array([0.3, 0.3]), 0, 5)])
-    mem = EpisodicMemory(8)
-    mem.maybe_insert(StreamInstance(np.array([0.6, -0.6]), 1, 1), np.random.default_rng(5))
-    adapt_on_drift(params, buf, mem, weights, BilevelConfig(), 0.1,
-                   np.random.default_rng(6), position=5)
+    recent = rows([[0.3, 0.3]], [0])
+    replay = rows(np.tile([0.6, -0.6], (32, 1)), [1] * 32)
+    r_snap = [a.copy() for a in recent + replay]
+    adapt_on_drift(params, recent, replay, weights, BilevelConfig(), 0.1, position=5)
     for a, b in zip(params.matrices(), p_snap.matrices()):
         assert np.array_equal(a, b)
     assert np.array_equal(weights, w_snap)
+    assert all(np.array_equal(a, b) for a, b in zip(recent + replay, r_snap))
 
 
 def test_adapt_deterministic_given_seed():
     params, weights = toy_setup(seed=19)
-    buf = filled_buffer([StreamInstance(np.array([0.2, -0.9]), 1, 6)])
+    recent = rows([[0.2, -0.9]], [1])
+    X, y = rows([[float(i), 1.0] for i in range(8)], [i % 2 for i in range(8)])
     mem = EpisodicMemory(8)
     fill_rng = np.random.default_rng(7)
     for i in range(8):
-        mem.maybe_insert(StreamInstance(np.array([float(i), 1.0]), i % 2, i), fill_rng)
-    a, _ = adapt_on_drift(params, buf, mem, weights, BilevelConfig(), 0.1,
-                          np.random.default_rng(42), position=6)
-    b, _ = adapt_on_drift(params, buf, mem, weights, BilevelConfig(), 0.1,
-                          np.random.default_rng(42), position=6)
+        mem.maybe_insert(i, fill_rng)
+    out = []
+    for _ in range(2):
+        picked = mem.sample_batch(32, np.random.default_rng(42))
+        out.append(adapt_on_drift(params, recent, (X[picked], y[picked]), weights,
+                                  BilevelConfig(), 0.1, position=6)[0])
+    a, b = out
     for x, y in zip(a.matrices(), b.matrices()):
         assert np.array_equal(x, y)
 
@@ -298,17 +283,13 @@ def test_adapt_deterministic_given_seed():
 def test_adapt_matches_scalar_hand_trace():
     params = tiny_params()
     weights = np.array([0.6, 0.4])
-    recent = [StreamInstance(np.array([0.8]), 1, 10),
-              StreamInstance(np.array([-0.5]), 0, 11)]
-    mem_inst = StreamInstance(np.array([0.3]), 1, 2)
-    mem = EpisodicMemory(4)
-    mem.maybe_insert(mem_inst, np.random.default_rng(0))
+    recent = rows([[0.8], [-0.5]], [1, 0])
     cfg = BilevelConfig(inner_rate=0.05, outer_rate=0.25, inner_steps=3,
                         memory_batch=32)
-    out, record = adapt_on_drift(params, filled_buffer(recent), mem, weights,
-                                 cfg, 0.0, np.random.default_rng(1), position=11)
+    # the batch a single-item memory yields: every draw lands on the lone item
+    replay = rows(np.tile([0.3], (32, 1)), [1] * 32)
+    out, record = adapt_on_drift(params, recent, replay, weights, cfg, 0.0, position=11)
 
-    # every batch draw lands on the lone stored instance
     expected, target = tiny_net_adaptation(
         [0.9, 0.7],
         [[0.2, -0.1], [-0.3, 0.4]],
@@ -327,13 +308,13 @@ def test_adapt_matches_scalar_hand_trace():
                                [[0.5, 0.1], [-0.2, 0.3]], [0.6, 0.4], 0.8, 1)
     loss1, *_ = tiny_net_grads([0.9, 0.7], [[0.2, -0.1], [-0.3, 0.4]],
                                [[0.5, 0.1], [-0.2, 0.3]], [0.6, 0.4], -0.5, 0)
-    assert record.loss_before == pytest.approx((loss0 + loss1) / 2, abs=1e-12)
+    assert record["loss_before"] == pytest.approx((loss0 + loss1) / 2, abs=1e-12)
 
     flat_target = (list(target[0])
                    + [v for row in target[1] for v in row]
                    + [v for row in target[2] for v in row])
     flat_orig = [0.9, 0.7, 0.2, -0.1, -0.3, 0.4, 0.5, 0.1, -0.2, 0.3]
     shift = math.sqrt(sum((t - o) ** 2 for t, o in zip(flat_target, flat_orig)))
-    assert record.shift_norm == pytest.approx(shift, abs=1e-12)
-    assert record.memory_batch == 32
-    assert record.position == 11
+    assert record["shift_norm"] == pytest.approx(shift, abs=1e-12)
+    assert record["memory_batch"] == 32
+    assert record["position"] == 11

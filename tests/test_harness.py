@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from bodl import harness
+from bodl.bilevel import adapt_on_drift
 from bodl.errors import ConfigError, DivergenceError, InputError
 from bodl.harness import (
     MetricsReport,
@@ -14,8 +16,7 @@ from bodl.harness import (
     run_suite,
     update_metrics,
 )
-from bodl.memory import StreamInstance
-from bodl.streams import StreamSource, gen_drift_stream, parse_stream_spec
+from bodl.streams import StreamInstance, StreamSource, gen_drift_stream, parse_stream_spec
 
 # fast two-concept stream that reliably trips the detector (flip drift is
 # maximally abrupt), paired with a small one-layer network
@@ -195,6 +196,37 @@ def test_adaptations_follow_drift_events_one_to_one():
     for a in report.adaptations:
         assert a["memory_batch"] > 0
         assert a["shift_norm"] >= 0.0
+
+
+def test_drift_response_gets_the_window_and_replayed_rows(monkeypatch):
+    # the learner's history arrays and its row-number memory hand the drift
+    # response exactly the stream's last rows and rows the memory kept
+    cfg = fast_config("bodl-2", standardize=False, recent_window=8)
+    source = parse_stream_spec(FAST_DRIFT, default_seed=cfg.seed)
+    learner = NetworkLearner(cfg, source, MetricsReport(classes=source.classes))
+    calls = []
+
+    def recording(params, recent, replay, weights, bcfg, lam, position):
+        calls.append((recent, replay, position, list(learner.memory.items)))
+        return adapt_on_drift(params, recent, replay, weights, bcfg, lam, position)
+
+    monkeypatch.setattr(harness, "adapt_on_drift", recording)
+    for inst in source:
+        learner.step(inst.features, inst.label, inst.position)
+
+    X = np.stack([inst.features for inst in source])
+    y = np.array([inst.label for inst in source])
+    row_of = {x.tobytes(): i for i, x in enumerate(X)}
+    assert calls
+    for (win_x, win_y), (rep_x, rep_y), position, kept in calls:
+        lo = max(0, position + 1 - 8)
+        assert np.array_equal(win_x, X[lo:position + 1])
+        assert np.array_equal(win_y, y[lo:position + 1])
+        assert len(rep_x) == len(rep_y) == cfg.memory_batch
+        for x, label in zip(rep_x, rep_y):
+            i = row_of[x.tobytes()]
+            assert i in kept and label == y[i]
+    assert [c[2] for c in calls] == [a["position"] for a in learner.report.adaptations]
 
 
 def test_one_layer_ensemble_ignores_similarity_weight():

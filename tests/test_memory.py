@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bodl.errors import ConfigError, StateError
-from bodl.memory import EpisodicMemory, StreamInstance
+from bodl.memory import EpisodicMemory
+from bodl.streams import StreamInstance
 
 from oracles import reservoir_final_positions
 

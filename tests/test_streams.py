@@ -126,6 +126,30 @@ def test_load_csv_blank_lines_skipped(tmp_path):
     assert len(load_csv(p)) == 2
 
 
+def test_load_csv_bad_first_data_row_after_blank_line_reports_line(tmp_path):
+    p = write_lines(tmp_path / "lead.csv", "\n1,oops,a\n3,4,b\n")
+    with pytest.raises(StreamFormatError, match="line 2: non-numeric value 'oops'"):
+        load_csv(p, has_header=False)
+
+
+def test_load_csv_non_finite_first_data_row_reports_line(tmp_path):
+    p = write_lines(tmp_path / "lead.csv", "\n1,inf,a\n3,4,b\n")
+    with pytest.raises(StreamFormatError, match="line 2: non-finite"):
+        load_csv(p)
+
+
+def test_load_csv_all_blank_file_rejected(tmp_path):
+    p = write_lines(tmp_path / "blank.csv", "\n , \n\n")
+    with pytest.raises(StreamFormatError, match=": no data rows"):
+        load_csv(p)
+
+
+def test_load_csv_ragged_row_after_blank_line_reports_physical_line(tmp_path):
+    p = write_lines(tmp_path / "ragged.csv", "1,2,a\n3,4,b\n\n5,6,7,a\n")
+    with pytest.raises(StreamFormatError, match="line 4: 4 cells, expected 3"):
+        load_csv(p)
+
+
 def test_load_csv_header_only_rejected(tmp_path):
     p = write_lines(tmp_path / "hdr.csv", "f1,f2,y\n")
     with pytest.raises(StreamFormatError, match="header only"):
