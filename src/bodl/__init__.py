@@ -30,7 +30,6 @@ from .harness import (
     update_metrics,
 )
 from .hedge_net import (
-    NetworkConfig,
     NetworkParams,
     backward,
     forward,
@@ -62,7 +61,6 @@ __all__ = [
     "EpisodicMemory",
     "InputError",
     "MetricsReport",
-    "NetworkConfig",
     "NetworkLearner",
     "NetworkParams",
     "RunConfig",

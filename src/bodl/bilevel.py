@@ -20,11 +20,9 @@ from .hedge_net import NetworkParams, backward, flat_pair, forward, sgd_step, to
 
 @dataclass
 class BilevelConfig:
-    inner_rate: float = 0.01    # step size of the adaptation gradient steps
-    outer_rate: float = 0.5     # interpolation weight toward the look-ahead copy
-    inner_steps: int = 5
-    memory_batch: int = 32
-    recent_window: int = 16     # how many trailing instances count as drifted data
+    inner_rate: float    # step size of the adaptation gradient steps
+    outer_rate: float    # interpolation weight toward the look-ahead copy
+    inner_steps: int
 
     def __post_init__(self):
         if self.inner_rate < 0:
@@ -33,10 +31,6 @@ class BilevelConfig:
             raise ConfigError("outer rate must lie in [0, 1]")
         if self.inner_steps < 1:
             raise ConfigError("need at least one inner step")
-        if self.memory_batch < 1:
-            raise ConfigError("memory batch size must be >= 1")
-        if self.recent_window < 1:
-            raise ConfigError("recent window must be >= 1")
 
 
 def _mean_loss(params: NetworkParams, X: np.ndarray, y: np.ndarray,

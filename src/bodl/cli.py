@@ -23,33 +23,32 @@ ABLATION_LEARNERS = ("bodl-base", "bodl-1", "bodl-2")
 
 
 def _add_run_options(p: argparse.ArgumentParser, with_learner: bool = True) -> None:
+    """RunConfig-backed flags; a flag left out is suppressed, so RunConfig's default applies."""
     p.add_argument("--stream", required=True,
                    help="stream spec: csv:<path|name>[;opts] | sea:... | hyperplane:...")
     if with_learner:
-        p.add_argument("--learner", default="bodl-2",
+        p.add_argument("--learner",
                        help="bodl-2 | bodl-1 | bodl-base | perceptron | romma | "
                             "ogd | pa | cw | arow | scw")
-    p.add_argument("--eta", type=float, default=0.01, help="head reweighting rate")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--eta", type=float, help="head reweighting rate")
+    p.add_argument("--lambda", dest="lam", type=float,
                    help="similarity penalty weight (default per learner)")
-    p.add_argument("--lr", type=float, default=0.01, help="optimizer step size")
-    p.add_argument("--layers", dest="hidden_layers", type=int, default=15)
-    p.add_argument("--width", type=int, default=30)
-    p.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
-    p.add_argument("--mem", dest="memory_capacity", type=int, default=256,
-                   help="episodic memory capacity")
-    p.add_argument("--mu", dest="inner_rate", type=float, default=0.01,
-                   help="adaptation step size on drift")
-    p.add_argument("--gamma", dest="outer_rate", type=float, default=0.5,
+    p.add_argument("--lr", type=float, help="optimizer step size")
+    p.add_argument("--layers", dest="hidden_layers", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--optimizer", choices=("adam", "sgd"))
+    p.add_argument("--mem", dest="memory_capacity", type=int, help="episodic memory capacity")
+    p.add_argument("--mu", dest="inner_rate", type=float, help="adaptation step size on drift")
+    p.add_argument("--gamma", dest="outer_rate", type=float,
                    help="interpolation rate toward the replay-refined copy")
-    p.add_argument("--inner", dest="inner_steps", type=int, default=5,
+    p.add_argument("--inner", dest="inner_steps", type=int,
                    help="adaptation steps over the recent window")
-    p.add_argument("--batch", dest="memory_batch", type=int, default=32,
+    p.add_argument("--batch", dest="memory_batch", type=int,
                    help="memory batch size for the replay step")
-    p.add_argument("--window", dest="recent_window", type=int, default=16,
-                   help="recent-instance buffer length")
-    p.add_argument("--detector-min", dest="detector_min_instances", type=int, default=30)
-    p.add_argument("--detector-k", dest="detector_sensitivity", type=float, default=3.0)
+    p.add_argument("--window", dest="recent_window", type=int,
+                   help="how many of the latest rows the drift response adapts on")
+    p.add_argument("--detector-min", dest="detector_min_instances", type=int)
+    p.add_argument("--detector-k", dest="detector_sensitivity", type=float)
     p.add_argument("--no-standardize", dest="standardize", action="store_false")
 
 
@@ -89,9 +88,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     report = prequential_run(cfg)
     print(f"{cfg.learner} on {report.stream_info['provenance']}: {_summary_line(report)}")
-    if args.out:
-        _write_report(report, args.out, args.timing)
-        print(f"report written to {args.out}")
+    if cfg.out:
+        _write_report(report, cfg.out, args.timing)
+        print(f"report written to {cfg.out}")
     return 0
 
 
@@ -195,15 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "drift-triggered adaptation, plus linear online baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="evaluate one learner on one stream")
+    p_run = sub.add_parser("run", help="evaluate one learner on one stream",
+                           argument_default=argparse.SUPPRESS)
     _add_run_options(p_run)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--out", default=None, help="write the JSON report here")
-    p_run.add_argument("--timing", action="store_true",
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--out", help="write the JSON report here")
+    p_run.add_argument("--timing", action="store_true", default=False,
                        help="include wall time in the report file")
     p_run.set_defaults(func=cmd_run)
 
-    p_abl = sub.add_parser("ablate", help="run the bodl-base/bodl-1/bodl-2 grid")
+    p_abl = sub.add_parser("ablate", help="run the bodl-base/bodl-1/bodl-2 grid",
+                           argument_default=argparse.SUPPRESS)
     _add_run_options(p_abl, with_learner=False)
     p_abl.add_argument("--seeds", default="1..5", help="e.g. 1..5 or 3,7,11")
     p_abl.add_argument("--out", required=True, help="CSV table path")

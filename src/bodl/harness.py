@@ -20,7 +20,7 @@ from .baselines import BASELINES, make_baseline
 from .bilevel import BilevelConfig, adapt_on_drift
 from .errors import ConfigError, DivergenceError, InputError
 from .hedge_net import (
-    NetworkConfig,
+    WEIGHT_FLOOR,
     apply_update,
     backward,
     forward,
@@ -37,13 +37,27 @@ NETWORK_LEARNERS = ("bodl-2", "bodl-1", "bodl-base")
 DEFAULT_SIMILARITY_WEIGHT = 0.1
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# RunConfig annotation -> (what it accepts, the test); other annotations are not checked
+_FIELD_TYPES = {
+    "int": ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _is_number),
+    "float | None": ("a finite number or None", lambda v: v is None or _is_number(v)),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
+}
+
+
 @dataclass
 class RunConfig:
-    """One run: a stream, a learner, and every knob the learner exposes.
-
-    ``stream`` is a spec string (see streams.parse_stream_spec) or an
-    already-built StreamSource. ``lam=None`` means the per-learner default:
-    0 for bodl-base, DEFAULT_SIMILARITY_WEIGHT otherwise.
+    """One run: a stream, a learner, and every knob the learner exposes, with
+    its one default. ``stream`` is a spec string (see streams.parse_stream_spec)
+    or an already-built StreamSource. ``lam=None`` means the per-learner
+    default: 0 for bodl-base, DEFAULT_SIMILARITY_WEIGHT otherwise.
     """
 
     stream: object
@@ -86,19 +100,28 @@ class RunConfig:
         return "network", lam, self.learner == "bodl-2"
 
     def validate(self) -> None:
+        """Types (from the annotations), then ranges; a ConfigError names the
+        first bad field. The network's shape is checked by init_network."""
+        for f in fields(self):
+            if f.type in _FIELD_TYPES:
+                accepts, ok = _FIELD_TYPES[f.type]
+                value = getattr(self, f.name)
+                if not ok(value):
+                    raise ConfigError(f"{f.name} must be {accepts}, got {value!r}")
         self.resolve_learner()
-        if self.detector_min_instances < 1:
-            raise ConfigError("detector_min_instances must be >= 1")
+        if self.eta <= 0:
+            raise ConfigError("eta must be positive")
+        if self.lr <= 0:
+            raise ConfigError("learning rate must be positive")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        BilevelConfig(self.inner_rate, self.outer_rate, self.inner_steps)   # its range checks
+        for name in ("memory_capacity", "memory_batch", "recent_window",
+                     "detector_min_instances"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.detector_sensitivity <= 0:
             raise ConfigError("detector_sensitivity must be positive")
-        # constructing these surfaces any remaining bad values
-        BilevelConfig(self.inner_rate, self.outer_rate, self.inner_steps,
-                      self.memory_batch, self.recent_window)
-        NetworkConfig(input_dim=1, classes=2, hidden_layers=self.hidden_layers,
-                      width=self.width, eta=self.eta, lam=0.0, lr=self.lr,
-                      optimizer=self.optimizer)
-        if self.memory_capacity < 1:
-            raise ConfigError("memory_capacity must be >= 1")
 
     def echo(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -113,11 +136,7 @@ class MetricsReport:
     """Running confusion counts plus the event logs of one run."""
 
     classes: int
-    true_pos: np.ndarray = None
-    false_pos: np.ndarray = None
-    false_neg: np.ndarray = None
-    total: int = 0
-    correct: int = 0
+    confusion: np.ndarray = None   # (classes, classes) int64, [actual, predicted]
     drift_events: list = field(default_factory=list)
     adaptations: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -125,26 +144,34 @@ class MetricsReport:
     stream_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.true_pos is None:
-            self.true_pos = np.zeros(self.classes, dtype=np.int64)
-            self.false_pos = np.zeros(self.classes, dtype=np.int64)
-            self.false_neg = np.zeros(self.classes, dtype=np.int64)
+        if self.confusion is None:
+            self.confusion = np.zeros((self.classes, self.classes), dtype=np.int64)
+
+    @property
+    def total(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def correct(self) -> int:
+        return int(np.trace(self.confusion))
 
     @property
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
+    def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-class true positives, false positives and false negatives."""
+        tp = np.diag(self.confusion)
+        return tp, self.confusion.sum(axis=0) - tp, self.confusion.sum(axis=1) - tp
+
     def _per_class(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        prec = np.zeros(self.classes)
-        rec = np.zeros(self.classes)
-        f1 = np.zeros(self.classes)
-        for c in range(self.classes):
-            tp, fp, fn = self.true_pos[c], self.false_pos[c], self.false_neg[c]
-            p = tp / (tp + fp) if tp + fp else 0.0
-            r = tp / (tp + fn) if tp + fn else 0.0
-            prec[c], rec[c] = p, r
-            f1[c] = 2 * p * r / (p + r) if p + r else 0.0
-        return prec, rec, f1
+        """Precision, recall and F1 per class; 0 where the denominator is 0."""
+        def ratio(num, den):
+            return np.divide(num, den, out=np.zeros(self.classes), where=den != 0)
+
+        tp, fp, fn = self._counts()
+        prec, rec = ratio(tp, tp + fp), ratio(tp, tp + fn)
+        return prec, rec, ratio(2 * prec * rec, prec + rec)
 
     @property
     def macro_precision(self) -> float:
@@ -161,6 +188,7 @@ class MetricsReport:
     def as_dict(self, include_timing: bool = False) -> dict:
         """Plain-type report. Timing is opt-in so that identical configs
         serialize identically byte for byte."""
+        tp, fp, fn = self._counts()
         out = {
             "config": self.config,
             "stream": self.stream_info,
@@ -172,11 +200,8 @@ class MetricsReport:
                 "macro_recall": float(self.macro_recall),
                 "macro_f1": float(self.macro_f1),
             },
-            "per_class": {
-                "true_pos": [int(v) for v in self.true_pos],
-                "false_pos": [int(v) for v in self.false_pos],
-                "false_neg": [int(v) for v in self.false_neg],
-            },
+            "per_class": {"true_pos": tp.tolist(), "false_pos": fp.tolist(),
+                          "false_neg": fn.tolist()},
             "drift_events": self.drift_events,
             "adaptations": self.adaptations,
         }
@@ -188,13 +213,7 @@ class MetricsReport:
 def update_metrics(report: MetricsReport, predicted: int, actual: int) -> MetricsReport:
     if not (0 <= predicted < report.classes and 0 <= actual < report.classes):
         raise InputError(f"class index out of range: predicted={predicted}, actual={actual}")
-    report.total += 1
-    if predicted == actual:
-        report.correct += 1
-        report.true_pos[actual] += 1
-    else:
-        report.false_pos[predicted] += 1
-        report.false_neg[actual] += 1
+    report.confusion[actual, predicted] += 1
     return report
 
 
@@ -214,20 +233,18 @@ class NetworkLearner:
 
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
         _, self.lam, self.use_bilevel = cfg.resolve_learner()
-        self.report = report
-        self.ncfg = NetworkConfig(input_dim=source.input_dim or 1, classes=source.classes or 2,
-                                  hidden_layers=cfg.hidden_layers, width=cfg.width,
-                                  eta=cfg.eta, lam=self.lam, lr=cfg.lr, optimizer=cfg.optimizer)
-        self.bcfg = BilevelConfig(cfg.inner_rate, cfg.outer_rate, cfg.inner_steps,
-                                  cfg.memory_batch, cfg.recent_window)
+        self.cfg, self.report = cfg, report
+        self.bcfg = BilevelConfig(cfg.inner_rate, cfg.outer_rate, cfg.inner_steps)
+        dims = (source.input_dim or 1, cfg.width, source.classes or 2, cfg.hidden_layers)
         root = np.random.SeedSequence(cfg.seed)
         init_seq, aux_seq = root.spawn(2)
-        self.params, self.weights = init_network(self.ncfg, int(init_seq.generate_state(1)[0]))
-        self.opt_state = init_opt_state(self.params, self.ncfg)
+        self.params, self.weights = init_network(dims, int(init_seq.generate_state(1)[0]))
+        self.opt_state = init_opt_state(self.params, cfg.optimizer)
+        self.weight_floor = WEIGHT_FLOOR / (cfg.hidden_layers + 1)
         self.detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
                                              sensitivity=cfg.detector_sensitivity)
         self.memory = EpisodicMemory(cfg.memory_capacity)
-        self.X = np.empty((len(source), self.ncfg.input_dim))
+        self.X = np.empty((len(source), dims[0]))
         self.y = np.empty(len(source), dtype=np.int64)
         self.t = 0
         self.rng = np.random.default_rng(aux_seq)
@@ -244,7 +261,7 @@ class NetworkLearner:
         loss, per_head = total_loss(acts, self.weights, y, self.lam)
         if not math.isfinite(loss):
             raise DivergenceError(position)
-        self.weights = hedge_update(self.weights, per_head, self.ncfg.eta, self.ncfg.weight_floor)
+        self.weights = hedge_update(self.weights, per_head, self.cfg.eta, self.weight_floor)
         self.detector, status = drift_mod.observe(self.detector, int(pred != y))
         adapted = False
         if status == drift_mod.DRIFT:
@@ -254,8 +271,8 @@ class NetworkLearner:
                 "threshold": float(self.detector.threshold),
             })
             if self.use_bilevel:
-                lo = max(0, t + 1 - self.bcfg.recent_window)
-                rows = (self.memory.sample_batch(self.bcfg.memory_batch, self.rng)
+                lo = max(0, t + 1 - self.cfg.recent_window)
+                rows = (self.memory.sample_batch(self.cfg.memory_batch, self.rng)
                         if len(self.memory) else [])
                 self.params, record = adapt_on_drift(
                     self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
@@ -266,7 +283,7 @@ class NetworkLearner:
         if not adapted:
             grads = backward(self.params, acts, self.weights, y, self.lam)
             self.params, self.opt_state = apply_update(self.params, grads, self.opt_state,
-                                                       self.ncfg)
+                                                       self.cfg.lr)
         self.memory.maybe_insert(t, self.rng)
         return pred
 

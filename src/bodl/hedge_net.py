@@ -26,40 +26,8 @@ from .numerics import AdamState, adam_step, cross_entropy, relu, softmax
 # bounds cross-entropy near 27.6).
 HEDGE_LOSS_CAP = 50.0
 
-
-@dataclass
-class NetworkConfig:
-    input_dim: int
-    classes: int
-    hidden_layers: int = 15
-    width: int = 30
-    eta: float = 0.01          # multiplicative-update rate for head importances
-    lam: float = 0.1           # similarity-penalty weight
-    lr: float = 0.01
-    optimizer: str = "adam"    # "adam" | "sgd"
-    weight_floor: float | None = None   # default 1e-4 / (N + 1)
-
-    def __post_init__(self):
-        if self.hidden_layers < 1:
-            raise ConfigError("need at least one hidden layer")
-        if self.width < 1:
-            raise ConfigError("hidden width must be >= 1")
-        if self.classes < 2:
-            raise ConfigError("need at least two classes")
-        if self.input_dim < 1:
-            raise ConfigError("input dimension must be >= 1")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.weight_floor is None:
-            self.weight_floor = 1e-4 / (self.hidden_layers + 1)
-        if self.weight_floor * (self.hidden_layers + 1) >= 1.0:
-            raise ConfigError("weight floor too large: floors cannot sum past 1")
+# Head importances never fall below WEIGHT_FLOOR / (N + 1), so no head dies.
+WEIGHT_FLOOR = 1e-4
 
 
 def _shapes(dims: tuple) -> list:
@@ -138,10 +106,19 @@ class LayerActivations:
     probs: np.ndarray    # (N+1, classes): row n is head n's probability vector
 
 
-def init_network(config: NetworkConfig, seed: int) -> tuple[NetworkParams, np.ndarray]:
-    """Fan-balanced uniform init (biases zero) and uniform head importances."""
+def init_network(dims: tuple, seed: int) -> tuple[NetworkParams, np.ndarray]:
+    """Fan-balanced uniform init (biases zero) and uniform head importances
+    for dims (input_dim, width, classes, N)."""
+    d, u, c, n = dims
+    if n < 1:
+        raise ConfigError("need at least one hidden layer")
+    if u < 1:
+        raise ConfigError("hidden width must be >= 1")
+    if c < 2:
+        raise ConfigError("need at least two classes")
+    if d < 1:
+        raise ConfigError("input dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    d, u, c, n = config.input_dim, config.width, config.classes, config.hidden_layers
 
     def draw(fan_out, fan_in):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -285,20 +262,21 @@ def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float,
     return _floor_and_renormalize(raw, weight_floor)
 
 
-def init_opt_state(params: NetworkParams, config: NetworkConfig) -> AdamState | None:
-    """None for SGD; for Adam one AdamState over the whole parameter vector."""
-    if config.optimizer == "sgd":
+def init_opt_state(params: NetworkParams, optimizer: str) -> AdamState | None:
+    """None for "sgd"; for "adam" one AdamState over the whole parameter vector."""
+    if optimizer == "sgd":
         return None
     return AdamState.zeros_like(params.flat)
 
 
 def apply_update(params: NetworkParams, grads: NetworkParams, opt_state: AdamState | None,
-                 config: NetworkConfig) -> tuple[NetworkParams, AdamState | None]:
-    """One optimizer step on the whole parameter vector."""
-    if config.optimizer == "sgd":
-        return sgd_step(params, grads, config.lr), opt_state
+                 lr: float) -> tuple[NetworkParams, AdamState | None]:
+    """One optimizer step on the whole parameter vector: SGD when `opt_state`
+    is None, Adam otherwise."""
+    if opt_state is None:
+        return sgd_step(params, grads, lr), None
     p, g = flat_pair(params, grads)
-    stepped, state = adam_step(p, g, opt_state, config.lr)
+    stepped, state = adam_step(p, g, opt_state, lr)
     return params.with_flat(stepped), state
 
 

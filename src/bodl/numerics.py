@@ -18,6 +18,11 @@ from .errors import InputError
 # the multiplicative weight update) finite on confident wrong predictions.
 PROB_CLIP = 1e-12
 
+# Adam's moment decay rates and the guard added to the denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def aug(v: np.ndarray) -> np.ndarray:
     """Append the bias constant 1."""
@@ -54,16 +59,12 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    step: int
 
     @classmethod
-    def zeros_like(cls, param: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def zeros_like(cls, param: np.ndarray) -> "AdamState":
         return cls(np.zeros_like(param, dtype=np.float64),
-                   np.zeros_like(param, dtype=np.float64), 0, beta1, beta2, eps)
+                   np.zeros_like(param, dtype=np.float64), 0)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -78,7 +79,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
         raise InputError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, moment {state.m.shape}")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     tmp = np.multiply(grad, 1.0 - b1)
     m = np.multiply(state.m, b1)
     m += tmp
@@ -90,7 +91,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     step *= lr
     np.divide(v, 1.0 - b2 ** t, out=tmp)  # v_hat
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += ADAM_EPS
     step /= tmp
     new_param = np.subtract(param, step, out=step)
-    return new_param, AdamState(m, v, t, b1, b2, state.eps)
+    return new_param, AdamState(m, v, t)

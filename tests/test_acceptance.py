@@ -24,7 +24,6 @@ from bodl.cli import main as cli_main
 from bodl.drift import DRIFT, DriftState, observe, reset
 from bodl.harness import RunConfig, prequential_run
 from bodl.hedge_net import (
-    NetworkConfig,
     NetworkParams,
     backward,
     forward,
@@ -81,12 +80,11 @@ def _kink_distance(params: NetworkParams, x: np.ndarray) -> float:
 def test_gradient_matches_finite_differences():
     started = time.perf_counter()
     rng = np.random.default_rng(20240816)
-    cfg = NetworkConfig(input_dim=4, classes=3, hidden_layers=3, width=5,
-                        lam=0.1)
+    dims = (4, 5, 3, 3)    # (input_dim, width, classes, N)
     worst = 0.0
     for _ in range(50):
         while True:
-            params, _ = init_network(cfg, seed=int(rng.integers(2 ** 31)))
+            params, _ = init_network(dims, seed=int(rng.integers(2 ** 31)))
             weights = rng.uniform(0.1, 1.0, size=4)
             weights = weights / weights.sum()
             x = rng.normal(size=4)
@@ -224,20 +222,19 @@ def test_reservoir_inclusion_is_uniform():
 # ---------------------------------------------------------------- adaptation
 
 def test_drift_adaptation_is_exact():
-    ncfg = NetworkConfig(input_dim=2, classes=2, hidden_layers=2, width=3)
-    params, weights = init_network(ncfg, 5)
+    params, weights = init_network((2, 3, 2, 2), 5)
     recent = (np.array([[0.4, -0.7]]), np.array([1]))
     # the batch a single-item memory yields: that item, memory_batch times
     replay = (np.tile([0.2, 0.9], (32, 1)), np.zeros(32, dtype=np.int64))
 
     # interpolation endpoints are bitwise: 0 keeps the originals, 1 adopts
-    # the look-ahead copy computed on the memory batch
-    at_zero, _ = adapt_on_drift(params, recent, replay, weights,
-                                BilevelConfig(inner_rate=0.1, outer_rate=0.0), 0.1)
+    # the look-ahead copy computed on the memory batch; BilevelConfig takes
+    # (inner_rate, outer_rate, inner_steps)
+    at_zero, _ = adapt_on_drift(params, recent, replay, weights, BilevelConfig(0.1, 0.0, 5), 0.1)
     zero_ok = all(np.array_equal(a, b) for a, b in
                   zip(at_zero.matrices(), params.matrices()))
 
-    cfg_one = BilevelConfig(inner_rate=0.1, outer_rate=1.0)
+    cfg_one = BilevelConfig(0.1, 1.0, 5)
     at_one, _ = adapt_on_drift(params, recent, replay, weights, cfg_one, 0.1)
     inner = inner_adapt(params, *recent, weights, cfg_one, 0.1)
     target = lookahead(inner, *replay, weights, cfg_one, 0.1)
@@ -245,8 +242,7 @@ def test_drift_adaptation_is_exact():
                  zip(at_one.matrices(), target.matrices()))
 
     # a zero inner rate makes the whole response the identity
-    frozen, _ = adapt_on_drift(params, recent, replay, weights,
-                               BilevelConfig(inner_rate=0.0), 0.1)
+    frozen, _ = adapt_on_drift(params, recent, replay, weights, BilevelConfig(0.0, 0.5, 5), 0.1)
     mu_ok = all(np.array_equal(a, b) for a, b in
                 zip(frozen.matrices(), params.matrices()))
 

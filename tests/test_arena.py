@@ -14,7 +14,7 @@ from bodl.bilevel import (
 )
 from bodl.errors import InputError
 from bodl.hedge_net import (
-    NetworkConfig,
+    WEIGHT_FLOOR,
     NetworkParams,
     apply_update,
     backward,
@@ -38,11 +38,16 @@ from oracles import (
 )
 
 
-def small_net(seed=3, optimizer="adam", **shape):
-    dims = {"input_dim": 5, "classes": 3, "hidden_layers": 4, "width": 6, **shape}
-    cfg = NetworkConfig(lam=0.1, optimizer=optimizer, **dims)
-    params, weights = init_network(cfg, seed)
-    return cfg, params, weights
+# The learner's settings at RunConfig's defaults for bodl-2, the bilevel
+# part as the harness builds it.
+LAM, ETA, LR = 0.1, 0.01, 0.01
+BILEVEL = BilevelConfig(inner_rate=0.01, outer_rate=0.5, inner_steps=5)
+WINDOW, BATCH = 16, 32
+
+
+def small_net(seed=3, dims=(5, 6, 3, 4)):
+    """(params, weights) for dims (input_dim, width, classes, N)."""
+    return init_network(dims, seed)
 
 
 def assert_all_equal(got, want):
@@ -62,12 +67,10 @@ def snapshot(params):
 # network of the drift-heavy workload, where the stacked head view has a single
 # row and the similarity penalty has no pair.
 REFERENCE_SHAPES = [
-    pytest.param("adam", {}, id="adam"),
-    pytest.param("sgd", {}, id="sgd"),
-    pytest.param("adam", dict(input_dim=20, classes=2, hidden_layers=15, width=30),
-                 id="deep-flip"),
-    pytest.param("sgd", dict(input_dim=10, classes=2, hidden_layers=1, width=32, lr=0.02),
-                 id="drift-storm"),
+    pytest.param("adam", (5, 6, 3, 4), LR, id="adam"),
+    pytest.param("sgd", (5, 6, 3, 4), LR, id="sgd"),
+    pytest.param("adam", (20, 30, 2, 15), LR, id="deep-flip"),
+    pytest.param("sgd", (10, 32, 2, 1), 0.02, id="drift-storm"),
 ]
 CLIP_STEP = 25      # the step whose input drives head 0's target probability below PROB_CLIP
 
@@ -80,64 +83,64 @@ def clipping_instance(params):
     return direction * (40.0 / float(direction @ direction)), 1
 
 
-@pytest.mark.parametrize("optimizer, shape", REFERENCE_SHAPES)
-def test_arena_matches_list_of_matrices_reference(optimizer, shape):
-    cfg, params, weights = small_net(optimizer=optimizer, **shape)
-    n = cfg.hidden_layers
+@pytest.mark.parametrize("optimizer, dims, lr", REFERENCE_SHAPES)
+def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
+    params, weights = small_net(dims=dims)
+    d, _, classes, n = dims
+    floor = WEIGHT_FLOOR / (n + 1)
     ref = snapshot(params)
     ref_weights = weights.copy()
     ref_states = [(np.zeros_like(m), np.zeros_like(m), 0) for m in ref]
-    opt = init_opt_state(params, cfg)
+    opt = init_opt_state(params, optimizer)
     rng = np.random.default_rng(8)
-    seen_x, seen_y = np.empty((50, cfg.input_dim)), np.empty(50, dtype=np.int64)
+    seen_x, seen_y = np.empty((50, d)), np.empty(50, dtype=np.int64)
     mem = EpisodicMemory(32)
     for position in range(50):
-        x = rng.standard_normal(cfg.input_dim)
-        y = int(rng.integers(cfg.classes))
+        x = rng.standard_normal(d)
+        y = int(rng.integers(classes))
         if position == CLIP_STEP:
             x, y = clipping_instance(params)
 
         acts = forward(params, x)
         hidden, probs = list_forward(ref[:n], ref[n:], x)
-        assert acts.probs.shape == (n + 1, cfg.classes)
+        assert acts.probs.shape == (n + 1, classes)
         assert_all_equal([acts.inputs[:-1], *acts.block[:, :-1]], hidden)
         assert_all_equal(acts.probs, probs)
         if position == CLIP_STEP:
             assert acts.probs[0, y] < PROB_CLIP
 
-        loss, per_head = total_loss(acts, weights, y, cfg.lam)
-        ref_loss, ref_per_head = list_total_loss(hidden, probs, ref_weights, y, cfg.lam)
+        loss, per_head = total_loss(acts, weights, y, LAM)
+        ref_loss, ref_per_head = list_total_loss(hidden, probs, ref_weights, y, LAM)
         assert loss == ref_loss
         assert np.array_equal(per_head, ref_per_head)
 
-        weights = hedge_update(weights, per_head, cfg.eta, cfg.weight_floor)
-        ref_weights = hedge_update(ref_weights, ref_per_head, cfg.eta, cfg.weight_floor)
+        weights = hedge_update(weights, per_head, ETA, floor)
+        ref_weights = hedge_update(ref_weights, ref_per_head, ETA, floor)
         assert np.array_equal(weights, ref_weights)
 
-        grads = backward(params, acts, weights, y, cfg.lam)
-        ref_grads = list_backward(ref[:n], ref[n:], hidden, probs, ref_weights, y, cfg.lam)
+        grads = backward(params, acts, weights, y, LAM)
+        ref_grads = list_backward(ref[:n], ref[n:], hidden, probs, ref_weights, y, LAM)
         assert_all_equal(grads.matrices(), ref_grads[0] + ref_grads[1])
 
-        params, opt = apply_update(params, grads, opt, cfg)
+        params, opt = apply_update(params, grads, opt, lr)
         if optimizer == "adam":
             ref, ref_states = list_adam_step(ref, ref_grads[0] + ref_grads[1],
-                                             ref_states, cfg.lr)
+                                             ref_states, lr)
         else:
-            ref = list_sgd_step(ref, ref_grads[0] + ref_grads[1], cfg.lr)
+            ref = list_sgd_step(ref, ref_grads[0] + ref_grads[1], lr)
         assert_all_equal(params.matrices(), ref)
 
         seen_x[position], seen_y[position] = x, y
         mem.maybe_insert(position, rng)
 
-    bcfg = BilevelConfig()
-    recent = (seen_x[-16:], seen_y[-16:])
-    picked = mem.sample_batch(bcfg.memory_batch, np.random.default_rng(5))
+    recent = (seen_x[-WINDOW:], seen_y[-WINDOW:])
+    picked = mem.sample_batch(BATCH, np.random.default_rng(5))
     replay = (seen_x[picked], seen_y[picked])
-    adapted, record = adapt_on_drift(params, recent, replay, weights, bcfg, cfg.lam,
+    adapted, record = adapt_on_drift(params, recent, replay, weights, BILEVEL, LAM,
                                      position=50)
     want, loss_before, loss_after, shift = list_adapt_on_drift(
-        ref, n, list(zip(*recent)), list(zip(*replay)), weights, cfg.lam,
-        bcfg.inner_rate, bcfg.outer_rate, bcfg.inner_steps)
+        ref, n, list(zip(*recent)), list(zip(*replay)), weights, LAM,
+        BILEVEL.inner_rate, BILEVEL.outer_rate, BILEVEL.inner_steps)
     assert_all_equal(adapted.matrices(), want)
     assert record["loss_before"] == loss_before
     assert record["loss_after"] == loss_after
@@ -147,7 +150,7 @@ def test_arena_matches_list_of_matrices_reference(optimizer, shape):
 # ---------------------------------------------------------------- arena invariants
 
 def test_every_matrix_is_a_view_of_flat():
-    _, params, w = small_net()
+    params, w = small_net()
     grads = backward(params, forward(params, np.ones(5)), w, 0, 0.1)
     for p in (params, grads, params.copy()):
         assert p.flat.ndim == 1 and p.flat.dtype == np.float64
@@ -167,7 +170,7 @@ def test_constructor_copies_matrices():
 
 
 def test_hidden_heads_is_one_view_of_heads_one_to_n():
-    _, params, _ = small_net()
+    params, _ = small_net()
     for p in (params, params.copy(), params.with_flat(params.flat * 2.0)):
         assert p.hidden_heads.shape == (4, 3, 7)
         assert np.shares_memory(p.hidden_heads, p.flat)
@@ -195,7 +198,7 @@ def test_constructor_rejects_unequal_hidden_shapes(layers, heads):
 
 
 def test_copy_is_independent():
-    _, params, _ = small_net()
+    params, _ = small_net()
     before = snapshot(params)
     dup = params.copy()
     dup.flat[:] = 7.0
@@ -205,19 +208,19 @@ def test_copy_is_independent():
 
 
 def test_updates_never_mutate_their_inputs():
-    cfg, params, w = small_net()
+    params, w = small_net()
     x = np.random.default_rng(1).standard_normal(5)
     grads = backward(params, forward(params, x), w, 2, 0.1)
     target = params.copy()
     target.flat *= 0.5
     kept = [snapshot(params), snapshot(grads), snapshot(target)]
-    opt = init_opt_state(params, cfg)
+    opt = init_opt_state(params, "adam")
     opt_m, opt_v = opt.m.copy(), opt.v.copy()
 
-    apply_update(params, grads, opt, cfg)
+    apply_update(params, grads, opt, LR)
     sgd_step(params, grads, 0.1)
     outer_interpolate(params, target, 0.3)
-    lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, BilevelConfig(), 0.1)
+    lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, BILEVEL, 0.1)
 
     assert_all_equal(params.matrices(), kept[0])
     assert_all_equal(grads.matrices(), kept[1])
@@ -230,14 +233,14 @@ def test_updates_never_mutate_their_inputs():
 def test_foreign_gradient_matrix_rejected(optimizer):
     # a matrix outside the vector would be ignored by every whole-vector
     # update, so replacing one is refused and writing into one is seen
-    cfg, params, w = small_net(optimizer=optimizer)
+    params, w = small_net()
     grads = backward(params, forward(params, np.ones(5)), w, 0, 0.1)
     with pytest.raises(TypeError):
         grads.heads[2] = grads.heads[2].copy()
     with pytest.raises(TypeError):
         grads.layers[0] = grads.layers[0].copy()
     grads.heads[2][:] = 0.0
-    stepped, _ = apply_update(params, grads, init_opt_state(params, cfg), cfg)
+    stepped, _ = apply_update(params, grads, init_opt_state(params, optimizer), LR)
     assert np.array_equal(stepped.heads[2], params.heads[2])
     assert not np.array_equal(stepped.heads[1], params.heads[1])
 
@@ -245,7 +248,7 @@ def test_foreign_gradient_matrix_rejected(optimizer):
 def test_backward_rejects_activations_not_from_forward():
     # the gradient vector starts uninitialized, so a head without an
     # importance must be an error, not an unwritten matrix
-    _, params, w = small_net()
+    params, w = small_net()
     acts = forward(params, np.zeros(5))
     with pytest.raises(InputError):
         backward(params, acts, w[:-1], 0, 0.1)

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from bodl.cli import _parse_seeds, main
+from bodl import cli
+from bodl.cli import ABLATION_LEARNERS, _parse_seeds, main
 from bodl.errors import ConfigError
+from bodl.harness import MetricsReport, RunConfig
 
 FAST = ["--layers", "1", "--width", "4", "--optimizer", "sgd"]
 
@@ -37,6 +39,33 @@ def test_parse_seeds_list():
 def test_parse_seeds_empty_range_rejected():
     with pytest.raises(ConfigError):
         _parse_seeds("5..3")
+
+
+# ---------------------------------------------------------------- defaults
+
+def test_flags_left_out_take_runconfig_defaults(monkeypatch, tmp_path):
+    # the CLI restates no default: a bare run or ablate builds exactly the
+    # RunConfig that names only the stream (and, for ablate, learner and seed)
+    stream = "sea:seg=20;noise=0"
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return MetricsReport(classes=2, stream_info={"provenance": stream})
+
+    def fake_suite(configs):
+        seen.extend(configs)
+        return []
+
+    monkeypatch.setattr(cli, "prequential_run", fake_run)
+    monkeypatch.setattr(cli, "run_suite", fake_suite)
+    assert run_cli("run", "--stream", stream) == 0
+    assert seen == [RunConfig(stream=stream)]
+
+    seen.clear()
+    assert run_cli("ablate", "--stream", stream, "--out", str(tmp_path / "t.csv")) == 0
+    assert seen == [RunConfig(stream=stream, learner=learner, seed=seed)
+                    for learner in ABLATION_LEARNERS for seed in range(1, 6)]
 
 
 # ---------------------------------------------------------------- run

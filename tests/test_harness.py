@@ -81,6 +81,48 @@ def test_validate_covers_detector_and_memory_knobs():
         RunConfig("sea:seg=10", memory_capacity=0).validate()
     with pytest.raises(ConfigError):
         RunConfig("sea:seg=10", inner_steps=0).validate()
+    with pytest.raises(ConfigError, match="memory_batch"):
+        RunConfig("sea:seg=10", memory_batch=0).validate()
+    with pytest.raises(ConfigError, match="recent_window"):
+        RunConfig("sea:seg=10", recent_window=0).validate()
+    with pytest.raises(ConfigError, match="eta"):
+        RunConfig("sea:seg=10", eta=0.0).validate()
+    with pytest.raises(ConfigError, match="optimizer"):
+        RunConfig("sea:seg=10", optimizer="adagrad").validate()
+
+
+# Wrongly typed or non-finite values. Without the type checks each one
+# either fails deep inside a run (a float batch size or window reaches numpy
+# indexing, a nan or inf rate diverges), runs to the end and echoes the bad
+# value into the report, fails only when the finished report is written (a
+# non-string report path), or raises a bare TypeError (a list as learner).
+BAD_VALUES = [
+    ("memory_batch", 2.0),
+    ("recent_window", 3.5),
+    ("inner_rate", float("nan")),
+    ("eta", float("inf")),
+    ("detector_min_instances", 2.5),
+    ("memory_capacity", 3.5),
+    ("standardize", "no"),
+    ("hidden_layers", True),
+    ("lam", float("nan")),
+    ("out", 5),
+    ("learner", ["pa"]),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_VALUES, ids=[name for name, _ in BAD_VALUES])
+def test_validate_rejects_wrongly_typed_values(name, value):
+    # the stream spec is nonsense too: the field must be named before any
+    # stream is built
+    cfg = RunConfig(stream="definitely:not-valid", **{name: value})
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        prequential_run(cfg)
+
+
+def test_validate_accepts_ints_for_floats_and_none_for_lam():
+    RunConfig("sea:seg=10", eta=1, lr=1, outer_rate=1, lam=None).validate()
+    RunConfig("sea:seg=10", lam=1, detector_sensitivity=3).validate()
 
 
 def test_echo_drops_output_path_and_flattens_stream():
@@ -110,7 +152,7 @@ def test_update_metrics_all_correct():
         update_metrics(report, c, c)
     assert report.accuracy == 1.0
     assert report.macro_f1 == 1.0
-    assert list(report.true_pos) == [2, 2, 1]
+    assert list(np.diag(report.confusion)) == [2, 2, 1]
 
 
 def test_update_metrics_rejects_bad_indices():
@@ -119,6 +161,39 @@ def test_update_metrics_rejects_bad_indices():
         update_metrics(report, 2, 0)
     with pytest.raises(InputError):
         update_metrics(report, 0, -1)
+
+
+def loop_per_class(confusion):
+    """Precision, recall and F1 per class, one class at a time in Python scalars."""
+    prec, rec, f1 = [], [], []
+    for c in range(len(confusion)):
+        tp = confusion[c, c]
+        fp, fn = confusion[:, c].sum() - tp, confusion[c, :].sum() - tp
+        p = tp / (tp + fp) if tp + fp else 0.0
+        r = tp / (tp + fn) if tp + fn else 0.0
+        prec.append(p)
+        rec.append(r)
+        f1.append(2 * p * r / (p + r) if p + r else 0.0)
+    return prec, rec, f1
+
+
+def test_per_class_metrics_match_a_class_by_class_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        classes = int(rng.integers(2, 6))
+        report = MetricsReport(classes=classes)
+        # sparse counts, so some classes are never predicted or never seen
+        for actual, predicted in rng.integers(classes, size=(int(rng.integers(0, 12)), 2)):
+            update_metrics(report, int(predicted), int(actual))
+        want = loop_per_class(report.confusion)
+        for got, expected in zip(report._per_class(), want):
+            assert got.tolist() == expected
+        data = report.as_dict()
+        assert data["metrics"]["macro_f1"] == float(np.mean(want[2]))
+        counts = data["per_class"]
+        assert sum(counts["true_pos"]) == report.correct
+        assert sum(counts["true_pos"]) + sum(counts["false_neg"]) == report.total
+        assert sum(counts["false_pos"]) == sum(counts["false_neg"])
 
 
 def test_metrics_zero_division_guard():
@@ -153,8 +228,8 @@ def test_prediction_happens_before_learning():
     # produce the same prediction: the learner cannot peek
     a = prequential_run(RunConfig(stream=tiny_source([0]), seed=5))
     b = prequential_run(RunConfig(stream=tiny_source([1]), seed=5))
-    got_a = int(np.argmax(a.true_pos + a.false_pos))
-    got_b = int(np.argmax(b.true_pos + b.false_pos))
+    got_a = int(np.argmax(a.confusion.sum(axis=0)))   # the predicted class's column
+    got_b = int(np.argmax(b.confusion.sum(axis=0)))
     assert got_a == got_b
 
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodl.errors import ConfigError, InputError
+from bodl.harness import MetricsReport, NetworkLearner, RunConfig
 from bodl.hedge_net import (
     LayerActivations,
     _floor_and_renormalize,
-    NetworkConfig,
     NetworkParams,
     apply_update,
     backward,
@@ -23,14 +23,15 @@ from bodl.hedge_net import (
     total_loss,
 )
 from bodl.numerics import AdamState, adam_step
+from bodl.streams import StreamSource
 
 from oracles import finite_difference_grads, max_relative_error, scalar_softmax
 
 
 def small_net(seed, n=3, u=5, d=4, c=3):
-    cfg = NetworkConfig(input_dim=d, classes=c, hidden_layers=n, width=u)
-    params, weights = init_network(cfg, seed)
-    return cfg, params, weights
+    dims = (d, u, c, n)
+    params, weights = init_network(dims, seed)
+    return dims, params, weights
 
 
 def acts_of(hidden, probs):
@@ -64,8 +65,7 @@ def test_init_different_seeds_differ():
 
 
 def test_init_shapes_wide_network():
-    cfg = NetworkConfig(input_dim=8, classes=2, hidden_layers=15, width=30)
-    params, weights = init_network(cfg, 0)
+    params, weights = init_network((8, 30, 2, 15), 0)
     assert params.layers[0].shape == (30, 9)       # first hidden reads the input
     assert all(w.shape == (30, 31) for w in params.layers[1:])
     assert params.heads[0].shape == (2, 9)         # head 0 reads the raw input
@@ -75,8 +75,7 @@ def test_init_shapes_wide_network():
 
 
 def test_init_biases_zero_and_weights_bounded():
-    cfg = NetworkConfig(input_dim=6, classes=3, hidden_layers=2, width=4)
-    params, _ = init_network(cfg, 11)
+    params, _ = init_network((6, 4, 3, 2), 11)
     for mat, fan_in in zip(params.matrices(), [6, 4, 6, 4, 4]):
         assert np.all(mat[:, -1] == 0.0)
         bound = math.sqrt(6.0 / (fan_in + mat.shape[0]))
@@ -84,30 +83,28 @@ def test_init_biases_zero_and_weights_bounded():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        NetworkConfig(input_dim=4, classes=1)
-    with pytest.raises(ConfigError):
-        NetworkConfig(input_dim=4, classes=2, hidden_layers=0)
-    with pytest.raises(ConfigError):
-        NetworkConfig(input_dim=4, classes=2, eta=0.0)
-    with pytest.raises(ConfigError):
-        NetworkConfig(input_dim=4, classes=2, lam=-0.1)
-    with pytest.raises(ConfigError):
-        NetworkConfig(input_dim=4, classes=2, optimizer="adagrad")
-    with pytest.raises(ConfigError):
-        NetworkConfig(input_dim=4, classes=2, hidden_layers=1, weight_floor=0.6)
+    # dims are (input_dim, width, classes, N)
+    with pytest.raises(ConfigError, match="two classes"):
+        init_network((4, 30, 1, 15), 0)
+    with pytest.raises(ConfigError, match="hidden layer"):
+        init_network((4, 30, 2, 0), 0)
+    with pytest.raises(ConfigError, match="width"):
+        init_network((4, 0, 2, 15), 0)
+    with pytest.raises(ConfigError, match="input dimension"):
+        init_network((0, 30, 2, 15), 0)
 
 
 def test_default_weight_floor_scales_with_heads():
-    cfg = NetworkConfig(input_dim=4, classes=2, hidden_layers=3)
-    assert cfg.weight_floor == pytest.approx(1e-4 / 4)
+    source = StreamSource([], 4, 2, "empty")
+    learner = NetworkLearner(RunConfig(source, hidden_layers=3, width=5), source,
+                             MetricsReport(classes=2))
+    assert learner.weight_floor == pytest.approx(1e-4 / 4)
 
 
 # ---------------------------------------------------------------- forward
 
 def test_forward_zero_network_uniform_heads():
-    cfg = NetworkConfig(input_dim=3, classes=4, hidden_layers=2, width=5)
-    params, _ = init_network(cfg, 0)
+    params, _ = init_network((3, 5, 4, 2), 0)
     for mat in params.matrices():
         mat[:] = 0.0
     acts = forward(params, np.array([0.3, -1.0, 2.0]))
@@ -399,50 +396,49 @@ def test_hedge_update_stays_on_floored_simplex(case, data, eta):
 # ---------------------------------------------------------------- updates
 
 def test_apply_update_zero_gradients_identity():
-    cfg, params, _ = small_net(3)
-    opt = init_opt_state(params, cfg)
+    _, params, _ = small_net(3)
+    opt = init_opt_state(params, "adam")
     zero = backward(params, forward(params, np.zeros(4)), np.zeros(4), 0, 0.0)
-    new_params, _ = apply_update(params, zero, opt, cfg)
+    new_params, _ = apply_update(params, zero, opt, 0.01)
     for a, b in zip(new_params.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
 
 def test_apply_update_sgd_hand_value():
-    cfg = NetworkConfig(input_dim=1, classes=2, hidden_layers=1, width=1,
-                        optimizer="sgd", lr=0.1)
-    params, _ = init_network(cfg, 0)
+    params, _ = init_network((1, 1, 2, 1), 0)
     params.layers[0][:] = 1.0
     grads = backward(params, forward(params, np.zeros(1)), np.zeros(2), 0, 0.0)
     grads.layers[0][:] = 0.5
-    new_params, _ = apply_update(params, grads, init_opt_state(params, cfg), cfg)
+    opt = init_opt_state(params, "sgd")
+    assert opt is None
+    new_params, _ = apply_update(params, grads, opt, 0.1)
     assert np.allclose(new_params.layers[0], 0.95, atol=1e-15)
 
 
 def test_apply_update_adam_matches_per_matrix_kernel():
-    cfg, params, w = small_net(4)
+    _, params, w = small_net(4)
     x = np.random.default_rng(15).standard_normal(4)
     acts = forward(params, x)
     grads = backward(params, acts, w, 1, 0.1)
-    opt = init_opt_state(params, cfg)
-    new_params, new_opt = apply_update(params, grads, opt, cfg)
+    opt = init_opt_state(params, "adam")
+    new_params, new_opt = apply_update(params, grads, opt, 0.01)
     for p, g, got in zip(params.matrices(), grads.matrices(), new_params.matrices()):
-        expected, _ = adam_step(p, g, AdamState.zeros_like(p), cfg.lr)
+        expected, _ = adam_step(p, g, AdamState.zeros_like(p), 0.01)
         assert np.allclose(got, expected, atol=1e-15)
     assert new_opt.step == 1
 
 
 def test_apply_update_shape_mismatch_rejected():
-    cfg, params, _ = small_net(5)
+    _, params, _ = small_net(5)
     _, narrow, w = small_net(5, u=4)
     grads = backward(narrow, forward(narrow, np.zeros(4)), w, 0, 0.0)
     with pytest.raises(InputError, match="dims"):
-        apply_update(params, grads, init_opt_state(params, cfg), cfg)
+        apply_update(params, grads, init_opt_state(params, "adam"), 0.01)
 
 
 def test_sgd_update_shape_mismatch_rejected():
-    cfg, params, _ = small_net(5)
-    cfg.optimizer = "sgd"
+    _, params, _ = small_net(5)
     _, narrow, w = small_net(5, u=4)
     grads = backward(narrow, forward(narrow, np.zeros(4)), w, 0, 0.0)
     with pytest.raises(InputError, match="dims"):
-        apply_update(params, grads, init_opt_state(params, cfg), cfg)
+        apply_update(params, grads, init_opt_state(params, "sgd"), 0.01)
