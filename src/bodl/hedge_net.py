@@ -46,6 +46,7 @@ class NetworkParams:
     (classes, width + 1). `layers` and `heads` are tuples of views into `flat`,
     so a write to a matrix writes `flat`, a whole-vector update moves every
     matrix, and a matrix cannot be swapped for an outside array.
+    `deep_layers` views layers 2..N as one (N-1, width, width + 1) array and
     `hidden_heads` views heads 1..N as one (N, classes, width + 1) array.
     `NetworkParams(layers, heads)` checks the shapes against `dims` and copies
     the matrices into a new vector.
@@ -70,8 +71,8 @@ class NetworkParams:
         head0 = first + (n - 1) * u * (u + 1)     # start of heads[0]
         head1 = head0 + c * (d + 1)               # start of heads[1]
         self.flat, self.dims = flat, dims
-        self.layers = (flat[:first].reshape(u, d + 1),
-                       *flat[first:head0].reshape(n - 1, u, u + 1))
+        self.deep_layers = flat[first:head0].reshape(n - 1, u, u + 1)
+        self.layers = (flat[:first].reshape(u, d + 1), *self.deep_layers)
         self.hidden_heads = flat[head1:].reshape(n, c, u + 1)
         self.heads = (flat[head0:head1].reshape(c, d + 1), *self.hidden_heads)
 
@@ -195,7 +196,7 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     layers 1..n scaled by its importance; the similarity penalty contributes
     through both members of each consecutive pair. Every head's gradient and
     back-projection is computed at once; only the chain through the hidden
-    layers is a loop.
+    layers is a loop, and every layer's outer product is taken after it.
     """
     probs = acts.probs
     n = len(params.layers)
@@ -219,6 +220,7 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
         to_next = sim_coef * (hidden[:-1] - hidden[1:])   # row i-1: pull of h_i toward h_{i+1}
         to_prev = sim_coef * (hidden[1:] - hidden[:-1])   # row i-2: pull of h_i toward h_{i-1}
     slope = (hidden > 0).astype(np.float64)   # ReLU derivative
+    deltas = np.empty_like(hidden)      # row i-1: gradient at layer i's pre-activation
     carry = np.zeros(hidden.shape[1])   # gradient flowing into h_n from above
     for i in range(n, 0, -1):           # hidden layer i, weight matrix layers[i-1]
         g_h = from_heads[i - 1] + carry
@@ -227,10 +229,11 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
                 g_h += to_next[i - 1]
             if i >= 2:
                 g_h += to_prev[i - 2]
-        delta = g_h * slope[i - 1]
-        np.multiply(delta[:, None], block[i - 2] if i > 1 else inputs, out=grads.layers[i - 1])
+        delta = np.multiply(g_h, slope[i - 1], out=deltas[i - 1])
         if i > 1:
             carry = params.layers[i - 1][:, :-1].T @ delta
+    np.multiply(deltas[1:, :, None], block[:-1, None, :], out=grads.deep_layers)
+    np.multiply(deltas[0, :, None], inputs, out=grads.layers[0])
     return grads
 
 
@@ -256,9 +259,18 @@ def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
 
 def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float,
                  weight_floor: float) -> np.ndarray:
-    """Discount each head importance by exp(-eta * loss), floor, renormalize."""
+    """Discount each head importance by exp(-eta * loss), floor, renormalize.
+
+    When no normalized importance falls below the floor, the normalized vector
+    is returned directly. That is the projection's first iteration with no
+    entry pinned (free mass 1.0 over the sum of all entries), so the bits are
+    the same as going through `_floor_and_renormalize`.
+    """
     capped = np.minimum(per_head_losses, HEDGE_LOSS_CAP)
     raw = weights * np.exp(-eta * capped)
+    scaled = raw * (1.0 / raw.sum())
+    if scaled.min() >= weight_floor:
+        return scaled
     return _floor_and_renormalize(raw, weight_floor)
 
 

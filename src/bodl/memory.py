@@ -16,7 +16,7 @@ from .errors import ConfigError, StateError
 class EpisodicMemory:
     """Uniform reservoir of past items."""
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError("memory capacity must be >= 1")
         self.capacity = capacity

@@ -170,16 +170,19 @@ class Standardizer:
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        delta = x - self.mean
         if self.count == 0:
             z = np.zeros(self.dim)
         else:
-            var = self.variance
-            denom = np.where(var > 0.0, np.maximum(np.sqrt(var), 1e-8), 1.0)
-            z = (x - self.mean) / denom
+            denom = self._m2 / self.count          # the variance, then the divisor
+            unscaled = ~(denom > 0.0)
+            np.sqrt(denom, out=denom)
+            np.maximum(denom, 1e-8, out=denom)
+            np.copyto(denom, 1.0, where=unscaled)
+            z = delta / denom
         self.count += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        self._m2 = self._m2 + delta * (x - self.mean)
+        self.mean += delta / self.count
+        self._m2 += delta * (x - self.mean)
         return z
 
 

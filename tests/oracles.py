@@ -339,3 +339,46 @@ def list_adapt_on_drift(mats, n_layers, recent, batch, weights, lam, mu, gamma,
         diff = a - b
         shift += float(np.sum(diff * diff))
     return final, mean_loss(mats), mean_loss(adapted), float(np.sqrt(shift))
+
+
+# ---------------------------------------------------------------------------
+# The per-instance helpers as they were before their fast paths: every head
+# importance update goes through the whole floored-simplex projection, and the
+# standardizer builds its statistics out of place. The library must return the
+# same bits.
+
+def reference_hedge_update(weights, per_head_losses, eta, floor, cap):
+    """Cap, exponentiate, then always project onto the floored simplex."""
+    raw = weights * np.exp(-eta * np.minimum(per_head_losses, cap))
+    n = len(raw)
+    fixed = np.zeros(n, dtype=bool)
+    for _ in range(n):
+        free = ~fixed
+        free_mass = 1.0 - floor * np.count_nonzero(fixed)
+        scaled = np.where(fixed, floor, raw * (free_mass / raw[free].sum()))
+        below = free & (scaled < floor)
+        if not below.any():
+            return scaled
+        fixed |= below
+    return np.full(n, 1.0 / n)
+
+
+class ReferenceStandardizer:
+    """Running z-scoring with every statistic rebuilt as a new array."""
+
+    def __init__(self, dim):
+        self.dim, self.count = dim, 0
+        self.mean, self._m2 = np.zeros(dim), np.zeros(dim)
+
+    def standardize(self, x):
+        if self.count == 0:
+            z = np.zeros(self.dim)
+        else:
+            var = self._m2 / self.count
+            denom = np.where(var > 0.0, np.maximum(np.sqrt(var), 1e-8), 1.0)
+            z = (x - self.mean) / denom
+        self.count += 1
+        delta = x - self.mean
+        self.mean = self.mean + delta / self.count
+        self._m2 = self._m2 + delta * (x - self.mean)
+        return z

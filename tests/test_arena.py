@@ -179,6 +179,18 @@ def test_hidden_heads_is_one_view_of_heads_one_to_n():
     assert params.heads[3][1, 0] == 42.0
 
 
+def test_deep_layers_is_one_view_of_layers_two_to_n():
+    params, _ = small_net()
+    for p in (params, params.copy(), params.with_flat(params.flat * 2.0)):
+        assert p.deep_layers.shape == (3, 6, 7)
+        assert np.shares_memory(p.deep_layers, p.flat)
+        assert np.array_equal(p.deep_layers, np.stack(p.layers[1:]))
+    params.deep_layers[1, 4, 2] = 42.0
+    assert params.layers[2][4, 2] == 42.0
+    one, _ = small_net(dims=(5, 6, 3, 1))
+    assert one.deep_layers.shape == (0, 6, 7)
+
+
 @pytest.mark.parametrize("layers, heads", [
     ([np.zeros((3, 5)), np.zeros((4, 4))], [np.zeros((2, 5))] * 3),      # widths 3 and 4
     ([np.zeros((3, 5)), np.zeros((3, 4)), np.zeros((3, 5))],              # layers 1..N differ

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bodl.errors import ConfigError, InputError
 from bodl.harness import MetricsReport, NetworkLearner, RunConfig
 from bodl.hedge_net import (
+    HEDGE_LOSS_CAP,
+    WEIGHT_FLOOR,
     LayerActivations,
     _floor_and_renormalize,
     NetworkParams,
@@ -25,7 +27,12 @@ from bodl.hedge_net import (
 from bodl.numerics import AdamState, adam_step
 from bodl.streams import StreamSource
 
-from oracles import finite_difference_grads, max_relative_error, scalar_softmax
+from oracles import (
+    finite_difference_grads,
+    max_relative_error,
+    reference_hedge_update,
+    scalar_softmax,
+)
 
 
 def small_net(seed, n=3, u=5, d=4, c=3):
@@ -391,6 +398,40 @@ def test_hedge_update_stays_on_floored_simplex(case, data, eta):
     losses = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(raw),
                                          max_size=len(raw))))
     assert_on_floored_simplex(hedge_update(weights, losses, eta, floor), floor)
+
+
+# Importances on the simplex, per-head losses and a rate. With `near_cap`
+# every head but the first takes a loss close to (or over) HEDGE_LOSS_CAP, so
+# with a large rate their normalized importances fall below the floor and the
+# projection has to pin them.
+hedge_cases = st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-9, 1.0), min_size=n, max_size=n).map(lambda w: np.array(w) / sum(w)),
+    st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n).map(np.array),
+    st.booleans(),
+    st.floats(1e-3, 5.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hedge_cases)
+@example((np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), False, 1.0))
+@example((np.array([0.5, 0.5]), np.array([30.0, 0.0]), False, 0.1))
+@example((np.full(16, 1 / 16), np.full(16, 0.7), False, 0.01))
+def test_hedge_update_matches_full_projection_bit_for_bit(case):
+    weights, losses, near_cap, eta = case
+    if near_cap:
+        losses = np.concatenate([losses[:1], losses[1:] + (HEDGE_LOSS_CAP - 5.0)])
+    floor = WEIGHT_FLOOR / len(weights)
+    got = hedge_update(weights, losses, eta, floor)
+    assert np.array_equal(got, reference_hedge_update(weights, losses, eta, floor,
+                                                      HEDGE_LOSS_CAP))
+
+
+def test_hedge_update_floor_binds_in_the_pinned_examples():
+    # the first example above must take the projection path, or the
+    # bit-for-bit test would only ever see the fast path
+    out = hedge_update(np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), 1.0,
+                       WEIGHT_FLOOR / 4)
+    assert np.count_nonzero(out == WEIGHT_FLOOR / 4) == 3
 
 
 # ---------------------------------------------------------------- updates

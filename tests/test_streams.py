@@ -18,6 +18,8 @@ from bodl.streams import (
     write_stream_csv,
 )
 
+from oracles import ReferenceStandardizer
+
 
 def write_lines(path, text):
     path.write_text(text)
@@ -242,6 +244,23 @@ def test_standardizer_running_stats_match_two_pass(stream):
     assert stz.count == len(xs)
     assert np.allclose(stz.mean, xs.mean(axis=0), rtol=1e-9, atol=1e-9 * scale)
     assert np.allclose(stz.variance, xs.var(axis=0), rtol=1e-9, atol=1e-9 * scale * scale)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(standardizer_streams)
+def test_standardizer_matches_out_of_place_reference_bit_for_bit(stream):
+    xs, constant = stream
+    xs[:, constant] = xs[0, constant]
+    stz, ref = Standardizer(xs.shape[1]), ReferenceStandardizer(xs.shape[1])
+    last = kept = None
+    for x in xs:            # the first instance included
+        z = stz.standardize(x)
+        if last is not None:
+            assert np.array_equal(last, kept)   # the next call left it alone
+        assert np.array_equal(z, ref.standardize(x))
+        assert np.array_equal(stz.mean, ref.mean)
+        assert np.array_equal(stz._m2, ref._m2)
+        last, kept = z, z.copy()
 
 
 def test_standardizer_validation():
