@@ -6,10 +6,10 @@
 
 The sweep exports PARENT's tree under .bench_work/parent-<sha>/ and runs
 perfbench/run.py there and in this checkout (the change), one process at a
-time. On every seed both sides run back to back, the parent first on odd
-seeds, at --trace 0; then seed 1 runs once more on each side at --trace 1
-for the per-layer spans. Workloads, metric directions and the run length
-come from BENCHMARK.json.
+time. On each of seeds 1-10 both sides run back to back, the parent first
+on odd seeds, at --trace 0; then seed 1 runs once more on each side at
+--trace 1 for the per-layer spans. Workloads, metric directions and the run
+length come from BENCHMARK.json. Progress goes to stderr.
 
 The file holds, per workload: each end-to-end metric's medians, the
 parent's quartiles and the change's wins out of the pairs, the same from
@@ -33,14 +33,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 WORK = REPO / ".bench_work"
 SIDES = ("parent", "change")
+SEEDS = list(range(1, 11))
 TRACE_SEED = 1
-
-
-def parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = (int(v) for v in text.split("..", 1))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def export_tree(commit: str) -> tuple[str, Path]:
@@ -77,8 +71,8 @@ def parse_output(text: str) -> dict:
             "metrics": {k: m["value"] for k, m in last["metrics"].items()}, "wall": wall}
 
 
-def sweep(trees: dict, workloads: list, seeds: list, seconds: float, runner=run_perfbench,
-          log=print) -> dict:
+def sweep(trees: dict, workloads: list, seeds: list, seconds: float,
+          runner=run_perfbench) -> dict:
     """Every run of the sweep, per workload: `paired` runs at --trace 0 and
     one `traced` run per side."""
     runs = {}
@@ -89,11 +83,13 @@ def sweep(trees: dict, workloads: list, seeds: list, seconds: float, runner=run_
             for side in order:
                 paired.append({"seed": seed, "side": side,
                                **parse_output(runner(trees[side], wl, seed, seconds, 0))})
-                log(f"{wl} seed {seed} {side}: failed {paired[-1]['failed']}", flush=True)
+                print(f"{wl} seed {seed} {side}: failed {paired[-1]['failed']}",
+                      file=sys.stderr, flush=True)
         traced = {side: parse_output(runner(trees[side], wl, TRACE_SEED, seconds, 1))
                   for side in SIDES}
-        log(f"{wl} traced seed {TRACE_SEED}: failed "
-            f"{traced['parent']['failed']} / {traced['change']['failed']}", flush=True)
+        print(f"{wl} traced seed {TRACE_SEED}: failed "
+              f"{traced['parent']['failed']} / {traced['change']['failed']}",
+              file=sys.stderr, flush=True)
         runs[wl] = {"paired": paired, "traced": traced}
     return runs
 
@@ -120,8 +116,6 @@ def pair_stats(paired: list, key: str, name: str, better: str) -> dict | None:
 
 def summarize(runs: dict, bench: dict, meta: dict) -> dict:
     """The BENCH_<pr>.json document for the runs of one sweep."""
-    direction = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-    units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
     out = {**meta, "workloads": {}}
     for wl, r in runs.items():
         paired, traced = r["paired"], r["traced"]
@@ -133,9 +127,10 @@ def summarize(runs: dict, bench: dict, meta: dict) -> dict:
             stats = pair_stats(paired, "wall", m["name"], m["better"])
             if stats:
                 wall[m["name"]] = stats
-        layers = {name: {"unit": units[name], "better": direction[name],
-                         **{side: traced[side]["metrics"].get(name) for side in SIDES}}
-                  for name in units if any(name in traced[s]["metrics"] for s in SIDES)}
+        layers = {m["name"]: {"unit": m["unit"], "better": m["better"],
+                              **{side: traced[side]["metrics"].get(m["name"]) for side in SIDES}}
+                  for m in bench["per_layer"]
+                  if any(m["name"] in traced[side]["metrics"] for side in SIDES)}
         failed = {side: sum(x["failed"] for x in paired if x["side"] == side)
                   + traced[side]["failed"] for side in SIDES}
         attempted = {side: sum(x["attempted"] for x in paired if x["side"] == side)
@@ -175,36 +170,32 @@ def any_failed(doc: dict) -> bool:
     return any(n > 0 for w in doc["workloads"].values() for n in w["failed"].values())
 
 
-def main(argv=None, runner=run_perfbench) -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", nargs="?", help="commit to compare this checkout against")
     ap.add_argument("--pr", help="writes BENCH_<pr>.json at the repo root")
-    ap.add_argument("--out", type=Path, help="where to write the JSON instead")
-    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1..10"))
-    ap.add_argument("--seconds", type=float, help="per run; BENCHMARK.json's run_seconds")
-    ap.add_argument("--workloads", nargs="+", help="BENCHMARK.json's workloads")
     ap.add_argument("--compare", type=Path, help="print the table of a BENCH_<pr>.json")
     args = ap.parse_args(argv)
 
     if args.compare:
         doc = json.loads(args.compare.read_text())
     else:
-        if not args.parent or not (args.pr or args.out):
-            ap.error("a sweep needs PARENT and --pr or --out")
+        if not args.parent or not args.pr:
+            ap.error("a sweep needs PARENT and --pr")
         bench = json.loads((REPO / "BENCHMARK.json").read_text())
-        workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-        seconds = args.seconds or bench["run_seconds"]
         parent, tree = export_tree(args.parent)
         trees = {"parent": tree, "change": REPO}
         change = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                                 cwd=REPO, capture_output=True, text=True).stdout.strip()
-        meta = {"parent": parent, "change": change, "seeds": args.seeds, "seconds": seconds,
-                "trace_seed": TRACE_SEED,
+        meta = {"parent": parent, "change": change, "seeds": SEEDS,
+                "seconds": bench["run_seconds"], "trace_seed": TRACE_SEED,
                 "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                          "python": platform.python_version()}}
-        doc = summarize(sweep(trees, workloads, args.seeds, seconds, runner), bench, meta)
-        out = args.out or REPO / f"BENCH_{args.pr}.json"
-        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        workloads = [w["name"] for w in bench["workloads"]]
+        runs = sweep(trees, workloads, SEEDS, bench["run_seconds"])
+        doc = summarize(runs, bench, meta)
+        (REPO / f"BENCH_{args.pr}.json").write_text(json.dumps(doc, indent=1, sort_keys=True)
+                                                    + "\n")
     print(table(doc))
     if any_failed(doc):
         print("bench_pair: some passes failed their golden check", file=sys.stderr)

@@ -35,7 +35,7 @@ def canned(tree, workload, seed, seconds, trace, failed=0):
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(tmp_path, runner, seeds=range(1, 11)):
+def run_sweep(tmp_path, runner, seeds=bench_pair.SEEDS):
     order = []
 
     def recording(tree, workload, seed, seconds, trace):
@@ -43,7 +43,7 @@ def run_sweep(tmp_path, runner, seeds=range(1, 11)):
         return runner(tree, workload, seed, seconds, trace)
 
     runs = bench_pair.sweep({"parent": "parent", "change": "change"}, ["deep-flip"],
-                            list(seeds), 30, recording, log=lambda *a, **k: None)
+                            list(seeds), 30, recording)
     doc = bench_pair.summarize(runs, BENCH, {"parent": "abc", "seeds": list(seeds)})
     path = tmp_path / "BENCH_x.json"
     path.write_text(json.dumps(doc))
