@@ -24,9 +24,7 @@ from .harness import (
     MetricsReport,
     NetworkLearner,
     RunConfig,
-    RunResult,
     prequential_run,
-    run_suite,
     update_metrics,
 )
 from .hedge_net import (
@@ -64,7 +62,6 @@ __all__ = [
     "NetworkLearner",
     "NetworkParams",
     "RunConfig",
-    "RunResult",
     "STABLE",
     "Standardizer",
     "StateError",
@@ -87,7 +84,6 @@ __all__ = [
     "predict_ensemble",
     "prequential_run",
     "reset",
-    "run_suite",
     "total_loss",
     "update_metrics",
     "write_stream_csv",

@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, DivergenceError
-from .harness import MetricsReport, RunConfig, prequential_run, run_suite
+from .harness import MetricsReport, RunConfig, prequential_run
 from .streams import parse_stream_spec, write_stream_csv
 
 ABLATION_LEARNERS = ("bodl-base", "bodl-1", "bodl-2")
@@ -94,6 +94,36 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+TABLE_COLUMNS = ["learner", "stream", "seed", "accuracy", "macro_precision",
+                 "macro_recall", "macro_f1", "drift_events", "error"]
+
+
+def _run_table(configs: list[RunConfig], writer, timing: bool) -> list[MetricsReport | None]:
+    """Run the configs in order, one table row each, past any failed run.
+    Returns the reports, with None where a run failed."""
+    writer.writerow(TABLE_COLUMNS)
+    reports = []
+    for cfg in configs:
+        tag = f"{cfg.learner} on {cfg.stream} seed {cfg.seed}"
+        try:
+            rep = prequential_run(cfg)
+        except Exception as exc:  # noqa: BLE001 - one failed run must not stop the suite
+            error = f"{type(exc).__name__}: {exc}"
+            writer.writerow([cfg.learner, cfg.stream, cfg.seed, "", "", "", "", "", error])
+            print(f"{tag}: FAILED ({error})", file=sys.stderr)
+            reports.append(None)
+            continue
+        writer.writerow([cfg.learner, cfg.stream, cfg.seed,
+                         f"{rep.accuracy:.6f}", f"{rep.macro_precision:.6f}",
+                         f"{rep.macro_recall:.6f}", f"{rep.macro_f1:.6f}",
+                         len(rep.drift_events), ""])
+        print(f"{tag}: {_summary_line(rep)}")
+        if cfg.out:
+            _write_report(rep, cfg.out, timing)
+        reports.append(rep)
+    return reports
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     if not seeds:
@@ -104,42 +134,24 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                           **({"lam": None} if learner == "bodl-base" else {}))
         for learner in ABLATION_LEARNERS for seed in seeds
     ]
-    results = run_suite(configs)
-
-    rows = []
-    by_learner: dict[str, list[float]] = {name: [] for name in ABLATION_LEARNERS}
-    failed = 0
-    for res in results:
-        learner, seed = res.config["learner"], res.config["seed"]
-        if not res.ok:
-            failed += 1
-            print(f"{learner} seed {seed}: FAILED ({res.error})", file=sys.stderr)
-            rows.append([learner, seed, "", "", "", "", "", res.error])
-            continue
-        rep = res.report
-        by_learner[learner].append(rep.accuracy)
-        rows.append([learner, seed, f"{rep.accuracy:.6f}", f"{rep.macro_precision:.6f}",
-                     f"{rep.macro_recall:.6f}", f"{rep.macro_f1:.6f}",
-                     len(rep.drift_events), ""])
-    for learner in ABLATION_LEARNERS:
-        accs = by_learner[learner]
-        if accs:
-            med = statistics.median(accs)
-            rows.append([learner, "median", f"{med:.6f}", "", "", "", "", ""])
-            print(f"{learner}: median accuracy {med:.4f} over {len(accs)} seeds")
-
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["learner", "seed", "accuracy", "macro_precision",
-                         "macro_recall", "macro_f1", "drift_events", "error"])
-        writer.writerows(rows)
+        reports = _run_table(configs, writer, timing=False)
+        for learner in ABLATION_LEARNERS:
+            accs = [rep.accuracy for cfg, rep in zip(configs, reports)
+                    if rep is not None and cfg.learner == learner]
+            if accs:
+                med = statistics.median(accs)
+                writer.writerow([learner, args.stream, "median", f"{med:.6f}",
+                                 "", "", "", "", ""])
+                print(f"{learner}: median accuracy {med:.4f} over {len(accs)} seeds")
     print(f"table written to {args.out}")
-    return 1 if failed else 0
+    return 1 if None in reports else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     raw = json.loads(Path(args.config).read_text())
-    entries = raw["runs"] if isinstance(raw, dict) else raw
+    entries = raw.get("runs") if isinstance(raw, dict) else raw
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{args.config}: expected a non-empty list of run entries")
     names = {f.name for f in fields(RunConfig)}
@@ -151,32 +163,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if unknown:
             raise ConfigError(f"{args.config}: entry {i} has unknown keys {sorted(unknown)}")
         configs.append(RunConfig(**entry))
-    results = run_suite(configs)
 
     out_csv = args.out or str(Path(args.config).with_suffix(".results.csv"))
-    failed = 0
     with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["learner", "stream", "seed", "accuracy", "macro_precision",
-                         "macro_recall", "macro_f1", "drift_events", "error"])
-        for cfg, res in zip(configs, results):
-            tag = f"{cfg.learner} on {cfg.stream} seed {cfg.seed}"
-            if res.ok:
-                rep = res.report
-                writer.writerow([cfg.learner, cfg.stream, cfg.seed,
-                                 f"{rep.accuracy:.6f}", f"{rep.macro_precision:.6f}",
-                                 f"{rep.macro_recall:.6f}", f"{rep.macro_f1:.6f}",
-                                 len(rep.drift_events), ""])
-                print(f"{tag}: {_summary_line(rep)}")
-                if cfg.out:
-                    _write_report(rep, cfg.out, args.timing)
-            else:
-                failed += 1
-                writer.writerow([cfg.learner, cfg.stream, cfg.seed,
-                                 "", "", "", "", "", res.error])
-                print(f"{tag}: FAILED ({res.error})", file=sys.stderr)
+        reports = _run_table(configs, csv.writer(fh), args.timing)
     print(f"results written to {out_csv}")
-    return 1 if failed else 0
+    return 1 if None in reports else 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

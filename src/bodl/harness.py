@@ -122,6 +122,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.detector_sensitivity <= 0:
             raise ConfigError("detector_sensitivity must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def echo(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -235,7 +237,7 @@ class NetworkLearner:
         _, self.lam, self.use_bilevel = cfg.resolve_learner()
         self.cfg, self.report = cfg, report
         self.bcfg = BilevelConfig(cfg.inner_rate, cfg.outer_rate, cfg.inner_steps)
-        dims = (source.input_dim or 1, cfg.width, source.classes or 2, cfg.hidden_layers)
+        dims = (source.input_dim, cfg.width, source.classes, cfg.hidden_layers)
         root = np.random.SeedSequence(cfg.seed)
         init_seq, aux_seq = root.spawn(2)
         self.params, self.weights = init_network(dims, int(init_seq.generate_state(1)[0]))
@@ -317,29 +319,3 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
 
     report.wall_time = time.perf_counter() - started
     return report
-
-
-@dataclass
-class RunResult:
-    """Suite entry outcome: a report, or the error that stopped the run."""
-
-    config: dict
-    report: MetricsReport | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def _execute(cfg: RunConfig) -> RunResult:
-    try:
-        return RunResult(cfg.echo(), report=prequential_run(cfg))
-    except Exception as exc:  # noqa: BLE001 - suite must not abort on one run
-        return RunResult(cfg.echo(), error=f"{type(exc).__name__}: {exc}")
-
-
-def run_suite(configs: list[RunConfig]) -> list[RunResult]:
-    """Execute runs one after another, in input order. Failures are captured
-    per entry."""
-    return [_execute(cfg) for cfg in configs]

@@ -95,6 +95,8 @@ def load_csv(
             raise StreamFormatError(f"{path}: no data rows")
 
         width = len(first)
+        if width < 2:
+            raise StreamFormatError(f"{path}: no feature columns")
         if isinstance(label_column, str):
             if has_header is False:
                 raise StreamFormatError("label column given by name but has_header=False")
@@ -261,15 +263,21 @@ def _parse_kv(body: str, spec: str) -> dict[str, str]:
     return out
 
 
-def _number(opts: dict[str, str], key: str, kind: type, spec: str, default=None):
-    """Option `key` converted by `kind` (int or float), or `default` if absent."""
+def _number(opts: dict[str, str], key: str, kind: type, spec: str, default=None,
+            minimum=None):
+    """Option `key` converted by `kind` (int or float), or `default` if absent;
+    a given value below `minimum` is refused."""
     if key not in opts:
         return default
     try:
-        return kind(opts[key])
+        value = kind(opts[key])
     except ValueError:
         raise ConfigError(f"option {key}={opts[key]!r} in stream spec {spec!r} "
                           f"is not {'an integer' if kind is int else 'a number'}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"option {key}={opts[key]!r} in stream spec {spec!r} "
+                          f"is below {minimum}")
+    return value
 
 
 def resolve_csv_path(token: str) -> Path:
@@ -314,7 +322,7 @@ def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
         header = _number(opts, "header", int, spec)
         if header is not None:
             header = bool(header)
-        shuffle = _number(opts, "shuffle", int, spec)
+        shuffle = _number(opts, "shuffle", int, spec, minimum=0)
         delim = opts.get("delim", ",")
         if len(delim) != 1:
             raise ConfigError(f"option delim={delim!r} in stream spec {spec!r} "
@@ -335,7 +343,7 @@ def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
             segments,
             noise=_number(opts, "noise", float, spec, 0.0),
             dim=_number(opts, "d", int, spec),
-            seed=_number(opts, "seed", int, spec, default_seed),
+            seed=_number(opts, "seed", int, spec, default_seed, minimum=0),
             mode=opts.get("mode", "redraw"),
         )
     raise ConfigError(f"unknown stream kind {kind!r} in {spec!r}")

@@ -53,12 +53,7 @@ def test_flags_left_out_take_runconfig_defaults(monkeypatch, tmp_path):
         seen.append(cfg)
         return MetricsReport(classes=2, stream_info={"provenance": stream})
 
-    def fake_suite(configs):
-        seen.extend(configs)
-        return []
-
     monkeypatch.setattr(cli, "prequential_run", fake_run)
-    monkeypatch.setattr(cli, "run_suite", fake_suite)
     assert run_cli("run", "--stream", stream) == 0
     assert seen == [RunConfig(stream=stream)]
 
@@ -158,13 +153,13 @@ def test_ablate_grid_and_medians(tmp_path, capsys):
     assert run_cli("ablate", "--stream", "sea:seg=80;noise=0", *FAST,
                    "--seeds", "1,2", "--out", str(table)) == 0
     rows = read_rows(table)
-    assert rows[0][:3] == ["learner", "seed", "accuracy"]
+    assert rows[0] == cli.TABLE_COLUMNS
     body = rows[1:]
     assert len(body) == 9    # 3 learners x 2 seeds + 3 median lines
-    medians = [r for r in body if r[1] == "median"]
+    medians = [r for r in body if r[2] == "median"]
     assert [r[0] for r in medians] == ["bodl-base", "bodl-1", "bodl-2"]
     for r in medians:
-        assert 0.0 <= float(r[2]) <= 1.0
+        assert 0.0 <= float(r[3]) <= 1.0
     assert "median accuracy" in capsys.readouterr().out
 
 
@@ -244,6 +239,35 @@ def test_bench_bad_learner_is_captured_not_fatal(tmp_path, capsys):
     assert rows[1][-1] == ""     # the good ones do not
 
 
+def test_bench_rows_keep_input_order_and_capture_errors(tmp_path):
+    entries = [
+        {"stream": "sea:seg=40;noise=0", "learner": "bodl-base",
+         "hidden_layers": 1, "width": 8, "optimizer": "sgd", "lr": 0.05},
+        {"stream": "sea:seg=40;noise=0", "learner": "not-a-learner"},
+        {"stream": "sea:seg=40;noise=0", "learner": "pa"},
+    ]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(entries))
+    assert run_cli("bench", "--config", str(suite)) == 1
+    rows = read_rows(tmp_path / "suite.results.csv")
+    assert [r[0] for r in rows[1:]] == ["bodl-base", "not-a-learner", "pa"]
+    assert rows[1][-1] == "" and rows[3][-1] == ""
+    assert "ConfigError" in rows[2][-1]
+    assert rows[2][3:-1] == ["", "", "", "", ""]
+
+
+def test_bench_records_divergence(tmp_path):
+    entries = [{"stream": "hyperplane:seg=300,300;noise=0.05;mode=flip;d=8",
+                "seed": 1, "optimizer": "sgd", "lr": 50.0}]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("bench", "--config", str(suite)) == 1
+    [row] = read_rows(tmp_path / "suite.results.csv")[1:]
+    assert row[3:-1] == ["", "", "", "", ""]
+    assert "DivergenceError" in row[-1] and "position 5" in row[-1]
+
+
 def test_bench_unknown_key_exits_2(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps([{"stream": "sea:seg=20", "optimiser": "sgd"}]))
@@ -262,3 +286,10 @@ def test_bench_empty_suite_exits_2(tmp_path):
     suite = tmp_path / "suite.json"
     suite.write_text("[]")
     assert run_cli("bench", "--config", str(suite)) == 2
+
+
+def test_bench_object_without_runs_exits_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"run": bench_entries()}))
+    assert run_cli("bench", "--config", str(suite)) == 2
+    assert "expected a non-empty list of run entries" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Prequential harness: learner resolution, metrics, loop ordering, suites."""
+"""Prequential harness: learner resolution, metrics, loop ordering."""
 
 import json
 
@@ -13,7 +13,6 @@ from bodl.harness import (
     NetworkLearner,
     RunConfig,
     prequential_run,
-    run_suite,
     update_metrics,
 )
 from bodl.streams import StreamInstance, StreamSource, gen_drift_stream, parse_stream_spec
@@ -89,6 +88,8 @@ def test_validate_covers_detector_and_memory_knobs():
         RunConfig("sea:seg=10", eta=0.0).validate()
     with pytest.raises(ConfigError, match="optimizer"):
         RunConfig("sea:seg=10", optimizer="adagrad").validate()
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        RunConfig("sea:seg=10", seed=-1).validate()
 
 
 # Wrongly typed or non-finite values. Without the type checks each one
@@ -367,29 +368,3 @@ def test_standardization_flag_is_honored():
     assert on.config["standardize"] is True
     assert off.config["standardize"] is False
     assert on.total == off.total == 600
-
-
-# ---------------------------------------------------------------- suites
-
-def test_run_suite_preserves_order_and_captures_errors():
-    configs = [
-        fast_config("bodl-base", stream="sea:seg=40;noise=0"),
-        RunConfig("sea:seg=40;noise=0", learner="not-a-learner"),
-        fast_config("pa", stream="sea:seg=40;noise=0"),
-    ]
-    results = run_suite(configs)
-    assert [r.config["learner"] for r in results] \
-        == ["bodl-base", "not-a-learner", "pa"]
-    assert results[0].ok and results[2].ok
-    assert not results[1].ok
-    assert "ConfigError" in results[1].error
-    assert results[1].report is None
-
-
-def test_run_suite_records_divergence():
-    cfg = RunConfig(FAST_DRIFT, seed=1, optimizer="sgd", lr=50.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        [result] = run_suite([cfg])
-    assert not result.ok
-    assert result.report is None
-    assert "DivergenceError" in result.error and "position 5" in result.error

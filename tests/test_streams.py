@@ -152,6 +152,14 @@ def test_load_csv_ragged_row_after_blank_line_reports_physical_line(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_label_only_file_rejected(tmp_path):
+    # without the check the file loads with input_dim 0 and the run fails
+    # later, far from the file
+    p = write_lines(tmp_path / "labels.csv", "a\nb\na\n")
+    with pytest.raises(StreamFormatError, match="labels.csv: no feature columns"):
+        load_csv(p)
+
+
 def test_load_csv_header_only_rejected(tmp_path):
     p = write_lines(tmp_path / "hdr.csv", "f1,f2,y\n")
     with pytest.raises(StreamFormatError, match="header only"):
@@ -403,7 +411,8 @@ def test_parse_spec_errors(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     "hyperplane:seg=100;noise=abc", "sea:seg=100;d=2.5", "sea:seg=100;seed=x",
-    "csv:{p};header=yes", "csv:{p};shuffle=1e3", "csv:{p};delim="])
+    "csv:{p};header=yes", "csv:{p};shuffle=1e3", "csv:{p};delim=",
+    "sea:seg=100;seed=-1", "csv:{p};shuffle=-1"])
 def test_parse_spec_malformed_option_names_it(tmp_path, bad):
     p = write_lines(tmp_path / "ok.csv", "1,a\n2,b\n")
     spec = bad.format(p=p)
