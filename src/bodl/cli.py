@@ -25,7 +25,7 @@ ABLATION_LEARNERS = ("bodl-base", "bodl-1", "bodl-2")
 def _add_run_options(p: argparse.ArgumentParser, with_learner: bool = True) -> None:
     """RunConfig-backed flags; a flag left out is suppressed, so RunConfig's default applies."""
     p.add_argument("--stream", required=True,
-                   help="stream spec: csv:<path|name>[;opts] | sea:... | hyperplane:...")
+                   help="stream spec: csv:<path|name> | sea:... | hyperplane:...")
     if with_learner:
         p.add_argument("--learner",
                        help="bodl-2 | bodl-1 | bodl-base | perceptron | romma | "
@@ -61,13 +61,16 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
 
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." not in text:
+            return [int(tok) for tok in text.split(",") if tok.strip()]
+        lo, hi = (int(t) for t in text.split("..", 1))
+    except ValueError:
+        raise ConfigError(f"--seeds {text!r} is neither a range like 1..5 "
+                          "nor a list like 3,7,11") from None
+    if hi < lo:
+        raise ConfigError(f"--seeds {text!r} is an empty range")
+    return list(range(lo, hi + 1))
 
 
 def _write_report(report: MetricsReport, path: str, timing: bool) -> None:
@@ -107,6 +110,8 @@ def _run_table(configs: list[RunConfig], writer, timing: bool) -> list[MetricsRe
         tag = f"{cfg.learner} on {cfg.stream} seed {cfg.seed}"
         try:
             rep = prequential_run(cfg)
+            if cfg.out:
+                _write_report(rep, cfg.out, timing)
         except Exception as exc:  # noqa: BLE001 - one failed run must not stop the suite
             error = f"{type(exc).__name__}: {exc}"
             writer.writerow([cfg.learner, cfg.stream, cfg.seed, "", "", "", "", "", error])
@@ -118,8 +123,6 @@ def _run_table(configs: list[RunConfig], writer, timing: bool) -> list[MetricsRe
                          f"{rep.macro_recall:.6f}", f"{rep.macro_f1:.6f}",
                          len(rep.drift_events), ""])
         print(f"{tag}: {_summary_line(rep)}")
-        if cfg.out:
-            _write_report(rep, cfg.out, timing)
         reports.append(rep)
     return reports
 

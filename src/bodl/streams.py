@@ -9,7 +9,6 @@ e.g. ``csv:data/pima.csv``, ``sea:seg=2000,2000;noise=0.1;seed=7`` or
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -25,6 +24,10 @@ SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 # short names for bundled benchmark CSVs resolved under the data directory;
 # files are headerless with the label in the last column
 NAMED_DATASETS = {"pima": "pima.csv", "magic": "magic.csv"}
+
+# the options each generator's stream spec takes; a csv spec takes none
+SPEC_OPTIONS = {"sea": ("seg", "noise", "seed", "d"),
+                "hyperplane": ("seg", "noise", "seed", "d", "mode")}
 
 
 @dataclass(slots=True)
@@ -57,94 +60,45 @@ def data_dir() -> Path:
     return Path(os.environ.get("BODL_DATA_DIR", "data"))
 
 
-def _looks_like_header(cells: list[str], label_idx: int) -> bool:
-    for i, cell in enumerate(cells):
-        if i == label_idx:
-            continue  # labels may legitimately be non-numeric ("g"/"h")
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
+def load_csv(path: str | Path) -> StreamSource:
+    """Read a headerless comma-separated file into a stream, in file order.
 
-
-def load_csv(
-    path: str | Path,
-    label_column: int | str = -1,
-    delimiter: str = ",",
-    has_header: bool | None = None,
-    shuffle_seed: int | None = None,
-) -> StreamSource:
-    """Read a delimited file into a stream.
-
-    ``label_column`` is a position (negative allowed) or, with a header, a
-    column name. ``has_header=None`` sniffs: the first row is a header when
-    any non-label cell fails to parse as a number. Labels are encoded by
-    first appearance. ``shuffle_seed`` applies a seeded permutation, meant
-    for stationary sets only. A non-finite feature (``nan``, ``inf``) is
-    rejected with its line number.
+    Each non-blank row is ``features..., label``. Labels are encoded by first
+    appearance. A ragged row, a non-numeric cell (a header row among them)
+    and a non-finite feature (``nan``, ``inf``) are rejected with their line
+    number.
     """
     path = Path(path)
     if not path.exists():
         raise StreamFormatError(f"no such file: {path}")
+    label_map: dict[str, int] = {}
+    instances: list[StreamInstance] = []
+    width = None
     with open(path, newline="") as fh:
-        rows = ((i, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1)
-                if row and any(cell.strip() for cell in row))
-        first_line, first = next(rows, (0, None))
-        if first is None:
-            raise StreamFormatError(f"{path}: no data rows")
-
-        width = len(first)
-        if width < 2:
-            raise StreamFormatError(f"{path}: no feature columns")
-        if isinstance(label_column, str):
-            if has_header is False:
-                raise StreamFormatError("label column given by name but has_header=False")
-            has_header = True
-            try:
-                label_idx = first.index(label_column)
-            except ValueError:
-                raise StreamFormatError(f"{path}: no column named {label_column!r} in header")
-        else:
-            label_idx = label_column if label_column >= 0 else width + label_column
-            if not 0 <= label_idx < width:
-                raise StreamFormatError(f"{path}: label column {label_column} out of range for width {width}")
-            if has_header is None:
-                has_header = _looks_like_header(first, label_idx)
-        if not has_header:
-            rows = itertools.chain([(first_line, first)], rows)
-
-        label_map: dict[str, int] = {}
-        label_names: list[str] = []
-        instances: list[StreamInstance] = []
-        for line_no, row in rows:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not any(cell.strip() for cell in row):
+                continue
+            if width is None:
+                width = len(row)
+                if width < 2:
+                    raise StreamFormatError(f"{path}: no feature columns")
             if len(row) != width:
                 raise StreamFormatError(f"{path} line {line_no}: {len(row)} cells, expected {width}")
-            raw_label = row[label_idx].strip()
-            if raw_label not in label_map:
-                label_map[raw_label] = len(label_map)
-                label_names.append(raw_label)
             feats = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
+            for cell in row[:-1]:
                 try:
                     feats.append(float(cell))
                 except ValueError:
                     raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
             if not all(map(math.isfinite, feats)):
                 raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
-            instances.append(StreamInstance(np.array(feats), label_map[raw_label], len(instances)))
+            label = label_map.setdefault(row[-1].strip(), len(label_map))
+            instances.append(StreamInstance(np.array(feats), label, len(instances)))
     if not instances:
-        raise StreamFormatError(f"{path}: header only, no data rows")
-
+        raise StreamFormatError(f"{path}: no data rows")
     if len(label_map) < 2:
         raise StreamFormatError(f"{path}: found {len(label_map)} distinct label(s), need at least 2")
-    if shuffle_seed is not None:
-        perm = np.random.default_rng(shuffle_seed).permutation(len(instances))
-        instances = [StreamInstance(instances[k].features, instances[k].label, i)
-                     for i, k in enumerate(perm)]
-    return StreamSource(instances, width - 1, len(label_map), f"csv:{path}", label_names)
+    return StreamSource(instances, width - 1, len(label_map), f"csv:{path}", list(label_map))
 
 
 class Standardizer:
@@ -250,7 +204,7 @@ def gen_drift_stream(
     return StreamSource(instances, dim, 2, desc, ["0", "1"])
 
 
-def _parse_kv(body: str, spec: str) -> dict[str, str]:
+def _parse_kv(body: str, spec: str, allowed: tuple[str, ...]) -> dict[str, str]:
     out: dict[str, str] = {}
     for part in body.split(";"):
         part = part.strip()
@@ -258,8 +212,11 @@ def _parse_kv(body: str, spec: str) -> dict[str, str]:
             continue
         if "=" not in part:
             raise ConfigError(f"bad option {part!r} in stream spec {spec!r}")
-        key, val = part.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (t.strip() for t in part.split("=", 1))
+        if key not in allowed:
+            expected = f"expected one of {', '.join(allowed)}" if allowed else "csv takes only a path"
+            raise ConfigError(f"unknown option {key}={val!r} in stream spec {spec!r}; {expected}")
+        out[key] = val
     return out
 
 
@@ -299,39 +256,25 @@ def resolve_csv_path(token: str) -> Path:
 def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
     """Build a stream from its one-line description.
 
-    ``csv:<path-or-name>[;label=<idx-or-name>;delim=<char>;header=0|1;shuffle=<seed>]``
-    or ``sea:``/``hyperplane:`` with ``seg=<n,n,...>`` and optional
-    ``noise=``, ``seed=``, ``d=``, ``mode=redraw|flip``. A generator without
-    an explicit seed uses ``default_seed``.
+    ``csv:<path-or-name>`` (see ``load_csv``) or ``sea:``/``hyperplane:``
+    with ``seg=<n,n,...>`` and optional ``noise=``, ``seed=``, ``d=`` and, for
+    ``hyperplane`` only, ``mode=redraw|flip``. Any other option is refused. A
+    generator without an explicit seed uses ``default_seed``.
     """
+    if default_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {default_seed}")
     if ":" not in spec:
         raise ConfigError(f"stream spec {spec!r} needs the form kind:options")
     kind, body = spec.split(":", 1)
     kind = kind.strip().lower()
     if kind == "csv":
-        parts = body.split(";")
-        token = parts[0].strip()
-        if not token:
+        token, _, options = body.partition(";")
+        if not token.strip():
             raise ConfigError(f"csv spec {spec!r} is missing a path")
-        opts = _parse_kv(";".join(parts[1:]), spec)
-        label: int | str = opts.get("label", "-1")
-        try:
-            label = int(label)
-        except ValueError:
-            pass  # header column name
-        header = _number(opts, "header", int, spec)
-        if header is not None:
-            header = bool(header)
-        shuffle = _number(opts, "shuffle", int, spec, minimum=0)
-        delim = opts.get("delim", ",")
-        if len(delim) != 1:
-            raise ConfigError(f"option delim={delim!r} in stream spec {spec!r} "
-                              "is not a single character")
-        return load_csv(resolve_csv_path(token), label_column=label,
-                        delimiter=delim, has_header=header,
-                        shuffle_seed=shuffle)
-    if kind in ("sea", "hyperplane"):
-        opts = _parse_kv(body, spec)
+        _parse_kv(options, spec, ())
+        return load_csv(resolve_csv_path(token.strip()))
+    if kind in SPEC_OPTIONS:
+        opts = _parse_kv(body, spec, SPEC_OPTIONS[kind])
         if "seg" not in opts:
             raise ConfigError(f"stream spec {spec!r} needs seg=<len,len,...>")
         try:

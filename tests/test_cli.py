@@ -41,6 +41,19 @@ def test_parse_seeds_empty_range_rejected():
         _parse_seeds("5..3")
 
 
+@pytest.mark.parametrize("text", ["a", "1..x", "3,seven", ".."])
+def test_parse_seeds_bad_text_names_the_option(text):
+    with pytest.raises(ConfigError, match=r"--seeds .* range like 1\.\.5 .* list like 3,7,11"):
+        _parse_seeds(text)
+
+
+def test_ablate_bad_seeds_exits_2(tmp_path, capsys):
+    assert run_cli("ablate", "--stream", "sea:seg=20", "--seeds", "a",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert "--seeds 'a'" in err and "invalid literal" not in err
+
+
 # ---------------------------------------------------------------- defaults
 
 def test_flags_left_out_take_runconfig_defaults(monkeypatch, tmp_path):
@@ -144,6 +157,15 @@ def test_gen_then_run_round_trip(tmp_path, capsys):
 def test_gen_bad_spec_exits_2(tmp_path, capsys):
     assert run_cli("gen", "--spec", "sea:", "--out", str(tmp_path / "x.csv")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_negative_seed_is_named(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli("gen", "--spec", "sea:seg=10", "--seed", "-1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert "non-negative integer" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- ablate
@@ -266,6 +288,24 @@ def test_bench_records_divergence(tmp_path):
     [row] = read_rows(tmp_path / "suite.results.csv")[1:]
     assert row[3:-1] == ["", "", "", "", ""]
     assert "DivergenceError" in row[-1] and "position 5" in row[-1]
+
+
+def test_bench_unwritable_report_fails_only_its_run(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    later = tmp_path / "later.json"
+    entries = [{"stream": "sea:seg=40;noise=0", "learner": "pa",
+                "out": str(blocker / "pa.json")},
+               {"stream": "sea:seg=40;noise=0", "learner": "arow", "out": str(later)}]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(entries))
+    assert run_cli("bench", "--config", str(suite)) == 1
+    assert "pa on sea:seg=40;noise=0 seed 0: FAILED (" in capsys.readouterr().err
+    first, second = read_rows(tmp_path / "suite.results.csv")[1:]
+    assert first[3:-1] == ["", "", "", "", ""]
+    assert first[-1].startswith("FileExistsError")
+    assert second[0] == "arow" and second[-1] == ""
+    assert json.loads(later.read_text())["config"]["learner"] == "arow"
 
 
 def test_bench_unknown_key_exits_2(tmp_path, capsys):

@@ -49,11 +49,11 @@ def test_load_csv_labels_encoded_by_first_appearance(tmp_path):
     assert [inst.label for inst in src] == [0, 1, 0, 2]
 
 
-def test_load_csv_sniffs_named_header(tmp_path):
+def test_load_csv_header_row_fails_at_line_1(tmp_path):
+    # the format is headerless: a header is a row with non-numeric features
     p = write_lines(tmp_path / "h.csv", "f1,f2,target\n1,2,a\n3,4,b\n")
-    src = load_csv(p)
-    assert len(src) == 2
-    assert src.label_names == ["a", "b"]
+    with pytest.raises(StreamFormatError, match="h.csv line 1: non-numeric value 'f1'"):
+        load_csv(p)
 
 
 def test_load_csv_numeric_first_row_is_data(tmp_path):
@@ -62,27 +62,12 @@ def test_load_csv_numeric_first_row_is_data(tmp_path):
 
 
 def test_load_csv_text_labels_do_not_trigger_header(tmp_path):
-    # only non-label cells count for sniffing: "g"/"h" in the label slot
+    # only feature cells must parse as numbers: "g"/"h" in the label slot
     # must not make the first row look like a header
     p = write_lines(tmp_path / "gh.csv", "1,2,g\n3,4,h\n")
     src = load_csv(p)
     assert len(src) == 2
     assert src.label_names == ["g", "h"]
-
-
-def test_load_csv_label_column_by_name(tmp_path):
-    p = write_lines(tmp_path / "named.csv", "y,f1\na,1\nb,2\n")
-    src = load_csv(p, label_column="y")
-    assert src.label_names == ["a", "b"]
-    assert np.array_equal(src.instances[0].features, np.array([1.0]))
-
-
-def test_load_csv_name_requires_header(tmp_path):
-    p = write_lines(tmp_path / "named.csv", "y,f1\na,1\nb,2\n")
-    with pytest.raises(StreamFormatError):
-        load_csv(p, label_column="y", has_header=False)
-    with pytest.raises(StreamFormatError):
-        load_csv(p, label_column="nope")
 
 
 def test_load_csv_ragged_row_reports_line(tmp_path):
@@ -110,14 +95,6 @@ def test_load_csv_single_label_rejected(tmp_path):
         load_csv(p)
 
 
-def test_load_csv_label_column_out_of_range(tmp_path):
-    p = write_lines(tmp_path / "t.csv", "1,2,a\n3,4,b\n")
-    with pytest.raises(StreamFormatError):
-        load_csv(p, label_column=3)
-    with pytest.raises(StreamFormatError):
-        load_csv(p, label_column=-4)
-
-
 def test_load_csv_missing_file():
     with pytest.raises(StreamFormatError, match="no such file"):
         load_csv("/nonexistent/nowhere.csv")
@@ -131,7 +108,7 @@ def test_load_csv_blank_lines_skipped(tmp_path):
 def test_load_csv_bad_first_data_row_after_blank_line_reports_line(tmp_path):
     p = write_lines(tmp_path / "lead.csv", "\n1,oops,a\n3,4,b\n")
     with pytest.raises(StreamFormatError, match="line 2: non-numeric value 'oops'"):
-        load_csv(p, has_header=False)
+        load_csv(p)
 
 
 def test_load_csv_non_finite_first_data_row_reports_line(tmp_path):
@@ -162,24 +139,8 @@ def test_load_csv_label_only_file_rejected(tmp_path):
 
 def test_load_csv_header_only_rejected(tmp_path):
     p = write_lines(tmp_path / "hdr.csv", "f1,f2,y\n")
-    with pytest.raises(StreamFormatError, match="header only"):
+    with pytest.raises(StreamFormatError, match="line 1: non-numeric value 'f1'"):
         load_csv(p)
-
-
-def test_load_csv_shuffle_is_seeded_permutation(tmp_path):
-    body = "".join(f"{i},{i + 0.5},{'a' if i % 2 else 'b'}\n" for i in range(30))
-    p = write_lines(tmp_path / "s.csv", body)
-    plain = load_csv(p)
-    shuf1 = load_csv(p, shuffle_seed=7)
-    shuf2 = load_csv(p, shuffle_seed=7)
-    other = load_csv(p, shuffle_seed=8)
-
-    key = lambda inst: (tuple(inst.features), inst.label)
-    assert sorted(map(key, shuf1)) == sorted(map(key, plain))
-    assert [key(i) for i in shuf1] == [key(i) for i in shuf2]
-    assert [key(i) for i in shuf1] != [key(i) for i in other]
-    assert [inst.position for inst in shuf1] == list(range(30))
-    assert [key(i) for i in shuf1] != [key(i) for i in plain]
 
 
 # ---------------------------------------------------------------- standardizer
@@ -381,25 +342,27 @@ def test_parse_spec_hyperplane_options():
 
 
 def test_parse_spec_csv_with_options(tmp_path):
+    # csv takes only a path: any option after it fails loudly
     p = write_lines(tmp_path / "pipes.csv", "a|1.0\nb|2.0\na|3.0\n")
-    src = parse_stream_spec(f"csv:{p};delim=|;label=0")
-    assert src.label_names == ["a", "b"]
-    assert np.array_equal(src.instances[2].features, np.array([3.0]))
+    with pytest.raises(ConfigError, match=r"unknown option delim='\|'.*takes only a path"):
+        parse_stream_spec(f"csv:{p};delim=|;label=0")
 
 
 def test_parse_spec_csv_forced_header(tmp_path):
     p = write_lines(tmp_path / "forced.csv", "9,9,a\n1,2,a\n3,4,b\n")
-    assert len(parse_stream_spec(f"csv:{p}")) == 3          # sniffed as data
-    assert len(parse_stream_spec(f"csv:{p};header=1")) == 2  # forced header
+    assert len(parse_stream_spec(f"csv:{p}")) == 3          # every row is data
+    with pytest.raises(ConfigError, match="unknown option header='1'"):
+        parse_stream_spec(f"csv:{p};header=1")
 
 
 def test_parse_spec_csv_shuffle(tmp_path):
+    # rows stream in file order; there is no shuffle
     body = "".join(f"{i},{'a' if i % 2 else 'b'}\n" for i in range(20))
     p = write_lines(tmp_path / "s.csv", body)
-    via_spec = parse_stream_spec(f"csv:{p};shuffle=7")
-    direct = load_csv(p, shuffle_seed=7)
-    assert all(np.array_equal(x.features, y.features) and x.label == y.label
-               for x, y in zip(via_spec, direct))
+    src = parse_stream_spec(f"csv:{p}")
+    assert [float(inst.features[0]) for inst in src] == list(range(20))
+    with pytest.raises(ConfigError, match="unknown option shuffle='7'"):
+        parse_stream_spec(f"csv:{p};shuffle=7")
 
 
 def test_parse_spec_errors(tmp_path):
@@ -412,7 +375,8 @@ def test_parse_spec_errors(tmp_path):
 @pytest.mark.parametrize("bad", [
     "hyperplane:seg=100;noise=abc", "sea:seg=100;d=2.5", "sea:seg=100;seed=x",
     "csv:{p};header=yes", "csv:{p};shuffle=1e3", "csv:{p};delim=",
-    "sea:seg=100;seed=-1", "csv:{p};shuffle=-1"])
+    "sea:seg=100;seed=-1", "csv:{p};shuffle=-1", "sea:seg=50;nosie=0.3",
+    "hyperplane:seg=50;dim=30", "sea:seg=50;mode=flip"])
 def test_parse_spec_malformed_option_names_it(tmp_path, bad):
     p = write_lines(tmp_path / "ok.csv", "1,a\n2,b\n")
     spec = bad.format(p=p)
@@ -421,6 +385,13 @@ def test_parse_spec_malformed_option_names_it(tmp_path, bad):
         parse_stream_spec(spec)
     assert f"{key}={val!r}" in str(err.value)
     assert spec in str(err.value)
+
+
+def test_parse_spec_unknown_option_lists_the_allowed_ones():
+    with pytest.raises(ConfigError, match="expected one of seg, noise, seed, d$"):
+        parse_stream_spec("sea:seg=50;nosie=0.3")
+    with pytest.raises(ConfigError, match="expected one of seg, noise, seed, d, mode$"):
+        parse_stream_spec("hyperplane:seg=50;dim=30")
 
 
 # ---------------------------------------------------------------- paths
