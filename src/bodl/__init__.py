@@ -11,13 +11,7 @@ benchmark tooling.
 """
 
 from .baselines import BASELINES, make_baseline
-from .bilevel import (
-    BilevelConfig,
-    adapt_on_drift,
-    inner_adapt,
-    lookahead,
-    outer_interpolate,
-)
+from .bilevel import adapt_on_drift, inner_adapt, lookahead, outer_interpolate
 from .drift import DRIFT, STABLE, DriftState, observe, reset
 from .errors import ConfigError, DivergenceError, InputError, StateError, StreamFormatError
 from .harness import (
@@ -51,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASELINES",
-    "BilevelConfig",
     "ConfigError",
     "DRIFT",
     "DivergenceError",

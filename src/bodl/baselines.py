@@ -16,6 +16,12 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .numerics import aug
 
+C = 1.0                            # PA and SCW: cap on one step's size
+PHI = NormalDist().inv_cdf(0.9)    # CW and SCW: the 0.9 confidence quantile
+PSI = 1.0 + PHI ** 2 / 2.0         # SCW's derived constants
+ZETA = 1.0 + PHI ** 2
+R = 1.0                            # AROW: regularization
+
 
 class LinearBaseline:
     """Shared one-vs-rest scaffolding; subclasses implement the binary update."""
@@ -82,14 +88,10 @@ class OGD(LinearBaseline):
 class PA(LinearBaseline):
     """Passive-aggressive: jump to the margin-1 boundary, step capped at C."""
 
-    def __init__(self, input_dim, classes, C: float = 1.0):
-        super().__init__(input_dim, classes)
-        self.C = C
-
     def _update_binary(self, c, xa, yc):
         loss = max(0.0, 1.0 - yc * float(self.w[c] @ xa))
         if loss > 0.0:
-            tau = min(self.C, loss / float(xa @ xa))
+            tau = min(C, loss / float(xa @ xa))
             self.w[c] += tau * yc * xa
 
 
@@ -113,18 +115,19 @@ class ROMMA(LinearBaseline):
         self.w[c] = coef_w * w + coef_x * xa
 
 
-class CW(LinearBaseline):
-    """Confidence-weighted learning, diagonal variance variant."""
+class ConfidenceBaseline(LinearBaseline):
+    """Adds a diagonal variance per class, one entry per augmented feature."""
 
-    def __init__(self, input_dim, classes, confidence: float = 0.9):
+    def __init__(self, input_dim, classes):
         super().__init__(input_dim, classes)
-        if not 0.5 < confidence < 1.0:
-            raise ConfigError("confidence must lie in (0.5, 1)")
-        self.phi = NormalDist().inv_cdf(confidence)
         self.sigma = np.ones((classes, input_dim + 1))
 
+
+class CW(ConfidenceBaseline):
+    """Confidence-weighted learning, diagonal variance variant."""
+
     def _update_binary(self, c, xa, yc):
-        phi = self.phi
+        phi = PHI
         m = yc * float(self.w[c] @ xa)
         v = float(self.sigma[c] @ (xa * xa))
         disc = (1.0 + 2.0 * phi * m) ** 2 - 8.0 * phi * (m - phi * v)
@@ -135,48 +138,31 @@ class CW(LinearBaseline):
             self.sigma[c] = 1.0 / (1.0 / self.sigma[c] + 2.0 * alpha * phi * xa * xa)
 
 
-class AROW(LinearBaseline):
+class AROW(ConfidenceBaseline):
     """Adaptive regularization of weights, diagonal covariance."""
-
-    def __init__(self, input_dim, classes, r: float = 1.0):
-        super().__init__(input_dim, classes)
-        if r <= 0:
-            raise ConfigError("regularization r must be positive")
-        self.r = r
-        self.sigma = np.ones((classes, input_dim + 1))
 
     def _update_binary(self, c, xa, yc):
         m = float(self.w[c] @ xa)
         if 1.0 - yc * m <= 0.0:
             return
         v = float(self.sigma[c] @ (xa * xa))
-        beta = 1.0 / (v + self.r)
+        beta = 1.0 / (v + R)
         alpha = (1.0 - yc * m) * beta
         sx = self.sigma[c] * xa
         self.w[c] += alpha * yc * sx
         self.sigma[c] -= beta * sx * sx
 
 
-class SCW(LinearBaseline):
+class SCW(ConfidenceBaseline):
     """Soft confidence-weighted (variant I), diagonal covariance."""
 
-    def __init__(self, input_dim, classes, C: float = 1.0, confidence: float = 0.9):
-        super().__init__(input_dim, classes)
-        if not 0.5 < confidence < 1.0:
-            raise ConfigError("confidence must lie in (0.5, 1)")
-        self.C = C
-        self.phi = NormalDist().inv_cdf(confidence)
-        self.psi = 1.0 + self.phi ** 2 / 2.0
-        self.zeta = 1.0 + self.phi ** 2
-        self.sigma = np.ones((classes, input_dim + 1))
-
     def _update_binary(self, c, xa, yc):
-        phi, psi, zeta = self.phi, self.psi, self.zeta
+        phi, psi, zeta = PHI, PSI, ZETA
         m = yc * float(self.w[c] @ xa)
         v = float(self.sigma[c] @ (xa * xa))
         if phi * math.sqrt(v) - m <= 0.0:
             return
-        alpha = min(self.C, max(0.0, (-m * psi + math.sqrt(
+        alpha = min(C, max(0.0, (-m * psi + math.sqrt(
             m * m * phi ** 4 / 4.0 + v * phi * phi * zeta)) / (v * zeta)))
         if alpha <= 0.0:
             return

@@ -10,27 +10,10 @@ importances and the online optimizer's moments are never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import StateError
 from .hedge_net import NetworkParams, backward, flat_pair, forward, sgd_step, total_loss
-
-
-@dataclass
-class BilevelConfig:
-    inner_rate: float    # step size of the adaptation gradient steps
-    outer_rate: float    # interpolation weight toward the look-ahead copy
-    inner_steps: int
-
-    def __post_init__(self):
-        if self.inner_rate < 0:
-            raise ConfigError("inner rate must be nonnegative")
-        if not 0.0 <= self.outer_rate <= 1.0:
-            raise ConfigError("outer rate must lie in [0, 1]")
-        if self.inner_steps < 1:
-            raise ConfigError("need at least one inner step")
 
 
 def _mean_loss(params: NetworkParams, X: np.ndarray, y: np.ndarray,
@@ -59,29 +42,29 @@ def _mean_grad_step(params: NetworkParams, X: np.ndarray, y: np.ndarray,
 
 
 def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                cfg: BilevelConfig, lam: float) -> NetworkParams:
+                lam: float, *, inner_rate: float, inner_steps: int) -> NetworkParams:
     """Refine a copy of the parameters on the recent drifted rows `(X, y)`.
 
-    Plain single-row gradient steps at the inner rate, cycling through the
-    rows in order; head importances stay frozen.
+    `inner_steps` plain single-row gradient steps at `inner_rate`, cycling
+    through the rows in order; head importances stay frozen.
     """
     if not len(X):
         raise StateError("recent window is empty; nothing to adapt on")
     adapted = params.copy()
-    for i in range(cfg.inner_steps):
+    for i in range(inner_steps):
         k = i % len(X)
         acts = forward(adapted, X[k])
         grads = backward(adapted, acts, weights, y[k], lam)
-        adapted = sgd_step(adapted, grads, cfg.inner_rate)
+        adapted = sgd_step(adapted, grads, inner_rate)
     return adapted
 
 
 def lookahead(adapted: NetworkParams, X: np.ndarray, y: np.ndarray,
-              weights: np.ndarray, cfg: BilevelConfig, lam: float) -> NetworkParams:
-    """One further step on the mean loss over a replayed batch `(X, y)`."""
+              weights: np.ndarray, lam: float, *, inner_rate: float) -> NetworkParams:
+    """One further step at `inner_rate` on the mean loss over a replayed batch `(X, y)`."""
     if not len(X):
         raise StateError("memory batch is empty")
-    return _mean_grad_step(adapted, X, y, weights, lam, cfg.inner_rate)
+    return _mean_grad_step(adapted, X, y, weights, lam, inner_rate)
 
 
 def outer_interpolate(params: NetworkParams, target: NetworkParams,
@@ -111,8 +94,8 @@ def params_distance(a: NetworkParams, b: NetworkParams) -> float:
 
 def adapt_on_drift(params: NetworkParams, recent: tuple[np.ndarray, np.ndarray],
                    replay: tuple[np.ndarray, np.ndarray], weights: np.ndarray,
-                   cfg: BilevelConfig, lam: float,
-                   position: int = -1) -> tuple[NetworkParams, dict]:
+                   lam: float, position: int = -1, *, inner_rate: float,
+                   outer_rate: float, inner_steps: int) -> tuple[NetworkParams, dict]:
     """Full drift response; returns the new main parameters and the report's
     record of it (position, loss before and after the inner refinement, the
     distance to the look-ahead copy, and the replay batch size).
@@ -120,17 +103,19 @@ def adapt_on_drift(params: NetworkParams, recent: tuple[np.ndarray, np.ndarray],
     `recent` and `replay` are `(X, y)` pairs of rows and labels. With no
     replay rows (empty memory) the inner refinement is returned directly;
     otherwise the look-ahead copy is built on the replay batch and the main
-    parameters are interpolated toward it.
+    parameters are interpolated the fraction `outer_rate` toward it.
+    RunConfig range-checks the rates and the step count; nothing here does.
     """
     X, y = recent
     if not len(X):
         raise StateError("recent window is empty; nothing to adapt on")
     loss_before = _mean_loss(params, X, y, weights, lam)
-    adapted = inner_adapt(params, X, y, weights, cfg, lam)
+    adapted = inner_adapt(params, X, y, weights, lam, inner_rate=inner_rate,
+                          inner_steps=inner_steps)
     loss_after = _mean_loss(adapted, X, y, weights, lam)
     if len(replay[0]):
-        target = lookahead(adapted, *replay, weights, cfg, lam)
-        new_params = outer_interpolate(params, target, cfg.outer_rate)
+        target = lookahead(adapted, *replay, weights, lam, inner_rate=inner_rate)
+        new_params = outer_interpolate(params, target, outer_rate)
     else:
         target = new_params = adapted
     return new_params, {

@@ -62,15 +62,19 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     try:
-        if ".." not in text:
-            return [int(tok) for tok in text.split(",") if tok.strip()]
-        lo, hi = (int(t) for t in text.split("..", 1))
+        if ".." in text:
+            lo, hi = (int(t) for t in text.split("..", 1))
+            seeds = list(range(lo, hi + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--seeds {text!r} is neither a range like 1..5 "
                           "nor a list like 3,7,11") from None
-    if hi < lo:
+    if ".." in text and not seeds:
         raise ConfigError(f"--seeds {text!r} is an empty range")
-    return list(range(lo, hi + 1))
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"--seeds {text!r} has a negative seed; seeds must be >= 0")
+    return seeds
 
 
 def _write_report(report: MetricsReport, path: str, timing: bool) -> None:

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import drift as drift_mod
 from .baselines import BASELINES, make_baseline
-from .bilevel import BilevelConfig, adapt_on_drift
+from .bilevel import adapt_on_drift
 from .errors import ConfigError, DivergenceError, InputError
 from .hedge_net import (
-    WEIGHT_FLOOR,
     apply_update,
     backward,
     forward,
@@ -101,7 +100,7 @@ class RunConfig:
 
     def validate(self) -> None:
         """Types (from the annotations), then ranges; a ConfigError names the
-        first bad field. The network's shape is checked by init_network."""
+        first bad field."""
         for f in fields(self):
             if f.type in _FIELD_TYPES:
                 accepts, ok = _FIELD_TYPES[f.type]
@@ -115,9 +114,12 @@ class RunConfig:
             raise ConfigError("learning rate must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        BilevelConfig(self.inner_rate, self.outer_rate, self.inner_steps)   # its range checks
-        for name in ("memory_capacity", "memory_batch", "recent_window",
-                     "detector_min_instances"):
+        if self.inner_rate < 0:
+            raise ConfigError("inner_rate must be >= 0")
+        if not 0.0 <= self.outer_rate <= 1.0:
+            raise ConfigError("outer_rate must be in [0, 1]")
+        for name in ("hidden_layers", "width", "inner_steps", "memory_capacity",
+                     "memory_batch", "recent_window", "detector_min_instances"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.detector_sensitivity <= 0:
@@ -236,13 +238,11 @@ class NetworkLearner:
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
         _, self.lam, self.use_bilevel = cfg.resolve_learner()
         self.cfg, self.report = cfg, report
-        self.bcfg = BilevelConfig(cfg.inner_rate, cfg.outer_rate, cfg.inner_steps)
         dims = (source.input_dim, cfg.width, source.classes, cfg.hidden_layers)
         root = np.random.SeedSequence(cfg.seed)
         init_seq, aux_seq = root.spawn(2)
         self.params, self.weights = init_network(dims, int(init_seq.generate_state(1)[0]))
         self.opt_state = init_opt_state(self.params, cfg.optimizer)
-        self.weight_floor = WEIGHT_FLOOR / (cfg.hidden_layers + 1)
         self.detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
                                              sensitivity=cfg.detector_sensitivity)
         self.memory = EpisodicMemory(cfg.memory_capacity)
@@ -263,7 +263,7 @@ class NetworkLearner:
         loss, per_head = total_loss(acts, self.weights, y, self.lam)
         if not math.isfinite(loss):
             raise DivergenceError(position)
-        self.weights = hedge_update(self.weights, per_head, self.cfg.eta, self.weight_floor)
+        self.weights = hedge_update(self.weights, per_head, self.cfg.eta)
         self.detector, status = drift_mod.observe(self.detector, int(pred != y))
         adapted = False
         if status == drift_mod.DRIFT:
@@ -278,7 +278,9 @@ class NetworkLearner:
                         if len(self.memory) else [])
                 self.params, record = adapt_on_drift(
                     self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
-                    (self.X[rows], self.y[rows]), self.weights, self.bcfg, self.lam, position)
+                    (self.X[rows], self.y[rows]), self.weights, self.lam, position,
+                    inner_rate=self.cfg.inner_rate, outer_rate=self.cfg.outer_rate,
+                    inner_steps=self.cfg.inner_steps)
                 self.report.adaptations.append(record)
                 adapted = True
             self.detector = drift_mod.reset(self.detector)

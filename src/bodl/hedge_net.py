@@ -257,21 +257,22 @@ def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
     return np.full(n, 1.0 / n)   # unreachable while floor * n < 1
 
 
-def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float,
-                 weight_floor: float) -> np.ndarray:
-    """Discount each head importance by exp(-eta * loss), floor, renormalize.
+def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float) -> np.ndarray:
+    """Discount each head importance by exp(-eta * loss), floor at
+    WEIGHT_FLOOR / K for K heads, renormalize.
 
     When no normalized importance falls below the floor, the normalized vector
     is returned directly. That is the projection's first iteration with no
     entry pinned (free mass 1.0 over the sum of all entries), so the bits are
     the same as going through `_floor_and_renormalize`.
     """
+    floor = WEIGHT_FLOOR / len(weights)
     capped = np.minimum(per_head_losses, HEDGE_LOSS_CAP)
     raw = weights * np.exp(-eta * capped)
     scaled = raw * (1.0 / raw.sum())
-    if scaled.min() >= weight_floor:
+    if scaled.min() >= floor:
         return scaled
-    return _floor_and_renormalize(raw, weight_floor)
+    return _floor_and_renormalize(raw, floor)
 
 
 def init_opt_state(params: NetworkParams, optimizer: str) -> AdamState | None:

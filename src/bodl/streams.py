@@ -60,13 +60,36 @@ def data_dir() -> Path:
     return Path(os.environ.get("BODL_DATA_DIR", "data"))
 
 
+def _csv_rows(path: Path):
+    """Yield (line number, cells) per record; a byte that is not UTF-8 or a
+    cell over the csv field limit raises a StreamFormatError naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise StreamFormatError(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # the text layer decodes ahead in chunks, so the reader's count is
+            # not the bad byte's line: find the byte in the file itself
+            raw = path.read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line_no = raw.count(b"\n", 0, exc.start) + 1
+                raise StreamFormatError(
+                    f"{path} line {line_no}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+            raise   # the file changed between the two reads
+
+
 def load_csv(path: str | Path) -> StreamSource:
-    """Read a headerless comma-separated file into a stream, in file order.
+    """Read a headerless comma-separated UTF-8 file into a stream, in file order.
 
     Each non-blank row is ``features..., label``. Labels are encoded by first
-    appearance. A ragged row, a non-numeric cell (a header row among them)
-    and a non-finite feature (``nan``, ``inf``) are rejected with their line
-    number.
+    appearance. A ragged row, a non-numeric cell (a header row among them),
+    a non-finite feature (``nan``, ``inf``) and a blank label are rejected
+    with their line number, as are the read errors of `_csv_rows`.
     """
     path = Path(path)
     if not path.exists():
@@ -74,26 +97,28 @@ def load_csv(path: str | Path) -> StreamSource:
     label_map: dict[str, int] = {}
     instances: list[StreamInstance] = []
     width = None
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not any(cell.strip() for cell in row):
-                continue
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise StreamFormatError(f"{path}: no feature columns")
-            if len(row) != width:
-                raise StreamFormatError(f"{path} line {line_no}: {len(row)} cells, expected {width}")
-            feats = []
-            for cell in row[:-1]:
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
-            if not all(map(math.isfinite, feats)):
-                raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
-            label = label_map.setdefault(row[-1].strip(), len(label_map))
-            instances.append(StreamInstance(np.array(feats), label, len(instances)))
+    for line_no, row in _csv_rows(path):
+        if not any(cell.strip() for cell in row):
+            continue
+        if width is None:
+            width = len(row)
+            if width < 2:
+                raise StreamFormatError(f"{path}: no feature columns")
+        if len(row) != width:
+            raise StreamFormatError(f"{path} line {line_no}: {len(row)} cells, expected {width}")
+        feats = []
+        for cell in row[:-1]:
+            try:
+                feats.append(float(cell))
+            except ValueError:
+                raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
+        if not all(map(math.isfinite, feats)):
+            raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
+        name = row[-1].strip()
+        if not name:
+            raise StreamFormatError(f"{path} line {line_no}: blank label")
+        label = label_map.setdefault(name, len(label_map))
+        instances.append(StreamInstance(np.array(feats), label, len(instances)))
     if not instances:
         raise StreamFormatError(f"{path}: no data rows")
     if len(label_map) < 2:

@@ -15,7 +15,6 @@ from scipy import stats
 
 from bodl.baselines import AROW, PA
 from bodl.bilevel import (
-    BilevelConfig,
     adapt_on_drift,
     inner_adapt,
     lookahead,
@@ -228,21 +227,22 @@ def test_drift_adaptation_is_exact():
     replay = (np.tile([0.2, 0.9], (32, 1)), np.zeros(32, dtype=np.int64))
 
     # interpolation endpoints are bitwise: 0 keeps the originals, 1 adopts
-    # the look-ahead copy computed on the memory batch; BilevelConfig takes
-    # (inner_rate, outer_rate, inner_steps)
-    at_zero, _ = adapt_on_drift(params, recent, replay, weights, BilevelConfig(0.1, 0.0, 5), 0.1)
+    # the look-ahead copy computed on the memory batch
+    at_zero, _ = adapt_on_drift(params, recent, replay, weights, 0.1,
+                                inner_rate=0.1, outer_rate=0.0, inner_steps=5)
     zero_ok = all(np.array_equal(a, b) for a, b in
                   zip(at_zero.matrices(), params.matrices()))
 
-    cfg_one = BilevelConfig(0.1, 1.0, 5)
-    at_one, _ = adapt_on_drift(params, recent, replay, weights, cfg_one, 0.1)
-    inner = inner_adapt(params, *recent, weights, cfg_one, 0.1)
-    target = lookahead(inner, *replay, weights, cfg_one, 0.1)
+    at_one, _ = adapt_on_drift(params, recent, replay, weights, 0.1,
+                               inner_rate=0.1, outer_rate=1.0, inner_steps=5)
+    inner = inner_adapt(params, *recent, weights, 0.1, inner_rate=0.1, inner_steps=5)
+    target = lookahead(inner, *replay, weights, 0.1, inner_rate=0.1)
     one_ok = all(np.array_equal(a, b) for a, b in
                  zip(at_one.matrices(), target.matrices()))
 
     # a zero inner rate makes the whole response the identity
-    frozen, _ = adapt_on_drift(params, recent, replay, weights, BilevelConfig(0.0, 0.5, 5), 0.1)
+    frozen, _ = adapt_on_drift(params, recent, replay, weights, 0.1,
+                               inner_rate=0.0, outer_rate=0.5, inner_steps=5)
     mu_ok = all(np.array_equal(a, b) for a, b in
                 zip(frozen.matrices(), params.matrices()))
 
@@ -254,7 +254,7 @@ def test_drift_adaptation_is_exact():
     got, _ = adapt_on_drift(
         tiny, (np.array([[0.8], [-0.5]]), np.array([1, 0])),
         (np.tile([0.3], (32, 1)), np.ones(32, dtype=np.int64)), np.array([0.6, 0.4]),
-        BilevelConfig(inner_rate=0.05, outer_rate=0.25, inner_steps=3), 0.0)
+        0.0, inner_rate=0.05, outer_rate=0.25, inner_steps=3)
     want, _ = tiny_net_adaptation(
         [0.9, 0.7], [[0.2, -0.1], [-0.3, 0.4]], [[0.5, 0.1], [-0.2, 0.3]],
         [0.6, 0.4], recent=[(0.8, 1), (-0.5, 0)], memory=[(0.3, 1)] * 32,

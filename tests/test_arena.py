@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from bodl.bilevel import (
-    BilevelConfig,
     adapt_on_drift,
     lookahead,
     outer_interpolate,
 )
 from bodl.errors import InputError
 from bodl.hedge_net import (
-    WEIGHT_FLOOR,
     NetworkParams,
     apply_update,
     backward,
@@ -38,10 +36,9 @@ from oracles import (
 )
 
 
-# The learner's settings at RunConfig's defaults for bodl-2, the bilevel
-# part as the harness builds it.
+# The learner's settings at RunConfig's defaults for bodl-2.
 LAM, ETA, LR = 0.1, 0.01, 0.01
-BILEVEL = BilevelConfig(inner_rate=0.01, outer_rate=0.5, inner_steps=5)
+RATES = dict(inner_rate=0.01, outer_rate=0.5, inner_steps=5)
 WINDOW, BATCH = 16, 32
 
 
@@ -87,7 +84,6 @@ def clipping_instance(params):
 def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
     params, weights = small_net(dims=dims)
     d, _, classes, n = dims
-    floor = WEIGHT_FLOOR / (n + 1)
     ref = snapshot(params)
     ref_weights = weights.copy()
     ref_states = [(np.zeros_like(m), np.zeros_like(m), 0) for m in ref]
@@ -114,8 +110,8 @@ def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
         assert loss == ref_loss
         assert np.array_equal(per_head, ref_per_head)
 
-        weights = hedge_update(weights, per_head, ETA, floor)
-        ref_weights = hedge_update(ref_weights, ref_per_head, ETA, floor)
+        weights = hedge_update(weights, per_head, ETA)
+        ref_weights = hedge_update(ref_weights, ref_per_head, ETA)
         assert np.array_equal(weights, ref_weights)
 
         grads = backward(params, acts, weights, y, LAM)
@@ -136,11 +132,11 @@ def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
     recent = (seen_x[-WINDOW:], seen_y[-WINDOW:])
     picked = mem.sample_batch(BATCH, np.random.default_rng(5))
     replay = (seen_x[picked], seen_y[picked])
-    adapted, record = adapt_on_drift(params, recent, replay, weights, BILEVEL, LAM,
-                                     position=50)
+    adapted, record = adapt_on_drift(params, recent, replay, weights, LAM, position=50,
+                                     **RATES)
     want, loss_before, loss_after, shift = list_adapt_on_drift(
         ref, n, list(zip(*recent)), list(zip(*replay)), weights, LAM,
-        BILEVEL.inner_rate, BILEVEL.outer_rate, BILEVEL.inner_steps)
+        RATES["inner_rate"], RATES["outer_rate"], RATES["inner_steps"])
     assert_all_equal(adapted.matrices(), want)
     assert record["loss_before"] == loss_before
     assert record["loss_after"] == loss_after
@@ -232,7 +228,7 @@ def test_updates_never_mutate_their_inputs():
     apply_update(params, grads, opt, LR)
     sgd_step(params, grads, 0.1)
     outer_interpolate(params, target, 0.3)
-    lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, BILEVEL, 0.1)
+    lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, 0.1, inner_rate=0.01)
 
     assert_all_equal(params.matrices(), kept[0])
     assert_all_equal(grads.matrices(), kept[1])

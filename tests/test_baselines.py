@@ -8,6 +8,7 @@ import pytest
 from bodl.baselines import (
     AROW,
     BASELINES,
+    C,
     CW,
     OGD,
     PA,
@@ -44,12 +45,6 @@ def test_constructor_validation():
         Perceptron(0, 2)
     with pytest.raises(ConfigError):
         Perceptron(3, 1)
-    with pytest.raises(ConfigError):
-        CW(3, 2, confidence=0.5)
-    with pytest.raises(ConfigError):
-        SCW(3, 2, confidence=1.0)
-    with pytest.raises(ConfigError):
-        AROW(3, 2, r=0.0)
 
 
 def test_input_validation():
@@ -164,7 +159,7 @@ def test_pa_passive_after_margin_satisfied():
 
 
 def test_pa_step_capped_at_aggressiveness():
-    model = PA(2, 2, C=1.0)
+    model = PA(2, 2)
     model.w[0] = np.array([-5.0, 0.0, 0.0])
     # loss 6 over squared norm 2 wants tau 3; the cap clips it to 1
     model._update_binary(0, np.array([1.0, 0.0, 1.0]), 1.0)
@@ -225,7 +220,7 @@ def test_arow_matches_scalar_reference():
     stream = random_stream(9, 20, 3, 2)
     want_preds, trajectory = scalar_arow(
         [(list(x), y) for x, y in stream], dim=3, classes=2, r=1.0)
-    model = AROW(3, 2, r=1.0)
+    model = AROW(3, 2)
     for step, (x, y) in enumerate(stream):
         assert model.step(x, y) == want_preds[step]
         want_w, want_sig = trajectory[step]
@@ -264,12 +259,12 @@ def test_cw_updates_from_zero_weights():
 
 
 def test_scw_step_size_respects_cap():
-    model = SCW(2, 2, C=0.01)
-    sigma_before = model.sigma.copy()
-    model.step(np.array([1.0, 2.0]), 0)
-    xa = np.array([1.0, 2.0, 1.0])
-    ratios = np.abs(model.w[0]) / (sigma_before[0] * np.abs(xa))
-    assert np.all(ratios <= 0.01 + 1e-12)
+    model = SCW(2, 2)
+    model.w[0] = np.array([-5.0, 0.0, 0.0])
+    # margin -5 at variance 2 wants a step near 2.7; the cap clips it to C
+    xa = np.array([1.0, 0.0, 1.0])
+    model._update_binary(0, xa, 1.0)
+    assert np.allclose(model.w[0], [-5.0 + C, 0.0, C], atol=1e-15)
 
 
 def test_scw_passive_when_confident_and_correct():

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from bodl.bilevel import (
-    BilevelConfig,
     adapt_on_drift,
     inner_adapt,
     lookahead,
     outer_interpolate,
     params_distance,
 )
-from bodl.errors import ConfigError, InputError, StateError
+from bodl.errors import InputError, StateError
 from bodl.hedge_net import NetworkParams, backward, forward, init_network, sgd_step
 from bodl.memory import EpisodicMemory
 
@@ -21,15 +20,12 @@ from oracles import tiny_net_adaptation, tiny_net_grads
 
 
 BATCH = 32      # replay rows per adaptation, RunConfig's default memory_batch
+# RunConfig's defaults for the drift response's rates and step count
+RATES = dict(inner_rate=0.01, outer_rate=0.5, inner_steps=5)
 
 
 def toy_setup(seed=0, n=1, u=3, d=2):
     return init_network((d, u, 2, n), seed)
-
-
-def bcfg(inner_rate=0.01, outer_rate=0.5, inner_steps=5):
-    """A BilevelConfig at RunConfig's defaults, with the named fields overridden."""
-    return BilevelConfig(inner_rate, outer_rate, inner_steps)
 
 
 def rows(features, labels):
@@ -50,26 +46,12 @@ def tiny_params():
     )
 
 
-# ---------------------------------------------------------------- config
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        bcfg(inner_rate=-0.1)
-    with pytest.raises(ConfigError):
-        bcfg(outer_rate=1.5)
-    with pytest.raises(ConfigError):
-        bcfg(outer_rate=-0.1)
-    with pytest.raises(ConfigError):
-        bcfg(inner_steps=0)
-
-
 # ---------------------------------------------------------------- inner
 
 def test_inner_zero_rate_is_identity():
     params, weights = toy_setup()
     X, y = rows([[1.0, -1.0]], [1])
-    cfg = bcfg(inner_rate=0.0, inner_steps=4)
-    adapted = inner_adapt(params, X, y, weights, cfg, lam=0.1)
+    adapted = inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.0, inner_steps=4)
     for a, b in zip(adapted.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
@@ -78,8 +60,7 @@ def test_inner_stationary_point_is_identity():
     # zero head importances and no penalty: the objective is flat
     params, _ = toy_setup()
     X, y = rows([[0.5, 0.5]], [0])
-    cfg = bcfg(inner_rate=0.1, inner_steps=3)
-    adapted = inner_adapt(params, X, y, np.zeros(2), cfg, lam=0.0)
+    adapted = inner_adapt(params, X, y, np.zeros(2), lam=0.0, inner_rate=0.1, inner_steps=3)
     for a, b in zip(adapted.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
@@ -87,8 +68,7 @@ def test_inner_stationary_point_is_identity():
 def test_inner_single_step_matches_gradient_step():
     params, weights = toy_setup(seed=5)
     X, y = rows([[0.3, -0.8]], [1])
-    cfg = bcfg(inner_rate=0.07, inner_steps=1)
-    adapted = inner_adapt(params, X, y, weights, cfg, lam=0.1)
+    adapted = inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.07, inner_steps=1)
     grads = backward(params, forward(params, X[0]), weights, 1, 0.1)
     expected = sgd_step(params, grads, 0.07)
     for a, b in zip(adapted.matrices(), expected.matrices()):
@@ -99,8 +79,7 @@ def test_inner_cycles_the_buffer():
     # three steps over two instances: the first instance is visited twice
     params, weights = toy_setup(seed=6)
     X, y = rows([[0.2, 0.4], [-0.6, 1.0]], [0, 1])
-    cfg = bcfg(inner_rate=0.05, inner_steps=3)
-    adapted = inner_adapt(params, X, y, weights, cfg, lam=0.1)
+    adapted = inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.05, inner_steps=3)
     manual = params.copy()
     for k in [0, 1, 0]:
         g = backward(manual, forward(manual, X[k]), weights, y[k], 0.1)
@@ -112,14 +91,14 @@ def test_inner_cycles_the_buffer():
 def test_inner_empty_buffer_rejected():
     params, weights = toy_setup()
     with pytest.raises(StateError):
-        inner_adapt(params, *no_rows(), weights, bcfg(), lam=0.1)
+        inner_adapt(params, *no_rows(), weights, lam=0.1, inner_rate=0.01, inner_steps=5)
 
 
 def test_inner_leaves_originals_untouched():
     params, weights = toy_setup(seed=7)
     snapshot = params.copy()
     X, y = rows([[1.0, 1.0]], [1])
-    inner_adapt(params, X, y, weights, bcfg(inner_rate=0.2), lam=0.1)
+    inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.2, inner_steps=5)
     for a, b in zip(params.matrices(), snapshot.matrices()):
         assert np.array_equal(a, b)
 
@@ -129,7 +108,7 @@ def test_inner_leaves_originals_untouched():
 def test_lookahead_zero_rate_is_identity():
     params, weights = toy_setup()
     X, y = rows([[0.1, 0.2]], [0])
-    out = lookahead(params, X, y, weights, bcfg(inner_rate=0.0), lam=0.1)
+    out = lookahead(params, X, y, weights, lam=0.1, inner_rate=0.0)
     for a, b in zip(out.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
@@ -137,7 +116,7 @@ def test_lookahead_zero_rate_is_identity():
 def test_lookahead_single_instance_matches_gradient_step():
     params, weights = toy_setup(seed=8)
     X, y = rows([[0.9, -0.2]], [0])
-    out = lookahead(params, X, y, weights, bcfg(inner_rate=0.03), lam=0.1)
+    out = lookahead(params, X, y, weights, lam=0.1, inner_rate=0.03)
     grads = backward(params, forward(params, X[0]), weights, 0, 0.1)
     expected = sgd_step(params, grads, 0.03)
     for a, b in zip(out.matrices(), expected.matrices()):
@@ -147,7 +126,7 @@ def test_lookahead_single_instance_matches_gradient_step():
 def test_lookahead_empty_batch_rejected():
     params, weights = toy_setup()
     with pytest.raises(StateError):
-        lookahead(params, *no_rows(), weights, bcfg(), lam=0.1)
+        lookahead(params, *no_rows(), weights, lam=0.1, inner_rate=0.01)
 
 
 # ---------------------------------------------------------------- interpolate
@@ -200,9 +179,9 @@ def test_params_distance():
 def test_adapt_gamma_zero_keeps_parameters():
     params, weights = toy_setup(seed=14)
     recent = rows([[0.5, -0.5]], [1])
-    cfg = bcfg(inner_rate=0.1, outer_rate=0.0, inner_steps=2)
     replay = rows(np.tile([0.1, 0.1], (BATCH, 1)), [0] * BATCH)
-    out, record = adapt_on_drift(params, recent, replay, weights, cfg, 0.1, position=4)
+    out, record = adapt_on_drift(params, recent, replay, weights, 0.1, position=4,
+                                 inner_rate=0.1, outer_rate=0.0, inner_steps=2)
     for a, b in zip(out.matrices(), params.matrices()):
         assert np.array_equal(a, b)
     assert record["memory_batch"] == BATCH
@@ -211,22 +190,21 @@ def test_adapt_gamma_zero_keeps_parameters():
 def test_adapt_gamma_one_adopts_lookahead():
     params, weights = toy_setup(seed=15)
     recent = rows([[0.5, -0.5]], [1])
-    cfg = bcfg(inner_rate=0.1, outer_rate=1.0, inner_steps=2)
     # the batch a single-item memory yields: that item, memory_batch times
     replay = rows(np.tile([0.2, 0.8], (BATCH, 1)), [0] * BATCH)
-    out, _ = adapt_on_drift(params, recent, replay, weights, cfg, 0.1, position=4)
-    inner = inner_adapt(params, *recent, weights, cfg, 0.1)
-    target = lookahead(inner, *replay, weights, cfg, 0.1)
+    out, _ = adapt_on_drift(params, recent, replay, weights, 0.1, position=4,
+                            inner_rate=0.1, outer_rate=1.0, inner_steps=2)
+    inner = inner_adapt(params, *recent, weights, 0.1, inner_rate=0.1, inner_steps=2)
+    target = lookahead(inner, *replay, weights, 0.1, inner_rate=0.1)
     for a, b in zip(out.matrices(), target.matrices()):
         assert np.array_equal(a, b)
 
 
 def test_adapt_zero_rate_is_identity_at_default_gamma():
     params, weights = toy_setup(seed=16)
-    cfg = bcfg(inner_rate=0.0)
     replay = rows(np.tile([0.0, 1.0], (BATCH, 1)), [1] * BATCH)
-    out, _ = adapt_on_drift(params, rows([[1.0, 0.0]], [0]), replay, weights, cfg, 0.1,
-                            position=2)
+    out, _ = adapt_on_drift(params, rows([[1.0, 0.0]], [0]), replay, weights, 0.1,
+                            position=2, inner_rate=0.0, outer_rate=0.5, inner_steps=5)
     for a, b in zip(out.matrices(), params.matrices()):
         assert np.array_equal(a, b)
 
@@ -234,8 +212,8 @@ def test_adapt_zero_rate_is_identity_at_default_gamma():
 def test_adapt_empty_memory_falls_back_to_inner_result():
     params, weights = toy_setup(seed=17)
     X, y = rows([[0.4, 0.6]], [1])
-    cfg = bcfg(inner_rate=0.05, inner_steps=1)
-    out, record = adapt_on_drift(params, (X, y), no_rows(), weights, cfg, 0.1, position=9)
+    out, record = adapt_on_drift(params, (X, y), no_rows(), weights, 0.1, position=9,
+                                 inner_rate=0.05, outer_rate=0.5, inner_steps=1)
     grads = backward(params, forward(params, X[0]), weights, 1, 0.1)
     expected = sgd_step(params, grads, 0.05)
     for a, b in zip(out.matrices(), expected.matrices()):
@@ -247,7 +225,7 @@ def test_adapt_empty_memory_falls_back_to_inner_result():
 def test_adapt_empty_buffer_rejected():
     params, weights = toy_setup()
     with pytest.raises(StateError):
-        adapt_on_drift(params, no_rows(), no_rows(), weights, bcfg(), 0.1)
+        adapt_on_drift(params, no_rows(), no_rows(), weights, 0.1, **RATES)
 
 
 def test_adapt_does_not_mutate_inputs():
@@ -257,7 +235,7 @@ def test_adapt_does_not_mutate_inputs():
     recent = rows([[0.3, 0.3]], [0])
     replay = rows(np.tile([0.6, -0.6], (32, 1)), [1] * 32)
     r_snap = [a.copy() for a in recent + replay]
-    adapt_on_drift(params, recent, replay, weights, bcfg(), 0.1, position=5)
+    adapt_on_drift(params, recent, replay, weights, 0.1, position=5, **RATES)
     for a, b in zip(params.matrices(), p_snap.matrices()):
         assert np.array_equal(a, b)
     assert np.array_equal(weights, w_snap)
@@ -276,7 +254,7 @@ def test_adapt_deterministic_given_seed():
     for _ in range(2):
         picked = mem.sample_batch(32, np.random.default_rng(42))
         out.append(adapt_on_drift(params, recent, (X[picked], y[picked]), weights,
-                                  bcfg(), 0.1, position=6)[0])
+                                  0.1, position=6, **RATES)[0])
     a, b = out
     for x, y in zip(a.matrices(), b.matrices()):
         assert np.array_equal(x, y)
@@ -286,10 +264,10 @@ def test_adapt_matches_scalar_hand_trace():
     params = tiny_params()
     weights = np.array([0.6, 0.4])
     recent = rows([[0.8], [-0.5]], [1, 0])
-    cfg = bcfg(inner_rate=0.05, outer_rate=0.25, inner_steps=3)
     # the batch a single-item memory yields: every draw lands on the lone item
     replay = rows(np.tile([0.3], (32, 1)), [1] * 32)
-    out, record = adapt_on_drift(params, recent, replay, weights, cfg, 0.0, position=11)
+    out, record = adapt_on_drift(params, recent, replay, weights, 0.0, position=11,
+                                 inner_rate=0.05, outer_rate=0.25, inner_steps=3)
 
     expected, target = tiny_net_adaptation(
         [0.9, 0.7],

@@ -1,13 +1,15 @@
 """Command-line behavior: exit codes, report files, grids, suite files."""
 
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bodl import cli
-from bodl.cli import ABLATION_LEARNERS, _parse_seeds, main
+from bodl.cli import ABLATION_LEARNERS, _parse_seeds, build_parser, main
 from bodl.errors import ConfigError
 from bodl.harness import MetricsReport, RunConfig
 
@@ -48,10 +50,20 @@ def test_parse_seeds_bad_text_names_the_option(text):
 
 
 def test_ablate_bad_seeds_exits_2(tmp_path, capsys):
-    assert run_cli("ablate", "--stream", "sea:seg=20", "--seeds", "a",
-                   "--out", str(tmp_path / "x.csv")) == 2
-    err = capsys.readouterr().err
-    assert "--seeds 'a'" in err and "invalid literal" not in err
+    # refused before any run: the table file is never opened
+    for text in ["a", "-2..-1"]:
+        assert run_cli("ablate", "--stream", "sea:seg=20", f"--seeds={text}",
+                       "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"--seeds {text!r}" in err and "invalid literal" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_flags_reach_every_runconfig_field():
+    # a RunConfig field without a `bodl run` flag could only be set from Python
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["run"]._actions}
+    assert {f.name for f in fields(RunConfig)} <= dests
 
 
 # ---------------------------------------------------------------- defaults

@@ -121,6 +121,27 @@ def test_validate_rejects_wrongly_typed_values(name, value):
         prequential_run(cfg)
 
 
+# Out-of-range values. Each message starts with the field's name, and each
+# is raised before the (nonsense) stream is built: a network shape of 0 used
+# to surface only after the whole stream was generated.
+OUT_OF_RANGE = [
+    ("inner_rate", -0.1),
+    ("outer_rate", 1.5),
+    ("outer_rate", -0.1),
+    ("inner_steps", 0),
+    ("hidden_layers", 0),
+    ("width", 0),
+]
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE,
+                         ids=[f"{name}={value}" for name, value in OUT_OF_RANGE])
+def test_validate_names_out_of_range_fields(name, value):
+    cfg = RunConfig(stream="definitely:not-valid", **{name: value})
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        prequential_run(cfg)
+
+
 def test_validate_accepts_ints_for_floats_and_none_for_lam():
     RunConfig("sea:seg=10", eta=1, lr=1, outer_rate=1, lam=None).validate()
     RunConfig("sea:seg=10", lam=1, detector_sensitivity=3).validate()
@@ -282,9 +303,9 @@ def test_drift_response_gets_the_window_and_replayed_rows(monkeypatch):
     learner = NetworkLearner(cfg, source, MetricsReport(classes=source.classes))
     calls = []
 
-    def recording(params, recent, replay, weights, bcfg, lam, position):
+    def recording(params, recent, replay, weights, lam, position, **rates):
         calls.append((recent, replay, position, list(learner.memory.items)))
-        return adapt_on_drift(params, recent, replay, weights, bcfg, lam, position)
+        return adapt_on_drift(params, recent, replay, weights, lam, position, **rates)
 
     monkeypatch.setattr(harness, "adapt_on_drift", recording)
     for inst in source:

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bodl.errors import ConfigError, InputError
-from bodl.harness import MetricsReport, NetworkLearner, RunConfig
 from bodl.hedge_net import (
     HEDGE_LOSS_CAP,
     WEIGHT_FLOOR,
@@ -25,7 +24,6 @@ from bodl.hedge_net import (
     total_loss,
 )
 from bodl.numerics import AdamState, adam_step
-from bodl.streams import StreamSource
 
 from oracles import (
     finite_difference_grads,
@@ -99,13 +97,6 @@ def test_config_validation():
         init_network((4, 0, 2, 15), 0)
     with pytest.raises(ConfigError, match="input dimension"):
         init_network((0, 30, 2, 15), 0)
-
-
-def test_default_weight_floor_scales_with_heads():
-    source = StreamSource([], 4, 2, "empty")
-    learner = NetworkLearner(RunConfig(source, hidden_layers=3, width=5), source,
-                             MetricsReport(classes=2))
-    assert learner.weight_floor == pytest.approx(1e-4 / 4)
 
 
 # ---------------------------------------------------------------- forward
@@ -305,19 +296,18 @@ def test_backward_deterministic():
 
 def test_hedge_equal_losses_leave_weights_unchanged():
     w = np.array([0.2, 0.3, 0.5])
-    out = hedge_update(w, np.full(3, 1.7), eta=0.01, weight_floor=1e-5)
+    out = hedge_update(w, np.full(3, 1.7), eta=0.01)
     assert np.allclose(out, w, atol=1e-15)
 
 
 def test_hedge_zero_losses_leave_weights_unchanged():
     w = np.array([0.25, 0.75])
-    out = hedge_update(w, np.zeros(2), eta=0.01, weight_floor=1e-5)
+    out = hedge_update(w, np.zeros(2), eta=0.01)
     assert np.allclose(out, w, atol=1e-15)
 
 
 def test_hedge_hand_computed_two_heads():
-    out = hedge_update(np.array([0.5, 0.5]), np.array([1.0, 0.0]),
-                       eta=0.01, weight_floor=5e-5)
+    out = hedge_update(np.array([0.5, 0.5]), np.array([1.0, 0.0]), eta=0.01)
     raw = [0.5 * math.exp(-0.01), 0.5]
     expected = [r / sum(raw) for r in raw]
     assert np.allclose(out, expected, atol=1e-12)
@@ -328,11 +318,11 @@ def test_hedge_hand_computed_two_heads():
 def test_hedge_weights_stay_on_floored_simplex():
     rng = np.random.default_rng(20)
     n = 5
-    floor = 1e-4 / n
+    floor = WEIGHT_FLOOR / n
     w = np.full(n, 1.0 / n)
     for _ in range(400):
         losses = rng.uniform(0.0, 30.0, size=n)
-        w = hedge_update(w, losses, eta=0.05, weight_floor=floor)
+        w = hedge_update(w, losses, eta=0.05)
         assert abs(float(w.sum()) - 1.0) <= 1e-10
         assert np.all(w >= floor - 1e-15)
 
@@ -340,21 +330,21 @@ def test_hedge_weights_stay_on_floored_simplex():
 def test_hedge_floor_prevents_head_death():
     w = np.array([0.5, 0.5])
     for _ in range(2000):
-        w = hedge_update(w, np.array([30.0, 0.0]), eta=0.1, weight_floor=1e-4)
-    assert w[0] >= 1e-4 - 1e-15
+        w = hedge_update(w, np.array([30.0, 0.0]), eta=0.1)
+    assert w[0] >= WEIGHT_FLOOR / 2 - 1e-15
     assert abs(float(w.sum()) - 1.0) <= 1e-10
 
 
 def test_hedge_monotonicity():
     # the lower-loss head must strictly gain relative to the higher-loss one
     w = np.array([0.4, 0.6])
-    out = hedge_update(w, np.array([0.2, 1.4]), eta=0.05, weight_floor=1e-6)
+    out = hedge_update(w, np.array([0.2, 1.4]), eta=0.05)
     assert out[0] / out[1] > w[0] / w[1]
 
 
 def test_hedge_loss_cap_keeps_weights_positive():
     w = np.array([0.5, 0.5])
-    out = hedge_update(w, np.array([1e9, 0.0]), eta=1.0, weight_floor=1e-6)
+    out = hedge_update(w, np.array([1e9, 0.0]), eta=1.0)
     assert np.all(out > 0)
     assert abs(float(out.sum()) - 1.0) <= 1e-10
 
@@ -364,8 +354,8 @@ def test_hedge_scale_invariance_of_prediction():
     w = rng.random(4)
     w /= w.sum()
     losses = rng.uniform(0, 3, size=4)
-    a = hedge_update(w, losses, eta=0.01, weight_floor=1e-5)
-    b = hedge_update(3.7 * w, losses, eta=0.01, weight_floor=1e-5)
+    a = hedge_update(w, losses, eta=0.01)
+    b = hedge_update(3.7 * w, losses, eta=0.01)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -393,11 +383,12 @@ def test_floor_and_renormalize_projects_onto_floored_simplex(case):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(simplex_inputs, st.data(), st.floats(1e-4, 10.0))
 def test_hedge_update_stays_on_floored_simplex(case, data, eta):
-    raw, floor = case
+    raw, _ = case
+    floor = WEIGHT_FLOOR / len(raw)
     weights = _floor_and_renormalize(raw, floor)
     losses = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(raw),
                                          max_size=len(raw))))
-    assert_on_floored_simplex(hedge_update(weights, losses, eta, floor), floor)
+    assert_on_floored_simplex(hedge_update(weights, losses, eta), floor)
 
 
 # Importances on the simplex, per-head losses and a rate. With `near_cap`
@@ -421,7 +412,7 @@ def test_hedge_update_matches_full_projection_bit_for_bit(case):
     if near_cap:
         losses = np.concatenate([losses[:1], losses[1:] + (HEDGE_LOSS_CAP - 5.0)])
     floor = WEIGHT_FLOOR / len(weights)
-    got = hedge_update(weights, losses, eta, floor)
+    got = hedge_update(weights, losses, eta)
     assert np.array_equal(got, reference_hedge_update(weights, losses, eta, floor,
                                                       HEDGE_LOSS_CAP))
 
@@ -429,9 +420,19 @@ def test_hedge_update_matches_full_projection_bit_for_bit(case):
 def test_hedge_update_floor_binds_in_the_pinned_examples():
     # the first example above must take the projection path, or the
     # bit-for-bit test would only ever see the fast path
-    out = hedge_update(np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), 1.0,
-                       WEIGHT_FLOOR / 4)
+    out = hedge_update(np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), 1.0)
     assert np.count_nonzero(out == WEIGHT_FLOOR / 4) == 3
+
+
+@pytest.mark.parametrize("heads", [2, 16])
+def test_hedge_floor_is_weight_floor_over_head_count(heads):
+    # every head but the first takes a capped loss at a rate that drives it
+    # far below any floor, so each is pinned at exactly WEIGHT_FLOOR / K
+    losses = np.full(heads, HEDGE_LOSS_CAP)
+    losses[0] = 0.0
+    out = hedge_update(np.full(heads, 1.0 / heads), losses, 1.0)
+    assert np.all(out[1:] == WEIGHT_FLOOR / heads)
+    assert out[0] == pytest.approx(1.0 - (heads - 1) * WEIGHT_FLOOR / heads, abs=1e-15)
 
 
 # ---------------------------------------------------------------- updates

@@ -143,6 +143,32 @@ def test_load_csv_header_only_rejected(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_blank_label_rejected(tmp_path):
+    # without the check the blank cell loads as a class of its own
+    p = write_lines(tmp_path / "nolabel.csv", "1,2,a\n3,4,\n5,6,b\n")
+    with pytest.raises(StreamFormatError, match="nolabel.csv line 2: blank label"):
+        load_csv(p)
+
+
+def test_load_csv_non_utf8_byte_reports_its_own_line(tmp_path):
+    # the text layer decodes ahead in chunks: with the bad byte on line 1500
+    # of 2000 the decode error fires while the reader is hundreds of lines
+    # earlier, so the line must come from the bytes
+    lines = [f"{i},{i % 7},{'ab'[i % 2]}".encode() for i in range(2000)]
+    lines[1499] = b"1,2,\xff"
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(StreamFormatError, match=r"latin.csv line 1500: byte 0xff is not UTF-8"):
+        load_csv(p)
+
+
+def test_load_csv_oversized_cell_reports_line(tmp_path):
+    # a cell over the csv module's 131,072-character field limit
+    p = write_lines(tmp_path / "wide.csv", "1,2,a\n3," + "4" * 140_000 + ",b\n5,6,a\n")
+    with pytest.raises(StreamFormatError, match="wide.csv line 2: field larger than field limit"):
+        load_csv(p)
+
+
 # ---------------------------------------------------------------- standardizer
 
 def test_standardizer_first_instance_maps_to_zero():
