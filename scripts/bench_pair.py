@@ -4,12 +4,13 @@
     python3 scripts/bench_pair.py PARENT --pr N              # sweep, write BENCH_N.json
     python3 scripts/bench_pair.py --compare BENCH_N.json     # print its table
 
-The sweep exports PARENT's tree under .bench_work/parent-<sha>/ and runs
-perfbench/run.py there and in this checkout (the change), one process at a
-time. On each of seeds 1-10 both sides run back to back, the parent first
-on odd seeds, at --trace 0; then seed 1 runs once more on each side at
---trace 1 for the per-layer spans. Workloads, metric directions and the run
-length come from BENCHMARK.json. Progress goes to stderr.
+The sweep exports PARENT's tree into a temporary .bench_work/parent-*/
+directory, removed when the sweep ends or fails, and runs perfbench/run.py
+there and in this checkout (the change), one process at a time. On each of
+seeds 1-10 both sides run back to back, the parent first on odd seeds, at
+--trace 0; then seed 1 runs once more on each side at --trace 1 for the
+per-layer spans. Workloads, metric directions and the run length come from
+BENCHMARK.json. Progress goes to stderr.
 
 The file holds, per workload: each end-to-end metric's medians, the
 parent's quartiles and the change's wins out of the pairs, the same from
@@ -28,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -37,19 +39,15 @@ SEEDS = list(range(1, 11))
 TRACE_SEED = 1
 
 
-def export_tree(commit: str) -> tuple[str, Path]:
-    """The commit's full sha, and its files under .bench_work/parent-<sha>/,
-    exported once. An exported tree, unlike a git worktree, leaves no record
-    in .git to prune."""
+def export_tree(commit: str, dest: Path) -> str:
+    """Extract the commit's files into `dest` and return its full sha. An
+    exported tree, unlike a git worktree, leaves no record in .git to prune."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{commit}^{{commit}}"], cwd=REPO,
                          check=True, capture_output=True, text=True).stdout.strip()
-    tree = WORK / f"parent-{sha[:12]}"
-    if not (tree / "perfbench" / "run.py").is_file():
-        tree.mkdir(parents=True, exist_ok=True)
-        archive = subprocess.run(["git", "archive", sha], cwd=REPO, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-    return sha, tree
+    archive = subprocess.run(["git", "archive", sha], cwd=REPO, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
@@ -183,16 +181,18 @@ def main(argv=None) -> int:
         if not args.parent or not args.pr:
             ap.error("a sweep needs PARENT and --pr")
         bench = json.loads((REPO / "BENCHMARK.json").read_text())
-        parent, tree = export_tree(args.parent)
-        trees = {"parent": tree, "change": REPO}
+        workloads = [w["name"] for w in bench["workloads"]]
+        WORK.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix="parent-", dir=WORK) as tree:
+            parent = export_tree(args.parent, Path(tree))
+            runs = sweep({"parent": Path(tree), "change": REPO}, workloads, SEEDS,
+                         bench["run_seconds"])
         change = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                                 cwd=REPO, capture_output=True, text=True).stdout.strip()
         meta = {"parent": parent, "change": change, "seeds": SEEDS,
                 "seconds": bench["run_seconds"], "trace_seed": TRACE_SEED,
                 "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                          "python": platform.python_version()}}
-        workloads = [w["name"] for w in bench["workloads"]]
-        runs = sweep(trees, workloads, SEEDS, bench["run_seconds"])
         doc = summarize(runs, bench, meta)
         (REPO / f"BENCH_{args.pr}.json").write_text(json.dumps(doc, indent=1, sort_keys=True)
                                                     + "\n")

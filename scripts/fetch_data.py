@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Download the benchmark CSVs used by the quantitative tests and CLI.
+"""Download the benchmark CSVs used by the quantitative tests.
 
 Run on a machine with internet access:
 
@@ -7,9 +7,9 @@ Run on a machine with internet access:
 
 writes data/pima.csv (768 rows, 8 features + 0/1 label) and data/magic.csv
 (19,020 rows, 10 features + g/h label), both headerless with the label in
-the last column, which is exactly the layout the csv: stream loader expects
-for the named datasets. Point BODL_DATA_DIR at the destination directory
-if it is not ./data relative to your working directory.
+the last column, the layout `load_csv` reads: run one with
+`bodl run --stream csv:data/pima.csv`. The tests look for the files under
+./data at the repository root, or under BODL_DATA_DIR if it is set.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Classic linear online learners and a test-then-train harness round out the
 benchmark tooling.
 """
 
-from .baselines import BASELINES, make_baseline
+from .baselines import BASELINES
 from .bilevel import adapt_on_drift, inner_adapt, lookahead, outer_interpolate
 from .drift import DRIFT, STABLE, DriftState, observe, reset
 from .errors import ConfigError, DivergenceError, InputError, StateError, StreamFormatError
@@ -70,7 +70,6 @@ __all__ = [
     "inner_adapt",
     "load_csv",
     "lookahead",
-    "make_baseline",
     "observe",
     "outer_interpolate",
     "parse_stream_spec",

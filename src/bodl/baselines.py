@@ -14,7 +14,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import aug
 
 C = 1.0                            # PA and SCW: cap on one step's size
 PHI = NormalDist().inv_cdf(0.9)    # CW and SCW: the 0.9 confidence quantile
@@ -33,12 +32,6 @@ class LinearBaseline:
         self.classes = classes
         self.w = np.zeros((classes, input_dim + 1))
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.w @ aug(x)
-
-    def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.scores(x)))
-
     def step(self, x: np.ndarray, y: int, position: int = -1) -> int:
         """Predict from pre-update weights, then learn; returns the prediction.
         `position` is accepted for the shared learner interface and unused."""
@@ -47,7 +40,7 @@ class LinearBaseline:
             raise InputError(f"feature shape {x.shape}, expected ({self.input_dim},)")
         if not 0 <= y < self.classes:
             raise InputError(f"label {y} outside 0..{self.classes - 1}")
-        xa = aug(x)
+        xa = np.append(x, 1.0)
         pred = int(np.argmax(self.w @ xa))
         self._begin_update()
         for c in range(self.classes):
@@ -182,11 +175,3 @@ BASELINES = {
     "arow": AROW,
     "scw": SCW,
 }
-
-
-def make_baseline(name: str, input_dim: int, classes: int, **hyper) -> LinearBaseline:
-    try:
-        cls = BASELINES[name]
-    except KeyError:
-        raise ConfigError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}")
-    return cls(input_dim, classes, **hyper)

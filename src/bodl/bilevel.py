@@ -26,21 +26,6 @@ def _mean_loss(params: NetworkParams, X: np.ndarray, y: np.ndarray,
     return total / len(X)
 
 
-def _mean_grad_step(params: NetworkParams, X: np.ndarray, y: np.ndarray,
-                    weights: np.ndarray, lam: float, rate: float) -> NetworkParams:
-    """One gradient step on the batch-averaged objective."""
-    acc = None
-    for x, label in zip(X, y):
-        acts = forward(params, x)
-        g = backward(params, acts, weights, label, lam).flat
-        if acc is None:
-            acc = g
-        else:
-            acc += g
-    acc *= 1.0 / len(X)
-    return sgd_step(params, params.with_flat(acc), rate)
-
-
 def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
                 lam: float, *, inner_rate: float, inner_steps: int) -> NetworkParams:
     """Refine a copy of the parameters on the recent drifted rows `(X, y)`.
@@ -64,7 +49,15 @@ def lookahead(adapted: NetworkParams, X: np.ndarray, y: np.ndarray,
     """One further step at `inner_rate` on the mean loss over a replayed batch `(X, y)`."""
     if not len(X):
         raise StateError("memory batch is empty")
-    return _mean_grad_step(adapted, X, y, weights, lam, inner_rate)
+    acc = None
+    for x, label in zip(X, y):
+        g = backward(adapted, forward(adapted, x), weights, label, lam).flat
+        if acc is None:
+            acc = g
+        else:
+            acc += g
+    acc *= 1.0 / len(X)
+    return sgd_step(adapted, adapted.with_flat(acc), inner_rate)
 
 
 def outer_interpolate(params: NetworkParams, target: NetworkParams,

@@ -25,7 +25,7 @@ ABLATION_LEARNERS = ("bodl-base", "bodl-1", "bodl-2")
 def _add_run_options(p: argparse.ArgumentParser, with_learner: bool = True) -> None:
     """RunConfig-backed flags; a flag left out is suppressed, so RunConfig's default applies."""
     p.add_argument("--stream", required=True,
-                   help="stream spec: csv:<path|name> | sea:... | hyperplane:...")
+                   help="stream spec: csv:<path> | sea:... | hyperplane:...")
     if with_learner:
         p.add_argument("--learner",
                        help="bodl-2 | bodl-1 | bodl-base | perceptron | romma | "
@@ -157,8 +157,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    entries = raw.get("runs") if isinstance(raw, dict) else raw
+    try:
+        entries = json.loads(Path(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config} line {exc.lineno}: {exc.msg}") from None
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{args.config}: expected a non-empty list of run entries")
     names = {f.name for f in fields(RunConfig)}

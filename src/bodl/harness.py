@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import drift as drift_mod
-from .baselines import BASELINES, make_baseline
+from .baselines import BASELINES
 from .bilevel import adapt_on_drift
 from .errors import ConfigError, DivergenceError, InputError
 from .hedge_net import (
@@ -79,24 +79,24 @@ class RunConfig:
     standardize: bool = True
     out: str | None = None
 
-    def resolve_learner(self) -> tuple[str, float, bool]:
-        """Returns (kind, similarity weight, bilevel enabled); rejects
-        contradictions like an explicit positive lam on the plain ablation."""
+    def resolve_learner(self) -> tuple[float, bool]:
+        """Returns (similarity weight, bilevel enabled); rejects contradictions
+        like an explicit positive lam on the plain ablation."""
         if self.learner in BASELINES:
-            return "baseline", 0.0, False
+            return 0.0, False
         if self.learner not in NETWORK_LEARNERS:
-            raise ConfigError(
-                f"unknown learner {self.learner!r}; choose from "
-                f"{list(NETWORK_LEARNERS) + sorted(BASELINES)}")
+            known = list(NETWORK_LEARNERS) + sorted(BASELINES)
+            raise ConfigError(f"learner must be one of {known}, got {self.learner!r}")
         if self.learner == "bodl-base":
             if self.lam not in (None, 0, 0.0):
-                raise ConfigError("bodl-base trains without the similarity term; "
-                                  "leave lam unset or 0")
-            return "network", 0.0, False
+                raise ConfigError("lam must be unset or 0: bodl-base trains without "
+                                  "the similarity term")
+            return 0.0, False
         lam = DEFAULT_SIMILARITY_WEIGHT if self.lam is None else float(self.lam)
         if lam <= 0.0:
-            raise ConfigError(f"{self.learner} requires a positive similarity weight")
-        return "network", lam, self.learner == "bodl-2"
+            raise ConfigError(f"lam must be positive: {self.learner} requires a "
+                              "similarity weight")
+        return lam, self.learner == "bodl-2"
 
     def validate(self) -> None:
         """Types (from the annotations), then ranges; a ConfigError names the
@@ -111,9 +111,9 @@ class RunConfig:
         if self.eta <= 0:
             raise ConfigError("eta must be positive")
         if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+            raise ConfigError("lr must be positive")
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.inner_rate < 0:
             raise ConfigError("inner_rate must be >= 0")
         if not 0.0 <= self.outer_rate <= 1.0:
@@ -221,12 +221,6 @@ def update_metrics(report: MetricsReport, predicted: int, actual: int) -> Metric
     return report
 
 
-def _resolve_stream(cfg: RunConfig) -> StreamSource:
-    if isinstance(cfg.stream, StreamSource):
-        return cfg.stream
-    return parse_stream_spec(str(cfg.stream), default_seed=cfg.seed)
-
-
 class NetworkLearner:
     """Hedged multi-depth network with drift detector, reservoir memory and, for
     bodl-2, drift adaptation; drift events and adaptations go to `report`.
@@ -236,7 +230,7 @@ class NetworkLearner:
     """
 
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
-        _, self.lam, self.use_bilevel = cfg.resolve_learner()
+        self.lam, self.use_bilevel = cfg.resolve_learner()
         self.cfg, self.report = cfg, report
         dims = (source.input_dim, cfg.width, source.classes, cfg.hidden_layers)
         root = np.random.SeedSequence(cfg.seed)
@@ -296,7 +290,8 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
     """Run one learner over one stream, scoring every prediction before the
     corresponding update. Returns the finalized report."""
     cfg.validate()
-    source = _resolve_stream(cfg)
+    source = (cfg.stream if isinstance(cfg.stream, StreamSource)
+              else parse_stream_spec(str(cfg.stream), default_seed=cfg.seed))
 
     report = MetricsReport(classes=source.classes)
     report.config = cfg.echo()
@@ -311,7 +306,7 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
 
     if cfg.learner in BASELINES:
         hyper = {"lr": cfg.lr} if cfg.learner == "ogd" else {}
-        learner = make_baseline(cfg.learner, source.input_dim, source.classes, **hyper)
+        learner = BASELINES[cfg.learner](source.input_dim, source.classes, **hyper)
     else:
         learner = NetworkLearner(cfg, source, report)
     for inst in source:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import AdamState, adam_step, cross_entropy, relu, softmax
+from .numerics import AdamState, adam_step, cross_entropy, softmax
 
 # Per-head losses are capped before exponentiation so exp(-eta * loss) cannot
 # underflow; unreachable in normal operation (the probability floor already
@@ -152,7 +152,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
     inputs, block = buf[:d + 1], buf[d + 1:].reshape(n, u + 1)
     prev = inputs
     for w, row in zip(params.layers, block):
-        relu(w @ prev, out=row[:-1])
+        np.maximum(w @ prev, 0.0, out=row[:-1])
         prev = row
     scores = np.empty((n + 1, c))
     np.matmul(params.heads[0], inputs, out=scores[0])

@@ -1,7 +1,7 @@
-"""Dense float64 kernels shared by every learner: activations, losses, Adam.
+"""Dense float64 kernels of the hedged network: softmax, cross-entropy, Adam.
 
-All functions are pure (they write only into arrays they allocate, or into
-an `out` the caller passes); optimizer state is passed in and returned.
+All functions are pure (they write only into arrays they allocate);
+optimizer state is passed in and returned.
 Everything runs in double precision so that analytic gradients can be
 checked against central finite differences.
 """
@@ -22,16 +22,6 @@ PROB_CLIP = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def aug(v: np.ndarray) -> np.ndarray:
-    """Append the bias constant 1."""
-    return np.append(v, 1.0)
-
-
-def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise max(0, v), written into `out` if given."""
-    return np.maximum(v, 0.0, out=out)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +19,6 @@ from .errors import ConfigError, StreamFormatError
 
 # thresholds on x0 + x1 for the piecewise SEA-style concept, cycled per segment
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
-
-# short names for bundled benchmark CSVs resolved under the data directory;
-# files are headerless with the label in the last column
-NAMED_DATASETS = {"pima": "pima.csv", "magic": "magic.csv"}
 
 # the options each generator's stream spec takes; a csv spec takes none
 SPEC_OPTIONS = {"sea": ("seg", "noise", "seed", "d"),
@@ -54,10 +49,6 @@ class StreamSource:
 
     def __len__(self) -> int:
         return len(self.instances)
-
-
-def data_dir() -> Path:
-    return Path(os.environ.get("BODL_DATA_DIR", "data"))
 
 
 def _csv_rows(path: Path):
@@ -262,26 +253,10 @@ def _number(opts: dict[str, str], key: str, kind: type, spec: str, default=None,
     return value
 
 
-def resolve_csv_path(token: str) -> Path:
-    """Map a csv token to a file: a literal path, or a known dataset name."""
-    p = Path(token)
-    if p.exists():
-        return p
-    name = token.lower()
-    if name in NAMED_DATASETS:
-        candidate = data_dir() / NAMED_DATASETS[name]
-        if candidate.exists():
-            return candidate
-        raise StreamFormatError(
-            f"dataset {name!r} not found at {candidate}; "
-            "run scripts/fetch_data.py or set BODL_DATA_DIR")
-    raise StreamFormatError(f"no such file or known dataset: {token!r}")
-
-
 def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
     """Build a stream from its one-line description.
 
-    ``csv:<path-or-name>`` (see ``load_csv``) or ``sea:``/``hyperplane:``
+    ``csv:<path>`` (see ``load_csv``) or ``sea:``/``hyperplane:``
     with ``seg=<n,n,...>`` and optional ``noise=``, ``seed=``, ``d=`` and, for
     ``hyperplane`` only, ``mode=redraw|flip``. Any other option is refused. A
     generator without an explicit seed uses ``default_seed``.
@@ -297,7 +272,7 @@ def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
         if not token.strip():
             raise ConfigError(f"csv spec {spec!r} is missing a path")
         _parse_kv(options, spec, ())
-        return load_csv(resolve_csv_path(token.strip()))
+        return load_csv(token.strip())
     if kind in SPEC_OPTIONS:
         opts = _parse_kv(body, spec, SPEC_OPTIONS[kind])
         if "seg" not in opts:

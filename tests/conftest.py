@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))   # for oracles.py
 
 
 def dataset_path(filename: str) -> Path:
-    """Where a named dataset file would live: $BODL_DATA_DIR or ./data."""
+    """Where a fetched dataset file lives: $BODL_DATA_DIR, or ./data at the repository root."""
     root = Path(os.environ.get("BODL_DATA_DIR", Path(__file__).resolve().parents[1] / "data"))
     return root / filename
 

@@ -15,7 +15,6 @@ from bodl.baselines import (
     ROMMA,
     SCW,
     Perceptron,
-    make_baseline,
 )
 from bodl.errors import ConfigError, InputError
 
@@ -35,11 +34,6 @@ def test_all_baselines_registered():
                                  "romma", "scw"]
 
 
-def test_make_baseline_unknown_name():
-    with pytest.raises(ConfigError):
-        make_baseline("svm", 3, 2)
-
-
 def test_constructor_validation():
     with pytest.raises(ConfigError):
         Perceptron(0, 2)
@@ -48,7 +42,7 @@ def test_constructor_validation():
 
 
 def test_input_validation():
-    model = make_baseline("pa", 3, 2)
+    model = BASELINES["pa"](3, 2)
     with pytest.raises(InputError):
         model.step(np.zeros(4), 0)
     with pytest.raises(InputError):
@@ -61,23 +55,23 @@ def test_input_validation():
 def test_first_prediction_ignores_label(name):
     # prediction must come from the pre-update weights: all-zero scores tie
     # to class 0 no matter which label arrives with the instance
-    model = make_baseline(name, 4, 3)
+    model = BASELINES[name](4, 3)
     assert model.step(np.array([1.0, -2.0, 0.5, 3.0]), 2) == 0
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))
 def test_learning_changes_later_predictions(name):
-    model = make_baseline(name, 2, 2)
+    model = BASELINES[name](2, 2)
     x = np.array([1.0, 0.5])
     model.step(x, 1)
-    assert model.predict(x) == 1
+    assert model.step(x, 1) == 1
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))
 def test_deterministic_replay(name):
     stream = random_stream(31, 40, 3, 3)
-    a = make_baseline(name, 3, 3)
-    b = make_baseline(name, 3, 3)
+    a = BASELINES[name](3, 3)
+    b = BASELINES[name](3, 3)
     preds_a = [a.step(x, y) for x, y in stream]
     preds_b = [b.step(x, y) for x, y in stream]
     assert preds_a == preds_b
@@ -85,11 +79,12 @@ def test_deterministic_replay(name):
 
 
 def test_scores_use_trailing_bias():
+    # the bias column decides the prediction: without it class 1 would win
     model = Perceptron(2, 2)
-    model.w = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]])
-    scores = model.scores(np.array([10.0, -1.0]))
-    assert scores[0] == pytest.approx(10.0 - 2.0 + 3.0, abs=1e-15)
-    assert scores[1] == pytest.approx(-1.0, abs=1e-15)
+    model.w = np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 0.0]])
+    assert model.step(np.array([2.0, 5.0]), 0) == 0
+    # class 1's wrong sign is corrected with the augmented vector [x; 1]
+    assert np.array_equal(model.w[1], np.array([-1.0, -5.0, -1.0]))
 
 
 # ---------------------------------------------------------------- perceptron
@@ -242,7 +237,7 @@ def test_arow_passive_beyond_unit_margin():
 
 @pytest.mark.parametrize("name", ["cw", "arow", "scw"])
 def test_variance_shrinks_and_stays_positive(name):
-    model = make_baseline(name, 3, 2)
+    model = BASELINES[name](3, 2)
     prev = model.sigma.copy()
     for x, y in random_stream(55, 60, 3, 2):
         model.step(x, y)

@@ -2,6 +2,7 @@
 schema, the pairing and the exit code. Nothing is timed."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -109,3 +110,35 @@ def test_run_without_result_line_counts_as_failed(tmp_path):
     assert w["failed"]["parent"] == 1
     assert w["per_layer"]["hedge_net.hedge_update_us"]["parent"] is None
     assert bench_pair.main(["--compare", str(path)]) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+@pytest.mark.parametrize("crash", [False, True], ids=["ends", "fails"])
+def test_sweep_leaves_no_exported_parent(tmp_path, monkeypatch, crash):
+    # a sweep in a temporary repo root, with the export stubbed and canned runs
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    monkeypatch.setattr(bench_pair, "REPO", tmp_path)
+    monkeypatch.setattr(bench_pair, "WORK", tmp_path / ".bench_work")
+
+    def fake_export(commit, dest):
+        (dest / "exported").write_text(commit)
+        return "abc"
+
+    real_sweep = bench_pair.sweep
+
+    def canned_sweep(trees, workloads, seeds, seconds):
+        assert (trees["parent"] / "exported").read_text() == "PARENT"
+        if crash:
+            raise RuntimeError("sweep died")
+        return real_sweep({"parent": "parent", "change": "change"}, workloads[:1],
+                          seeds[:2], seconds, canned)
+
+    monkeypatch.setattr(bench_pair, "export_tree", fake_export)
+    monkeypatch.setattr(bench_pair, "sweep", canned_sweep)
+    if crash:
+        with pytest.raises(RuntimeError):
+            bench_pair.main(["PARENT", "--pr", "x"])
+    else:
+        assert bench_pair.main(["PARENT", "--pr", "x"]) == 0
+        assert (tmp_path / "BENCH_x.json").is_file()
+    assert list((tmp_path / ".bench_work").iterdir()) == []

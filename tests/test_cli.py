@@ -131,8 +131,11 @@ def test_run_forwards_hyperparameters(tmp_path):
 
 
 def test_run_bad_stream_exits_2(capsys):
-    assert run_cli("run", "--stream", "nope:whatever", *FAST) == 2
-    assert "error:" in capsys.readouterr().err
+    # a csv spec names a file; `pima` is not one
+    for spec, message in [("nope:whatever", "unknown stream kind 'nope'"),
+                          ("csv:pima", "no such file: pima")]:
+        assert run_cli("run", "--stream", spec, *FAST) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_run_diverging_network_exits_2(capsys):
@@ -242,14 +245,19 @@ def test_bench_list_form(tmp_path, capsys):
     assert len(rows) == 3
     assert [r[0] for r in rows[1:]] == ["pa", "bodl-base"]
     assert "results written" in capsys.readouterr().out
+    out = tmp_path / "flat.csv"
+    assert run_cli("bench", "--config", str(suite), "--out", str(out)) == 0
+    assert read_rows(out) == rows
 
 
-def test_bench_dict_form_with_explicit_out(tmp_path):
+def test_bench_dict_form_with_explicit_out(tmp_path, capsys):
+    # a suite is a list; an object holding one is refused before any run
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"runs": bench_entries()}))
     out = tmp_path / "flat.csv"
-    assert run_cli("bench", "--config", str(suite), "--out", str(out)) == 0
-    assert len(read_rows(out)) == 3
+    assert run_cli("bench", "--config", str(suite), "--out", str(out)) == 2
+    assert "expected a non-empty list of run entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_per_entry_report_files(tmp_path):
@@ -338,6 +346,15 @@ def test_bench_empty_suite_exits_2(tmp_path):
     suite = tmp_path / "suite.json"
     suite.write_text("[]")
     assert run_cli("bench", "--config", str(suite)) == 2
+
+
+def test_bench_json_syntax_error_names_the_file(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text('[{"stream": "sea:seg=10",}]')
+    assert run_cli("bench", "--config", str(suite)) == 2
+    assert capsys.readouterr().err == (f"error: {suite} line 1: Expecting property name "
+                                       "enclosed in double quotes\n")
+    assert not (tmp_path / "suite.results.csv").exists()
 
 
 def test_bench_object_without_runs_exits_2(tmp_path, capsys):

@@ -39,11 +39,11 @@ def tiny_source(labels, dim=2, classes=2):
 
 def test_resolve_learner_variants():
     stream = "sea:seg=10"
-    assert RunConfig(stream, learner="bodl-2").resolve_learner() == ("network", 0.1, True)
-    assert RunConfig(stream, learner="bodl-1").resolve_learner() == ("network", 0.1, False)
-    assert RunConfig(stream, learner="bodl-base").resolve_learner() == ("network", 0.0, False)
-    assert RunConfig(stream, learner="bodl-2", lam=0.7).resolve_learner() == ("network", 0.7, True)
-    assert RunConfig(stream, learner="pa").resolve_learner() == ("baseline", 0.0, False)
+    assert RunConfig(stream, learner="bodl-2").resolve_learner() == (0.1, True)
+    assert RunConfig(stream, learner="bodl-1").resolve_learner() == (0.1, False)
+    assert RunConfig(stream, learner="bodl-base").resolve_learner() == (0.0, False)
+    assert RunConfig(stream, learner="bodl-2", lam=0.7).resolve_learner() == (0.7, True)
+    assert RunConfig(stream, learner="pa").resolve_learner() == (0.0, False)
 
 
 def test_resolve_learner_rejects_contradictions():
@@ -54,20 +54,20 @@ def test_resolve_learner_rejects_contradictions():
         RunConfig(stream, learner="bodl-2", lam=0.0).resolve_learner()
     with pytest.raises(ConfigError):
         RunConfig(stream, learner="bodl-1", lam=-0.5).resolve_learner()
-    with pytest.raises(ConfigError, match="unknown learner"):
+    with pytest.raises(ConfigError, match="^learner must be one of"):
         RunConfig(stream, learner="bodl-3").resolve_learner()
 
 
 def test_base_learner_accepts_explicit_zero_lam():
     assert RunConfig("sea:seg=10", learner="bodl-base", lam=0.0).resolve_learner() \
-        == ("network", 0.0, False)
+        == (0.0, False)
 
 
 def test_validate_runs_before_stream_parsing():
     # the config is checked first, so a bad learning rate surfaces even
     # though the stream spec is also nonsense
     cfg = RunConfig(stream="definitely:not-valid", lr=-1.0)
-    with pytest.raises(ConfigError, match="learning rate"):
+    with pytest.raises(ConfigError, match="^lr must be"):
         prequential_run(cfg)
 
 
@@ -121,23 +121,29 @@ def test_validate_rejects_wrongly_typed_values(name, value):
         prequential_run(cfg)
 
 
-# Out-of-range values. Each message starts with the field's name, and each
-# is raised before the (nonsense) stream is built: a network shape of 0 used
-# to surface only after the whole stream was generated.
+# Out-of-range values, each with any other fields it needs. Each message
+# starts with the field's name, and each is raised before the (nonsense)
+# stream is built: a network shape of 0 used to surface only after the whole
+# stream was generated.
 OUT_OF_RANGE = [
-    ("inner_rate", -0.1),
-    ("outer_rate", 1.5),
-    ("outer_rate", -0.1),
-    ("inner_steps", 0),
-    ("hidden_layers", 0),
-    ("width", 0),
+    ("inner_rate", -0.1, {}),
+    ("outer_rate", 1.5, {}),
+    ("outer_rate", -0.1, {}),
+    ("inner_steps", 0, {}),
+    ("hidden_layers", 0, {}),
+    ("width", 0, {}),
+    ("lr", -1.0, {}),
+    ("optimizer", "adagrad", {}),
+    ("lam", -0.5, {}),
+    ("lam", 0.3, {"learner": "bodl-base"}),   # the plain ablation takes no weight
+    ("learner", "nope", {}),
 ]
 
 
-@pytest.mark.parametrize("name, value", OUT_OF_RANGE,
-                         ids=[f"{name}={value}" for name, value in OUT_OF_RANGE])
-def test_validate_names_out_of_range_fields(name, value):
-    cfg = RunConfig(stream="definitely:not-valid", **{name: value})
+@pytest.mark.parametrize("name, value, others", OUT_OF_RANGE,
+                         ids=[f"{name}={value}" for name, value, _ in OUT_OF_RANGE])
+def test_validate_names_out_of_range_fields(name, value, others):
+    cfg = RunConfig(stream="definitely:not-valid", **others, **{name: value})
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         prequential_run(cfg)
 

@@ -418,8 +418,8 @@ def test_hedge_update_matches_full_projection_bit_for_bit(case):
 
 
 def test_hedge_update_floor_binds_in_the_pinned_examples():
-    # the first example above must take the projection path, or the
-    # bit-for-bit test would only ever see the fast path
+    # the first example above, and the regret bound's second, must take the
+    # projection path, or those tests would only ever see the fast path
     out = hedge_update(np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), 1.0)
     assert np.count_nonzero(out == WEIGHT_FLOOR / 4) == 3
 
@@ -433,6 +433,72 @@ def test_hedge_floor_is_weight_floor_over_head_count(heads):
     out = hedge_update(np.full(heads, 1.0 / heads), losses, 1.0)
     assert np.all(out[1:] == WEIGHT_FLOOR / heads)
     assert out[0] == pytest.approx(1.0 - (heads - 1) * WEIGHT_FLOOR / heads, abs=1e-15)
+
+
+def loss_rows(runs):
+    """A (steps, heads) loss array from (repeats, row) runs, cut at 300 steps."""
+    return np.concatenate([np.tile(row, (n, 1)) for n, row in runs])[:300]
+
+
+# Loss sequences for the regret bound and a rate: up to 300 steps for 1-16
+# heads, built from up to 12 runs of one repeated loss row (adversaries that
+# switch the best head are piecewise constant), with losses past the cap and
+# rates up to 5, where a head that loses by a few units drops to the floor.
+regret_cases = st.tuples(
+    st.integers(1, 16).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(1, 300), st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n)),
+        min_size=1, max_size=12)).map(loss_rows),
+    st.floats(0.0, 5.0, exclude_min=True))
+
+
+# Two heads; for 100 steps head 0 loses 60 and head 1 loses 50, equal once
+# capped, then head 0 is the better one by 10 per step. An update that
+# exponentiates uncapped losses moves importance to head 1 in the first run
+# and pays for it in the second.
+SWITCH_PAST_CAP = np.concatenate([np.tile([60.0, 50.0], (100, 1)),
+                                  np.tile([0.0, 10.0], (200, 1))])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(regret_cases)
+@example((SWITCH_PAST_CAP, 0.002))
+@example((np.tile([0.0, 50.0, 49.0, 60.0], (300, 1)), 1.0))   # pins 3 heads, see below
+def test_hedge_regret_bound(case):
+    """The hedge's loss is within the exponential-weights bound of the best head.
+
+    With capped losses l_t (T steps, K heads, start uniform, rate eta and
+    floor f = WEIGHT_FLOOR / K):
+
+        sum_t w_t.l_t <= min_i sum_t l_ti + ln(K)/eta + (eta/2) sum_t w_t.l_t^2
+                         + T * -ln(1 - WEIGHT_FLOOR) / eta
+
+    Derivation. Let u = w_t * exp(-eta l_t) / Z_t with Z_t = sum_j w_tj
+    exp(-eta l_tj), and L_i = sum_t l_ti. When no entry of u is below f,
+    w_t+1 = u. Otherwise each pass of the projection onto {w >= f, sum w = 1}
+    scales the entries still free by c = (1 - f p) / (their sum of u), p the
+    entries pinned so far, and c >= 1 - f K = 1 - WEIGHT_FLOOR because that
+    sum is at most 1. A free entry ends at c u_i; an entry pinned after a
+    pass ends at f > c u_i. So w_t+1,i >= (1 - WEIGHT_FLOOR) u_i for every
+    head i, and summing ln w_t+1,i - ln w_ti over the T steps with
+    w_1,i = 1/K and w_T+1,i <= 1 gives
+        sum_t ln Z_t >= -ln K + T ln(1 - WEIGHT_FLOOR) - eta L_i.
+    With exp(-x) <= 1 - x + x^2/2 for x >= 0 and ln(1 + y) <= y,
+        ln Z_t <= -eta w_t.l_t + (eta^2/2) w_t.l_t^2;
+    combine the two and divide by eta. The inequality is checked with
+    1e-9 relative slack for rounding.
+    """
+    losses, eta = case
+    steps, heads = losses.shape
+    used = np.empty_like(losses)            # row t: the importances that met step t
+    used[0] = 1.0 / heads
+    for t in range(1, steps):
+        used[t] = hedge_update(used[t - 1], losses[t - 1], eta)
+    capped = np.minimum(losses, HEDGE_LOSS_CAP)
+    mixed = float(np.sum(used * capped))
+    bound = (capped.sum(axis=0).min() + math.log(heads) / eta
+             + eta / 2 * float(np.sum(used * capped ** 2))
+             + steps * -math.log1p(-WEIGHT_FLOOR) / eta)
+    assert mixed <= bound * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------- updates

@@ -1,4 +1,4 @@
-"""Kernel checks: activations, loss clipping, Adam against a scalar oracle."""
+"""Kernel checks: softmax, loss clipping, Adam against a scalar oracle."""
 
 import math
 
@@ -6,31 +6,9 @@ import numpy as np
 import pytest
 
 from bodl.errors import InputError
-from bodl.numerics import PROB_CLIP, AdamState, adam_step, cross_entropy, relu, softmax
+from bodl.numerics import PROB_CLIP, AdamState, adam_step, cross_entropy, softmax
 
 from oracles import scalar_adam_step, scalar_softmax
-
-
-def test_relu_zero_fixed_point():
-    assert np.array_equal(relu(np.zeros(2)), np.zeros(2))
-
-
-def test_relu_definition_case():
-    assert np.array_equal(relu(np.array([-1.0, 2.0])), np.array([0.0, 2.0]))
-
-
-def test_relu_matches_scalar_loop():
-    v = np.random.default_rng(0).standard_normal(30)
-    expected = np.array([x if x > 0.0 else 0.0 for x in v])
-    assert np.array_equal(relu(v), expected)
-
-
-def test_relu_idempotent():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        v = rng.standard_normal(12) * rng.uniform(0.01, 1e3)
-        once = relu(v)
-        assert np.array_equal(relu(once), once)
 
 
 def test_softmax_symmetry():

@@ -10,11 +10,9 @@ from bodl.streams import (
     SEA_THRESHOLDS,
     Standardizer,
     StreamSource,
-    data_dir,
     gen_drift_stream,
     load_csv,
     parse_stream_spec,
-    resolve_csv_path,
     write_stream_csv,
 )
 
@@ -422,33 +420,13 @@ def test_parse_spec_unknown_option_lists_the_allowed_ones():
 
 # ---------------------------------------------------------------- paths
 
-def test_data_dir_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("BODL_DATA_DIR", str(tmp_path))
-    assert data_dir() == tmp_path
-    monkeypatch.delenv("BODL_DATA_DIR")
-    assert str(data_dir()) == "data"
-
-
-def test_resolve_literal_path(tmp_path):
-    p = write_lines(tmp_path / "x.csv", "1,a\n2,b\n")
-    assert resolve_csv_path(str(p)) == p
-
-
-def test_resolve_named_dataset(monkeypatch, tmp_path):
+def test_resolve_named_dataset_missing(monkeypatch, tmp_path):
+    # a csv spec is a path: a dataset name is not looked up anywhere, not even
+    # in BODL_DATA_DIR when that holds a file of the name
     monkeypatch.setenv("BODL_DATA_DIR", str(tmp_path))
     write_lines(tmp_path / "pima.csv", "1,2,0\n3,4,1\n")
-    assert resolve_csv_path("pima") == tmp_path / "pima.csv"
-
-
-def test_resolve_named_dataset_missing(monkeypatch, tmp_path):
-    monkeypatch.setenv("BODL_DATA_DIR", str(tmp_path / "empty"))
-    with pytest.raises(StreamFormatError, match="fetch_data"):
-        resolve_csv_path("pima")
-
-
-def test_resolve_unknown_token():
-    with pytest.raises(StreamFormatError, match="known dataset"):
-        resolve_csv_path("not-a-file-or-name")
+    with pytest.raises(StreamFormatError, match="^no such file: pima$"):
+        parse_stream_spec("csv:pima")
 
 
 # ---------------------------------------------------------------- round trip
