@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DivergenceError, InputError
 
 C = 1.0                            # PA and SCW: cap on one step's size
 PHI = NormalDist().inv_cdf(0.9)    # CW and SCW: the 0.9 confidence quantile
@@ -34,14 +34,18 @@ class LinearBaseline:
 
     def step(self, x: np.ndarray, y: int, position: int = -1) -> int:
         """Predict from pre-update weights, then learn; returns the prediction.
-        `position` is accepted for the shared learner interface and unused."""
+        Raises DivergenceError(position) before any update if a score is not
+        finite."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
             raise InputError(f"feature shape {x.shape}, expected ({self.input_dim},)")
         if not 0 <= y < self.classes:
             raise InputError(f"label {y} outside 0..{self.classes - 1}")
         xa = np.append(x, 1.0)
-        pred = int(np.argmax(self.w @ xa))
+        scores = (self.w @ xa).tolist()
+        if not math.isfinite(sum(scores)):
+            raise DivergenceError(position)
+        pred = scores.index(max(scores))   # first maximum, as np.argmax
         self._begin_update()
         for c in range(self.classes):
             self._update_binary(c, xa, 1.0 if c == y else -1.0)

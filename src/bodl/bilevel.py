@@ -100,11 +100,9 @@ def adapt_on_drift(params: NetworkParams, recent: tuple[np.ndarray, np.ndarray],
     RunConfig range-checks the rates and the step count; nothing here does.
     """
     X, y = recent
-    if not len(X):
-        raise StateError("recent window is empty; nothing to adapt on")
-    loss_before = _mean_loss(params, X, y, weights, lam)
     adapted = inner_adapt(params, X, y, weights, lam, inner_rate=inner_rate,
                           inner_steps=inner_steps)
+    loss_before = _mean_loss(params, X, y, weights, lam)
     loss_after = _mean_loss(adapted, X, y, weights, lam)
     if len(replay[0]):
         target = lookahead(adapted, *replay, weights, lam, inner_rate=inner_rate)

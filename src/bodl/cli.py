@@ -79,8 +79,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _write_report(report: MetricsReport, path: str, timing: bool) -> None:
     target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
+    target.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(report.as_dict(include_timing=timing), sort_keys=True, indent=2)
     target.write_text(text + "\n")
 

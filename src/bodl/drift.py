@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
-STABLE = "stable"
-DRIFT = "drift"
-
 
 @dataclass
 class DriftState:
@@ -34,12 +31,12 @@ class DriftState:
         return self.min_rate + self.sensitivity * self.min_std
 
 
-def observe(state: DriftState, error: int) -> tuple[DriftState, str]:
-    """Fold one 0/1 error bit into the statistics and classify the stream.
+def observe(state: DriftState, error: int) -> tuple[DriftState, bool]:
+    """Fold one 0/1 error bit into the statistics and judge the stream.
 
-    Returns the new state and "stable" or "drift". On "drift" the caller must
-    call `reset`; the statistics are left as they were at the firing point for
-    logging.
+    Returns the new state and whether a drift fired. After a drift the caller
+    must call `reset`; the statistics are left as they were at the firing point
+    for logging.
     """
     if error not in (0, 1):
         raise InputError(f"error bit must be 0 or 1, got {error!r}")
@@ -47,18 +44,17 @@ def observe(state: DriftState, error: int) -> tuple[DriftState, str]:
     p = state.error_rate + (error - state.error_rate) / t
     s = math.sqrt(p * (1.0 - p) / t)
     min_rate, min_std = state.min_rate, state.min_std
-    status = STABLE
+    drifted = False
     # Minima are only tracked (and drift only judged) once enough instances
     # accumulated; earlier minima would lock onto small-sample flukes and
     # fire constantly on stationary streams.
     if t >= state.min_instances:
         if p + s < min_rate + min_std:
             min_rate, min_std = p, s
-        if p + s > min_rate + state.sensitivity * min_std:
-            status = DRIFT
+        drifted = p + s > min_rate + state.sensitivity * min_std
     new_state = DriftState(state.min_instances, state.sensitivity,
                            t, p, s, min_rate, min_std)
-    return new_state, status
+    return new_state, drifted
 
 
 def reset(state: DriftState) -> DriftState:

@@ -18,9 +18,9 @@ class StreamFormatError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """A learner's training loss stopped being finite; `position` is the
-    stream position of the instance that produced it."""
+    """A learner's training loss or prediction scores stopped being finite;
+    `position` is the stream position of the instance that produced them."""
 
     def __init__(self, position: int):
-        super().__init__(f"training loss is not finite at stream position {position}")
+        super().__init__(f"training loss or scores not finite at stream position {position}")
         self.position = position

@@ -258,9 +258,9 @@ class NetworkLearner:
         if not math.isfinite(loss):
             raise DivergenceError(position)
         self.weights = hedge_update(self.weights, per_head, self.cfg.eta)
-        self.detector, status = drift_mod.observe(self.detector, int(pred != y))
+        self.detector, drifted = drift_mod.observe(self.detector, int(pred != y))
         adapted = False
-        if status == drift_mod.DRIFT:
+        if drifted:
             self.report.drift_events.append({
                 "position": int(position),
                 "error_rate": float(self.detector.error_rate),
@@ -268,8 +268,7 @@ class NetworkLearner:
             })
             if self.use_bilevel:
                 lo = max(0, t + 1 - self.cfg.recent_window)
-                rows = (self.memory.sample_batch(self.cfg.memory_batch, self.rng)
-                        if len(self.memory) else [])
+                rows = self.memory.sample_batch(self.cfg.memory_batch, self.rng)
                 self.params, record = adapt_on_drift(
                     self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
                     (self.X[rows], self.y[rows]), self.weights, self.lam, position,

@@ -242,11 +242,11 @@ def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
 
     Entries at the floor are pinned there; the rest share the remaining mass
     proportionally. Iterates because renormalization can push new entries
-    below the floor.
+    below the floor. Returns within K - 1 passes for K entries: with
+    floor * K < 1 the largest free entry never falls below the floor.
     """
-    n = len(raw)
-    fixed = np.zeros(n, dtype=bool)
-    for _ in range(n):
+    fixed = np.zeros(len(raw), dtype=bool)
+    while True:
         free = ~fixed
         free_mass = 1.0 - floor * np.count_nonzero(fixed)
         scaled = np.where(fixed, floor, raw * (free_mass / raw[free].sum()))
@@ -254,7 +254,6 @@ def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
         if not below.any():
             return scaled
         fixed |= below
-    return np.full(n, 1.0 / n)   # unreachable while floor * n < 1
 
 
 def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float) -> np.ndarray:

@@ -40,7 +40,5 @@ class EpisodicMemory:
         """k items drawn uniformly with replacement."""
         if not self.items:
             raise StateError("cannot sample from an empty memory")
-        if k <= 0:
-            return []
         idx = rng.integers(0, len(self.items), size=k)
         return [self.items[i] for i in idx]

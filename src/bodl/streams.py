@@ -83,7 +83,7 @@ def load_csv(path: str | Path) -> StreamSource:
     with their line number, as are the read errors of `_csv_rows`.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise StreamFormatError(f"no such file: {path}")
     label_map: dict[str, int] = {}
     instances: list[StreamInstance] = []
@@ -199,8 +199,6 @@ def gen_drift_stream(
         else:
             if w is None or mode == "redraw":
                 w = rng.standard_normal(dim)
-                while not np.any(w):
-                    w = rng.standard_normal(dim)
             else:
                 w = -w
         for _ in range(int(seg_len)):

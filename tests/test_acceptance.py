@@ -20,7 +20,7 @@ from bodl.bilevel import (
     lookahead,
 )
 from bodl.cli import main as cli_main
-from bodl.drift import DRIFT, DriftState, observe, reset
+from bodl.drift import DriftState, observe, reset
 from bodl.harness import RunConfig, prequential_run
 from bodl.hedge_net import (
     NetworkParams,
@@ -160,8 +160,8 @@ def test_error_rate_step_is_detected_quickly():
                                rng.random(800) < 0.6]).astype(np.int64)
         state = DriftState()
         for pos, bit in enumerate(bits):
-            state, status = observe(state, int(bit))
-            if status == DRIFT:
+            state, drifted = observe(state, int(bit))
+            if drifted:
                 if pos >= 500:
                     if pos < 800:
                         detected += 1
@@ -181,8 +181,8 @@ def test_false_alarm_rate_is_low():
         bits = (rng.random(10_000) < 0.2).astype(np.int64)
         state = DriftState()
         for bit in bits:
-            state, status = observe(state, int(bit))
-            if status == DRIFT:
+            state, drifted = observe(state, int(bit))
+            if drifted:
                 total += 1
                 state = reset(state)
     mean_fa = total / 100.0

@@ -147,6 +147,16 @@ def test_run_diverging_network_exits_2(capsys):
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_run_diverging_baseline_exits_2(capsys):
+    # ROMMA assumes separable data; on this noisy stream its weights reach inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("run", "--learner", "romma", "--stream",
+                       "sea:seg=3000,3000,3000;noise=0.2", "--seed", "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite at stream position 4508" in err
+
+
 def test_run_unknown_learner_exits_2(capsys):
     assert run_cli("run", "--stream", "sea:seg=20", "--learner", "bodl-9") == 2
     assert "error:" in capsys.readouterr().err

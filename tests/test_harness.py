@@ -301,6 +301,16 @@ def test_adaptations_follow_drift_events_one_to_one():
         assert a["shift_norm"] >= 0.0
 
 
+def test_earliest_drifts_replay_a_full_batch():
+    # a fresh detector cannot fire on its first observation, so the memory
+    # holds row 0 whenever a drift fires, even at position 1
+    cfg = fast_config("bodl-2", detector_min_instances=1, detector_sensitivity=0.5)
+    report = prequential_run(cfg)
+    assert len(report.adaptations) > 10
+    assert report.adaptations[0]["position"] == 1
+    assert all(a["memory_batch"] == cfg.memory_batch for a in report.adaptations)
+
+
 def test_drift_response_gets_the_window_and_replayed_rows(monkeypatch):
     # the learner's history arrays and its row-number memory hand the drift
     # response exactly the stream's last rows and rows the memory kept
@@ -375,6 +385,16 @@ def test_divergence_is_caught_before_the_importances_update():
     assert info.value.position == inst.position
     assert np.all(np.isfinite(learner.weights))
     assert abs(float(learner.weights.sum()) - 1.0) <= 1e-12
+
+
+def test_diverging_baseline_stops_with_its_position():
+    # ROMMA's weights reach inf on this noisy stream; the first non-finite
+    # scores come at position 4508
+    cfg = RunConfig("sea:seg=3000,3000,3000;noise=0.2", learner="romma", seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            prequential_run(cfg)
+    assert info.value.position == 4508
 
 
 def test_run_is_deterministic():

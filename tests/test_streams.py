@@ -1,5 +1,7 @@
 """CSV ingestion, online standardization, synthetic generators, spec grammar."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,11 @@ def test_load_csv_single_label_rejected(tmp_path):
 def test_load_csv_missing_file():
     with pytest.raises(StreamFormatError, match="no such file"):
         load_csv("/nonexistent/nowhere.csv")
+
+
+def test_parse_spec_csv_directory_is_no_such_file(tmp_path):
+    with pytest.raises(StreamFormatError, match=f"^no such file: {re.escape(str(tmp_path))}$"):
+        parse_stream_spec(f"csv:{tmp_path}")
 
 
 def test_load_csv_blank_lines_skipped(tmp_path):
