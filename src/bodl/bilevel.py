@@ -30,17 +30,16 @@ def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np
                 lam: float, *, inner_rate: float, inner_steps: int) -> NetworkParams:
     """Refine a copy of the parameters on the recent drifted rows `(X, y)`.
 
-    `inner_steps` plain single-row gradient steps at `inner_rate`, cycling
-    through the rows in order; head importances stay frozen.
-    """
+    `inner_steps` plain single-row gradient steps at `inner_rate` on the copy,
+    in place (rounded as a chain of `sgd_step`s), cycling through the rows in
+    order; head importances stay frozen."""
     if not len(X):
         raise StateError("recent window is empty; nothing to adapt on")
     adapted = params.copy()
     for i in range(inner_steps):
         k = i % len(X)
         acts = forward(adapted, X[k])
-        grads = backward(adapted, acts, weights, y[k], lam)
-        adapted = sgd_step(adapted, grads, inner_rate)
+        adapted.flat -= inner_rate * backward(adapted, acts, weights, y[k], lam).flat
     return adapted
 
 
@@ -93,10 +92,10 @@ def adapt_on_drift(params: NetworkParams, recent: tuple[np.ndarray, np.ndarray],
     record of it (position, loss before and after the inner refinement, the
     distance to the look-ahead copy, and the replay batch size).
 
-    `recent` and `replay` are `(X, y)` pairs of rows and labels. With no
-    replay rows (empty memory) the inner refinement is returned directly;
-    otherwise the look-ahead copy is built on the replay batch and the main
-    parameters are interpolated the fraction `outer_rate` toward it.
+    `recent` and `replay` are `(X, y)` pairs of rows and labels. The
+    look-ahead copy is built on the replay batch (an empty one raises
+    StateError) and the main parameters are interpolated the fraction
+    `outer_rate` toward it.
     RunConfig range-checks the rates and the step count; nothing here does.
     """
     X, y = recent
@@ -104,12 +103,8 @@ def adapt_on_drift(params: NetworkParams, recent: tuple[np.ndarray, np.ndarray],
                           inner_steps=inner_steps)
     loss_before = _mean_loss(params, X, y, weights, lam)
     loss_after = _mean_loss(adapted, X, y, weights, lam)
-    if len(replay[0]):
-        target = lookahead(adapted, *replay, weights, lam, inner_rate=inner_rate)
-        new_params = outer_interpolate(params, target, outer_rate)
-    else:
-        target = new_params = adapted
-    return new_params, {
+    target = lookahead(adapted, *replay, weights, lam, inner_rate=inner_rate)
+    return outer_interpolate(params, target, outer_rate), {
         "position": int(position),
         "loss_before": float(loss_before),
         "loss_after": float(loss_after),

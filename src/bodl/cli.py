@@ -15,6 +15,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DivergenceError
 from .harness import MetricsReport, RunConfig, prequential_run
 from .streams import parse_stream_spec, write_stream_csv
@@ -230,7 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run ends in DivergenceError; numpy's warnings would precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, DivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

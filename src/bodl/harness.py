@@ -249,7 +249,7 @@ class NetworkLearner:
         """Predict, then learn; returns the prediction. Raises DivergenceError
         before the importances or parameters change if the loss is not finite."""
         acts = forward(self.params, x)
-        pred = int(np.argmax(predict_ensemble(acts, self.weights)))
+        pred = int(predict_ensemble(acts, self.weights).argmax())
 
         t = self.t
         self.t += 1

@@ -145,7 +145,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
     d, u, c, n = params.dims
     if x.shape != (d,):
         raise InputError(f"input has shape {x.shape}, expected ({d},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("input contains non-finite values")
     buf = np.ones(d + 1 + n * (u + 1))
     buf[:d] = x

@@ -25,10 +25,11 @@ ADAM_EPS = 1e-8
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis: shifts by the max so exp never overflows."""
-    z = v - np.max(v, axis=-1, keepdims=True)
+    """Stable softmax over the last axis: shifts by the max so exp never overflows.
+    Array-method reductions: np.max/np.sum's ufunc reduce without their wrappers."""
+    z = v - v.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(dist: np.ndarray, label: int) -> np.ndarray | float:
