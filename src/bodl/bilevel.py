@@ -13,17 +13,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StateError
-from .hedge_net import NetworkParams, backward, flat_pair, forward, sgd_step, total_loss
+from .hedge_net import (
+    NetworkParams,
+    backward,
+    backward_sum,
+    flat_pair,
+    forward,
+    forward_rows,
+    row_losses,
+    sgd_step,
+)
 
 
 def _mean_loss(params: NetworkParams, X: np.ndarray, y: np.ndarray,
                weights: np.ndarray, lam: float) -> float:
-    total = 0.0
-    for x, label in zip(X, y):
-        acts = forward(params, x)
-        loss, _ = total_loss(acts, weights, label, lam)
-        total += loss
-    return total / len(X)
+    """Mean of the rows' `total_loss`, added in row order."""
+    return np.add.accumulate(row_losses(forward_rows(params, X), weights, y, lam))[-1] / len(X)
 
 
 def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
@@ -39,24 +44,20 @@ def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np
     for i in range(inner_steps):
         k = i % len(X)
         acts = forward(adapted, X[k])
-        adapted.flat -= inner_rate * backward(adapted, acts, weights, y[k], lam).flat
+        adapted.flat -= inner_rate * backward(adapted, acts, weights, y[k], lam)
     return adapted
 
 
 def lookahead(adapted: NetworkParams, X: np.ndarray, y: np.ndarray,
               weights: np.ndarray, lam: float, *, inner_rate: float) -> NetworkParams:
-    """One further step at `inner_rate` on the mean loss over a replayed batch `(X, y)`."""
+    """One further step at `inner_rate` on the mean loss over a replayed batch `(X, y)`.
+
+    The rows' gradients are summed in row order by one stacked call."""
     if not len(X):
         raise StateError("memory batch is empty")
-    acc = None
-    for x, label in zip(X, y):
-        g = backward(adapted, forward(adapted, x), weights, label, lam).flat
-        if acc is None:
-            acc = g
-        else:
-            acc += g
-    acc *= 1.0 / len(X)
-    return sgd_step(adapted, adapted.with_flat(acc), inner_rate)
+    grad = backward_sum(adapted, forward_rows(adapted, X), weights, y, lam)
+    grad *= 1.0 / len(X)
+    return sgd_step(adapted, grad, inner_rate)
 
 
 def outer_interpolate(params: NetworkParams, target: NetworkParams,

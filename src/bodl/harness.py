@@ -278,8 +278,8 @@ class NetworkLearner:
                 adapted = True
             self.detector = drift_mod.reset(self.detector)
         if not adapted:
-            grads = backward(self.params, acts, self.weights, y, self.lam)
-            self.params, self.opt_state = apply_update(self.params, grads, self.opt_state,
+            grad = backward(self.params, acts, self.weights, y, self.lam)
+            self.params, self.opt_state = apply_update(self.params, grad, self.opt_state,
                                                        self.cfg.lr)
         self.memory.maybe_insert(t, self.rng)
         return pred

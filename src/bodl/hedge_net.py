@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import AdamState, adam_step, cross_entropy, softmax
+from .numerics import AdamState, adam_step, check_label, cross_entropy, softmax
 
 # Per-head losses are capped before exponentiation so exp(-eta * loss) cannot
 # underflow; unreachable in normal operation (the probability floor already
@@ -34,6 +34,17 @@ def _shapes(dims: tuple) -> list:
     """Matrix shapes in `matrices()` order for dims (input_dim, width, classes, N)."""
     d, u, c, n = dims
     return [(u, d + 1)] + [(u, u + 1)] * (n - 1) + [(c, d + 1)] + [(c, u + 1)] * n
+
+
+def _blocks(flat: np.ndarray, dims: tuple) -> tuple:
+    """Views of a parameter-sized vector as layer 1, layers 2..N stacked,
+    head 0 and heads 1..N stacked."""
+    d, u, c, n = dims
+    first = u * (d + 1)                       # end of layers[0]
+    head0 = first + (n - 1) * u * (u + 1)     # start of heads[0]
+    head1 = head0 + c * (d + 1)               # start of heads[1]
+    return (flat[:first].reshape(u, d + 1), flat[first:head0].reshape(n - 1, u, u + 1),
+            flat[head0:head1].reshape(c, d + 1), flat[head1:].reshape(n, c, u + 1))
 
 
 class NetworkParams:
@@ -66,22 +77,22 @@ class NetworkParams:
         self._bind(np.concatenate([m.ravel() for m in mats]), dims)
 
     def _bind(self, flat: np.ndarray, dims: tuple) -> None:
-        d, u, c, n = dims
-        first = u * (d + 1)                       # end of layers[0]
-        head0 = first + (n - 1) * u * (u + 1)     # start of heads[0]
-        head1 = head0 + c * (d + 1)               # start of heads[1]
         self.flat, self.dims = flat, dims
-        self.deep_layers = flat[first:head0].reshape(n - 1, u, u + 1)
-        self.layers = (flat[:first].reshape(u, d + 1), *self.deep_layers)
-        self.hidden_heads = flat[head1:].reshape(n, c, u + 1)
-        self.heads = (flat[head0:head1].reshape(c, d + 1), *self.hidden_heads)
+        layer0, self.deep_layers, head0, self.hidden_heads = _blocks(flat, dims)
+        self.layers = (layer0, *self.deep_layers)
+        self.heads = (head0, *self.hidden_heads)
+
+    def checked(self, vec: np.ndarray) -> np.ndarray:
+        """`vec` itself, after checking it holds one value per parameter."""
+        if vec.shape != self.flat.shape:
+            raise InputError(f"vector of shape {vec.shape} for the {self.flat.size} "
+                             f"parameters of network dims {self.dims}")
+        return vec
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParams":
         """Same dims, viewing `flat` (not copied)."""
-        if flat.shape != self.flat.shape:
-            raise InputError(f"vector of shape {flat.shape} for {self.flat.size} parameters")
         other = NetworkParams.__new__(NetworkParams)
-        other._bind(flat, self.dims)
+        other._bind(self.checked(flat), self.dims)
         return other
 
     def copy(self) -> "NetworkParams":
@@ -100,7 +111,8 @@ def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class LayerActivations:
-    """Forward-pass record: slices of the one buffer `forward` fills."""
+    """Forward-pass record: slices of the one buffer `forward` fills. A
+    `forward_rows` record has the same fields with a leading row axis."""
 
     inputs: np.ndarray   # [x; 1]
     block: np.ndarray    # (N, width + 1): row n-1 is [h_n; 1], h_n post-ReLU
@@ -160,6 +172,40 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
     return LayerActivations(inputs, block, softmax(scores))
 
 
+def _matvecs(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`m @ r` for each row r of a (B, k) stack. The trailing length-1 axis
+    makes numpy call the same BLAS mat-vec per row that `m @ r` calls, so
+    every row keeps its bits; `rows @ m.T` would be one gemm, which adds in
+    another order."""
+    return np.matmul(m, rows[:, :, None])[:, :, 0]
+
+
+def forward_rows(params: NetworkParams, X: np.ndarray) -> LayerActivations:
+    """`forward` over a (B, input_dim) stack of rows, each row bit for bit.
+
+    The record's arrays are `forward`'s with a leading row axis. One row goes
+    faster through `forward`, so only the drift response's batches come here.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    d, u, c, n = params.dims
+    if X.ndim != 2 or X.shape[1] != d:
+        raise InputError(f"input stack has shape {X.shape}, expected (rows, {d})")
+    if not np.isfinite(X).all():
+        raise InputError("input contains non-finite values")
+    rows = len(X)
+    buf = np.ones((rows, d + 1 + n * (u + 1)))
+    buf[:, :d] = X
+    inputs, block = buf[:, :d + 1], buf[:, d + 1:].reshape(rows, n, u + 1)
+    prev = inputs
+    for i, w in enumerate(params.layers):
+        np.maximum(_matvecs(w, prev), 0.0, out=block[:, i, :-1])
+        prev = block[:, i]
+    scores = np.empty((rows, n + 1, c))
+    np.matmul(params.heads[0], inputs[:, :, None], out=scores[:, 0, :, None])
+    np.matmul(params.hidden_heads, block[:, :, :, None], out=scores[:, 1:, :, None])
+    return LayerActivations(inputs, block, softmax(scores))
+
+
 def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
     """Importance-weighted vote over the heads; a probability vector."""
     return weights @ acts.probs
@@ -188,40 +234,48 @@ def total_loss(acts: LayerActivations, weights: np.ndarray, y: int,
     return float(weights @ per_head + lam * _similarity_penalty(acts.block[:, :-1])), per_head
 
 
-def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
-             y: int, lam: float) -> NetworkParams:
-    """Exact gradient of `total_loss` w.r.t. every matrix.
+def row_losses(acts: LayerActivations, weights: np.ndarray, y: np.ndarray,
+               lam: float) -> np.ndarray:
+    """`total_loss`'s objective for each row of a `forward_rows` record with
+    labels `y`, bit for bit: each row's head losses meet the importances in
+    one dot product, and its penalty pairs are added in order."""
+    per_head = cross_entropy(acts.probs, y)
+    hidden = acts.block[:, :, :-1]
+    n = hidden.shape[1]
+    penalty = 0.0
+    if n >= 2:
+        diffs = hidden[:, :-1] - hidden[:, 1:]
+        squares = np.matmul(diffs[:, :, None, :], diffs[:, :, :, None])[:, :, 0, 0]
+        penalty = np.add.accumulate(squares, axis=1)[:, -1] / (n - 1)
+    return np.matmul(weights, per_head[:, :, None])[:, 0] + lam * penalty
 
-    Head importances are treated as constants. Head n backpropagates into
-    layers 1..n scaled by its importance; the similarity penalty contributes
-    through both members of each consecutive pair. Every head's gradient and
-    back-projection is computed at once; only the chain through the hidden
-    layers is a loop, and every layer's outer product is taken after it.
-    """
-    probs = acts.probs
-    n = len(params.layers)
-    if not len(weights) == len(probs) == len(params.heads):
+
+def _check_heads(params: NetworkParams, acts: LayerActivations, weights: np.ndarray) -> None:
+    # the gradient vector starts uninitialized, so a head without an
+    # importance or an output must be an error, not an unwritten matrix
+    heads = acts.probs.shape[-2]
+    if not len(weights) == heads == len(params.heads):
         raise InputError(f"{len(params.heads)} heads, but {len(weights)} importances and "
-                         f"{len(probs)} head outputs")
-    inputs, block = acts.inputs, acts.block
-    hidden = block[:, :-1]
-    e_y = np.zeros(probs.shape[1])
-    e_y[y] = 1.0
-    grads = params.with_flat(np.empty_like(params.flat))   # every entry written below
+                         f"{heads} head outputs")
 
-    score_grads = weights[:, None] * (probs - e_y)   # d loss / d head-scores, scaled by importance
-    np.multiply(score_grads[0, :, None], inputs, out=grads.heads[0])   # outer products
-    np.multiply(score_grads[1:, :, None], block[:, None, :], out=grads.hidden_heads)
-    from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
-                           score_grads[1:, :, None])[:, :, 0]
 
+def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, lam: float,
+           matvec) -> np.ndarray:
+    """The gradient at each hidden layer's pre-activation, from the top down.
+
+    `hidden` holds the post-ReLU rows h_1..h_N and `from_heads` the heads'
+    pull on each, layer axis first; a stack of instances rides along on the
+    second axis. `matvec(W.T, delta)` carries a layer's gradient to the one
+    below it.
+    """
+    n = len(params.layers)
     sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
     if sim_coef:
         to_next = sim_coef * (hidden[:-1] - hidden[1:])   # row i-1: pull of h_i toward h_{i+1}
         to_prev = sim_coef * (hidden[1:] - hidden[:-1])   # row i-2: pull of h_i toward h_{i-1}
     slope = (hidden > 0).astype(np.float64)   # ReLU derivative
     deltas = np.empty_like(hidden)      # row i-1: gradient at layer i's pre-activation
-    carry = np.zeros(hidden.shape[1])   # gradient flowing into h_n from above
+    carry = np.zeros(hidden.shape[1:])  # gradient flowing into h_n from above
     for i in range(n, 0, -1):           # hidden layer i, weight matrix layers[i-1]
         g_h = from_heads[i - 1] + carry
         if sim_coef:
@@ -231,10 +285,77 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
                 g_h += to_prev[i - 2]
         delta = np.multiply(g_h, slope[i - 1], out=deltas[i - 1])
         if i > 1:
-            carry = params.layers[i - 1][:, :-1].T @ delta
-    np.multiply(deltas[1:, :, None], block[:-1, None, :], out=grads.deep_layers)
-    np.multiply(deltas[0, :, None], inputs, out=grads.layers[0])
-    return grads
+            carry = matvec(params.layers[i - 1][:, :-1].T, delta)
+    return deltas
+
+
+def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
+             y: int, lam: float) -> np.ndarray:
+    """Exact gradient of `total_loss` w.r.t. every parameter, as a vector
+    laid out like `params.flat`.
+
+    Head importances are treated as constants. Head n backpropagates into
+    layers 1..n scaled by its importance; the similarity penalty contributes
+    through both members of each consecutive pair. Every head's gradient and
+    back-projection is computed at once; only the chain through the hidden
+    layers is a loop, and every layer's outer product is taken after it.
+    """
+    probs = acts.probs
+    _check_heads(params, acts, weights)
+    check_label(y, probs.shape[1])
+    inputs, block = acts.inputs, acts.block
+    hidden = block[:, :-1]
+    e_y = np.zeros(probs.shape[1])
+    e_y[y] = 1.0
+    grad = np.empty_like(params.flat)   # every entry written below
+    layer0, deep_layers, head0, hidden_heads = _blocks(grad, params.dims)
+
+    score_grads = weights[:, None] * (probs - e_y)   # d loss / d head-scores, scaled by importance
+    np.multiply(score_grads[0, :, None], inputs, out=head0)   # outer products
+    np.multiply(score_grads[1:, :, None], block[:, None, :], out=hidden_heads)
+    from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
+                           score_grads[1:, :, None])[:, :, 0]
+
+    deltas = _chain(params, hidden, from_heads, lam, np.matmul)
+    np.multiply(deltas[1:, :, None], block[:-1, None, :], out=deep_layers)
+    np.multiply(deltas[0, :, None], inputs, out=layer0)
+    return grad
+
+
+def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
+                 y: np.ndarray, lam: float) -> np.ndarray:
+    """The sum of `backward`'s gradients over the rows of a `forward_rows`
+    record with labels `y`, as one vector, bit for bit as
+    `acc = g_0; acc += g_1; ...`.
+
+    Each row's chain runs as in `backward`, with its mat-vecs stacked the way
+    `forward_rows` stacks them. The rows' outer products are then added one
+    matrix at a time by `np.add.reduce` over the row axis, which adds them in
+    row order (from -0.0, the one start that leaves every sum's bits as they
+    are), so no per-row gradient vector is ever held.
+    """
+    probs = acts.probs
+    rows, n = len(probs), len(params.layers)
+    _check_heads(params, acts, weights)
+    check_label(y, probs.shape[2])
+    inputs, block = acts.inputs, acts.block
+    e_y = np.zeros((rows, probs.shape[2]))
+    e_y[np.arange(rows), y] = 1.0
+
+    score_grads = weights[:, None] * (probs - e_y[:, None, :])
+    from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
+                           score_grads[:, 1:, :, None])[..., 0]
+    deltas = _chain(params, block[:, :, :-1].transpose(1, 0, 2),
+                    from_heads.transpose(1, 0, 2), lam, _matvecs)
+
+    grad = np.empty_like(params.flat)
+    layer0, deep_layers, head0, hidden_heads = _blocks(grad, params.dims)
+    pairs = [(head0, score_grads[:, 0], inputs), (hidden_heads, score_grads[:, 1:], block),
+             (layer0, deltas[0], inputs)]
+    pairs += [(deep_layers[i - 1], deltas[i], block[:, i - 1]) for i in range(1, n)]
+    for out, left, right in pairs:      # out = the rows' outer products left x right, summed
+        np.add.reduce(left[..., :, None] * right[..., None, :], axis=0, out=out, initial=-0.0)
+    return grad
 
 
 def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
@@ -281,18 +402,16 @@ def init_opt_state(params: NetworkParams, optimizer: str) -> AdamState | None:
     return AdamState.zeros_like(params.flat)
 
 
-def apply_update(params: NetworkParams, grads: NetworkParams, opt_state: AdamState | None,
+def apply_update(params: NetworkParams, grad: np.ndarray, opt_state: AdamState | None,
                  lr: float) -> tuple[NetworkParams, AdamState | None]:
-    """One optimizer step on the whole parameter vector: SGD when `opt_state`
-    is None, Adam otherwise."""
+    """One optimizer step on the whole parameter vector with the gradient
+    vector `grad`: SGD when `opt_state` is None, Adam otherwise."""
     if opt_state is None:
-        return sgd_step(params, grads, lr), None
-    p, g = flat_pair(params, grads)
-    stepped, state = adam_step(p, g, opt_state, lr)
+        return sgd_step(params, grad, lr), None
+    stepped, state = adam_step(params.flat, params.checked(grad), opt_state, lr)
     return params.with_flat(stepped), state
 
 
-def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
-    """Plain gradient step at a caller-chosen rate."""
-    p, g = flat_pair(params, grads)
-    return params.with_flat(p - lr * g)
+def sgd_step(params: NetworkParams, grad: np.ndarray, lr: float) -> NetworkParams:
+    """Plain gradient step at a caller-chosen rate with the gradient vector `grad`."""
+    return params.with_flat(params.flat - lr * params.checked(grad))

@@ -32,15 +32,27 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(dist: np.ndarray, label: int) -> np.ndarray | float:
+def check_label(label, classes: int) -> None:
+    """Raise InputError unless `label`, a class index or an array of them,
+    lies in [0, classes)."""
+    low, high = (label.min(), label.max()) if isinstance(label, np.ndarray) else (label, label)
+    if low < 0 or high >= classes:
+        raise InputError(f"label {low if low < 0 else high} outside distribution "
+                         f"of size {classes}")
+
+
+def cross_entropy(dist: np.ndarray, label) -> np.ndarray | float:
     """-log(dist[..., label]), with the probability floored at PROB_CLIP.
 
     `dist` holds probability vectors along its last axis; `label` must be a
-    valid class index. A single vector gives a scalar, a stack one loss per row.
+    valid class index, or an int array of them, one for each entry of
+    `dist`'s first axis. A single vector gives a scalar, a stack one loss per
+    row.
     """
     dist = np.asarray(dist)
-    if label < 0 or label >= dist.shape[-1]:
-        raise InputError(f"label {label} outside distribution of size {dist.shape[-1]}")
+    check_label(label, dist.shape[-1])
+    if isinstance(label, np.ndarray):
+        return -np.log(np.maximum(dist[np.arange(len(label)), ..., label], PROB_CLIP))
     return -np.log(np.maximum(dist[..., label], PROB_CLIP))
 
 

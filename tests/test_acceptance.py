@@ -94,7 +94,7 @@ def test_gradient_matches_finite_differences():
         numeric = finite_difference_grads(
             lambda: total_loss(forward(params, x), weights, y, 0.1)[0],
             params.matrices())
-        worst = max(worst, max_relative_error(analytic.matrices(), numeric))
+        worst = max(worst, max_relative_error(params.with_flat(analytic).matrices(), numeric))
     elapsed = time.perf_counter() - started
     _report("gradient-check", worst <= 1e-4 and elapsed < 10.0,
             f"max relative error {worst:.2e} over 50 random nets "

@@ -16,10 +16,13 @@ from bodl.hedge_net import (
     NetworkParams,
     apply_update,
     backward,
+    backward_sum,
     forward,
+    forward_rows,
     hedge_update,
     init_network,
     init_opt_state,
+    row_losses,
     sgd_step,
     total_loss,
 )
@@ -116,7 +119,7 @@ def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
 
         grads = backward(params, acts, weights, y, LAM)
         ref_grads = list_backward(ref[:n], ref[n:], hidden, probs, ref_weights, y, LAM)
-        assert_all_equal(grads.matrices(), ref_grads[0] + ref_grads[1])
+        assert_all_equal(params.with_flat(grads).matrices(), ref_grads[0] + ref_grads[1])
 
         params, opt = apply_update(params, grads, opt, lr)
         if optimizer == "adam":
@@ -143,11 +146,45 @@ def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
     assert record["shift_norm"] == shift
 
 
+def assert_same_bits(got, want):
+    """Equal shapes and bytes, so equal values and equal signs of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 16, 32])
+@pytest.mark.parametrize("optimizer, dims, lr", REFERENCE_SHAPES)
+def test_stacked_kernels_match_row_by_row(optimizer, dims, lr, rows):
+    # the drift response scores its window and sums its replay gradient with
+    # one stacked call each; every row must come out as the per-row calls give it
+    params, _ = small_net(dims=dims)
+    d, _, classes, n = dims
+    rng = np.random.default_rng(rows)
+    weights = rng.dirichlet(np.ones(n + 1))
+    X, y = rng.standard_normal((rows, d)), rng.integers(classes, size=rows)
+    X[0], y[0] = clipping_instance(params)
+    X[1:2] = 0.0
+
+    acts = forward_rows(params, X)
+    per_row = [forward(params, x) for x in X]
+    assert acts.probs[0, 0, y[0]] < PROB_CLIP
+    assert_same_bits(acts.inputs, [a.inputs for a in per_row])
+    assert_same_bits(acts.block, [a.block for a in per_row])
+    assert_same_bits(acts.probs, [a.probs for a in per_row])
+    assert_same_bits(row_losses(acts, weights, y, LAM),
+                     [total_loss(a, weights, label, LAM)[0] for a, label in zip(per_row, y)])
+    acc = backward(params, per_row[0], weights, y[0], LAM)
+    for a, label in zip(per_row[1:], y[1:]):
+        acc += backward(params, a, weights, label, LAM)
+    assert_same_bits(backward_sum(params, acts, weights, y, LAM), acc)
+
+
 # ---------------------------------------------------------------- arena invariants
 
 def test_every_matrix_is_a_view_of_flat():
     params, w = small_net()
-    grads = backward(params, forward(params, np.ones(5)), w, 0, 0.1)
+    grads = params.with_flat(backward(params, forward(params, np.ones(5)), w, 0, 0.1))
     for p in (params, grads, params.copy()):
         assert p.flat.ndim == 1 and p.flat.dtype == np.float64
         assert p.flat.size == sum(m.size for m in p.matrices())
@@ -221,7 +258,7 @@ def test_updates_never_mutate_their_inputs():
     grads = backward(params, forward(params, x), w, 2, 0.1)
     target = params.copy()
     target.flat *= 0.5
-    kept = [snapshot(params), snapshot(grads), snapshot(target)]
+    kept = [snapshot(params), snapshot(params.with_flat(grads)), snapshot(target)]
     opt = init_opt_state(params, "adam")
     opt_m, opt_v = opt.m.copy(), opt.v.copy()
 
@@ -231,7 +268,7 @@ def test_updates_never_mutate_their_inputs():
     lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, 0.1, inner_rate=0.01)
 
     assert_all_equal(params.matrices(), kept[0])
-    assert_all_equal(grads.matrices(), kept[1])
+    assert_all_equal(params.with_flat(grads).matrices(), kept[1])
     assert_all_equal(target.matrices(), kept[2])
     assert np.array_equal(opt.m, opt_m) and np.array_equal(opt.v, opt_v)
     assert opt.step == 0
@@ -242,13 +279,13 @@ def test_foreign_gradient_matrix_rejected(optimizer):
     # a matrix outside the vector would be ignored by every whole-vector
     # update, so replacing one is refused and writing into one is seen
     params, w = small_net()
-    grads = backward(params, forward(params, np.ones(5)), w, 0, 0.1)
+    grads = params.with_flat(backward(params, forward(params, np.ones(5)), w, 0, 0.1))
     with pytest.raises(TypeError):
         grads.heads[2] = grads.heads[2].copy()
     with pytest.raises(TypeError):
         grads.layers[0] = grads.layers[0].copy()
     grads.heads[2][:] = 0.0
-    stepped, _ = apply_update(params, grads, init_opt_state(params, optimizer), LR)
+    stepped, _ = apply_update(params, grads.flat, init_opt_state(params, optimizer), LR)
     assert np.array_equal(stepped.heads[2], params.heads[2])
     assert not np.array_equal(stepped.heads[1], params.heads[1])
 

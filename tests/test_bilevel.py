@@ -1,6 +1,7 @@
 """Drift adaptation: inner refinement, look-ahead, interpolation, full trace."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,24 +88,43 @@ def test_inner_cycles_the_buffer():
     assert np.array_equal(adapted.flat, manual.flat)
 
 
-def test_inner_calls_forward_and_backward_once_per_step(monkeypatch):
-    # perfbench counts the drift response's forward calls by wrapping these
-    # module attributes, so each inner step must go through them exactly once
-    calls = {"forward": 0, "backward": 0}
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls made through `bilevel.forward` and `bilevel.backward`."""
+    counts = {"forward": 0, "backward": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(bilevel, "forward", counted("forward", forward))
     monkeypatch.setattr(bilevel, "backward", counted("backward", backward))
+    return counts
+
+
+def test_inner_calls_forward_and_backward_once_per_step(calls):
+    # perfbench counts the drift response's forward calls by wrapping these
+    # module attributes, so each inner step must go through them exactly once
     params, weights = toy_setup(seed=6)
     X, y = rows([[0.2, 0.4], [-0.6, 1.0], [0.1, -0.3]], [0, 1, 1])
     for k in [1, 3, 7]:
         calls.update(forward=0, backward=0)
         inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.05, inner_steps=k)
+        assert calls == {"forward": k, "backward": k}
+
+
+def test_adapt_makes_per_row_calls_only_in_the_inner_steps(calls):
+    # the window losses and the replay gradient are one stacked call each;
+    # only the inner steps, each of which needs the one before, go row by row
+    params, weights = toy_setup(seed=6)
+    X, y = rows([[0.2, 0.4], [-0.6, 1.0], [0.1, -0.3]], [0, 1, 1])
+    replay = rows(np.tile([0.5, -0.1], (BATCH, 1)), [1] * BATCH)
+    for k in [1, 3, 7]:
+        calls.update(forward=0, backward=0)
+        adapt_on_drift(params, (X, y), replay, weights, 0.1, inner_rate=0.05,
+                       outer_rate=0.5, inner_steps=k)
         assert calls == {"forward": k, "backward": k}
 
 
@@ -272,6 +292,21 @@ def test_adapt_deterministic_given_seed():
     a, b = out
     for x, y in zip(a.matrices(), b.matrices()):
         assert np.array_equal(x, y)
+
+
+def test_adapt_peak_memory_stays_small():
+    # the replay gradient is summed one matrix at a time; the 32 rows'
+    # gradient vectors at this shape would take 3.7 MB on their own
+    params, weights = init_network((20, 30, 2, 15), 0)
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((48, 20)), rng.integers(2, size=48)
+    tracemalloc.start()
+    try:
+        adapt_on_drift(params, (X[:16], y[:16]), (X[16:], y[16:]), weights, 0.1, **RATES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_adapt_matches_scalar_hand_trace():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bodl.bilevel import lookahead
 from bodl.errors import ConfigError, InputError
 from bodl.hedge_net import (
     HEDGE_LOSS_CAP,
@@ -16,11 +17,14 @@ from bodl.hedge_net import (
     NetworkParams,
     apply_update,
     backward,
+    backward_sum,
     forward,
+    forward_rows,
     hedge_update,
     init_network,
     init_opt_state,
     predict_ensemble,
+    row_losses,
     total_loss,
 )
 from bodl.numerics import AdamState, adam_step
@@ -232,13 +236,30 @@ def test_total_loss_invalid_label():
         total_loss(acts, np.array([1.0]), 2, lam=0.0)
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_label_outside_the_classes_rejected(label):
+    # -1 used to index the last class and 3 to raise a bare IndexError
+    params, w = init_network((5, 6, 3, 2), 0)
+    x = np.linspace(-1.0, 1.0, 5)
+    X, y = np.stack([x, -x]), np.array([0, label])
+    shown = f"label {label} outside distribution of size 3"
+    with pytest.raises(InputError, match=shown):
+        backward(params, forward(params, x), w, label, 0.1)
+    with pytest.raises(InputError, match=shown):
+        row_losses(forward_rows(params, X), w, y, 0.1)
+    with pytest.raises(InputError, match=shown):
+        backward_sum(params, forward_rows(params, X), w, y, 0.1)
+    with pytest.raises(InputError, match=shown):
+        lookahead(params, X, y, w, 0.1, inner_rate=0.01)
+
+
 # ---------------------------------------------------------------- backward
 
 def test_backward_zero_weights_zero_lambda_gives_zero():
     _, params, _ = small_net(1)
     acts = forward(params, np.array([0.5, -0.5, 1.0, 2.0]))
     grads = backward(params, acts, np.zeros(4), 0, lam=0.0)
-    for g in grads.matrices():
+    for g in params.with_flat(grads).matrices():
         assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -258,7 +279,7 @@ def test_backward_matches_finite_differences():
         return total_loss(a, w, y, lam)[0]
 
     numeric = finite_difference_grads(objective, params.matrices())
-    err = max_relative_error(analytic.matrices(), numeric)
+    err = max_relative_error(params.with_flat(analytic).matrices(), numeric)
     assert err <= 1e-4
 
 
@@ -269,7 +290,7 @@ def test_backward_isolated_similarity_term():
     lam = 0.5
     w = np.zeros(3)
     acts = forward(params, x)
-    analytic = backward(params, acts, w, 0, lam)
+    analytic = params.with_flat(backward(params, acts, w, 0, lam))
     for g in analytic.heads:
         assert np.array_equal(g, np.zeros_like(g))
 
@@ -288,7 +309,7 @@ def test_backward_deterministic():
     acts = forward(params, x)
     g1 = backward(params, acts, w, 1, 0.1)
     g2 = backward(params, acts, w, 1, 0.1)
-    for a, b in zip(g1.matrices(), g2.matrices()):
+    for a, b in zip(params.with_flat(g1).matrices(), params.with_flat(g2).matrices()):
         assert np.array_equal(a, b)
 
 
@@ -515,11 +536,11 @@ def test_apply_update_zero_gradients_identity():
 def test_apply_update_sgd_hand_value():
     params, _ = init_network((1, 1, 2, 1), 0)
     params.layers[0][:] = 1.0
-    grads = backward(params, forward(params, np.zeros(1)), np.zeros(2), 0, 0.0)
+    grads = params.with_flat(backward(params, forward(params, np.zeros(1)), np.zeros(2), 0, 0.0))
     grads.layers[0][:] = 0.5
     opt = init_opt_state(params, "sgd")
     assert opt is None
-    new_params, _ = apply_update(params, grads, opt, 0.1)
+    new_params, _ = apply_update(params, grads.flat, opt, 0.1)
     assert np.allclose(new_params.layers[0], 0.95, atol=1e-15)
 
 
@@ -530,7 +551,8 @@ def test_apply_update_adam_matches_per_matrix_kernel():
     grads = backward(params, acts, w, 1, 0.1)
     opt = init_opt_state(params, "adam")
     new_params, new_opt = apply_update(params, grads, opt, 0.01)
-    for p, g, got in zip(params.matrices(), grads.matrices(), new_params.matrices()):
+    for p, g, got in zip(params.matrices(), params.with_flat(grads).matrices(),
+                         new_params.matrices()):
         expected, _ = adam_step(p, g, AdamState.zeros_like(p), 0.01)
         assert np.allclose(got, expected, atol=1e-15)
     assert new_opt.step == 1
