@@ -19,6 +19,7 @@ from .hedge_net import (
     backward_sum,
     flat_pair,
     forward,
+    forward_buffer,
     forward_rows,
     row_losses,
     sgd_step,
@@ -37,14 +38,19 @@ def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np
 
     `inner_steps` plain single-row gradient steps at `inner_rate` on the copy,
     in place (rounded as a chain of `sgd_step`s), cycling through the rows in
-    order; head importances stay frozen."""
+    order; head importances stay frozen. The forward record and the gradient
+    are written into one buffer each, made once per call."""
     if not len(X):
         raise StateError("recent window is empty; nothing to adapt on")
     adapted = params.copy()
+    buf, grad = forward_buffer(params.dims), params.with_flat(np.empty_like(params.flat))
+    labels = y.tolist()     # Python ints: cheaper to check and index with than numpy scalars
     for i in range(inner_steps):
         k = i % len(X)
-        acts = forward(adapted, X[k])
-        adapted.flat -= inner_rate * backward(adapted, acts, weights, y[k], lam)
+        acts = forward(adapted, X[k], out=buf)
+        step = backward(adapted, acts, weights, labels[k], lam, out=grad)
+        step *= inner_rate
+        adapted.flat -= step
     return adapted
 
 

@@ -23,6 +23,7 @@ from .hedge_net import (
     apply_update,
     backward,
     forward,
+    forward_buffer,
     hedge_update,
     init_network,
     init_opt_state,
@@ -226,7 +227,8 @@ class NetworkLearner:
     bodl-2, drift adaptation; drift events and adaptations go to `report`.
 
     The learner steps over `source`'s instances: row t of the history `X`, `y`
-    is step t's features and label, and the memory keeps row numbers.
+    is step t's features and label, and the memory keeps row numbers. Every
+    step's forward record and gradient go into the same two buffers.
     """
 
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
@@ -237,6 +239,8 @@ class NetworkLearner:
         init_seq, aux_seq = root.spawn(2)
         self.params, self.weights = init_network(dims, int(init_seq.generate_state(1)[0]))
         self.opt_state = init_opt_state(self.params, cfg.optimizer)
+        self.buf = forward_buffer(dims)
+        self.grad = self.params.with_flat(np.empty_like(self.params.flat))
         self.detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
                                              sensitivity=cfg.detector_sensitivity)
         self.memory = EpisodicMemory(cfg.memory_capacity)
@@ -248,7 +252,7 @@ class NetworkLearner:
     def step(self, x: np.ndarray, y: int, position: int) -> int:
         """Predict, then learn; returns the prediction. Raises DivergenceError
         before the importances or parameters change if the loss is not finite."""
-        acts = forward(self.params, x)
+        acts = forward(self.params, x, out=self.buf)
         pred = int(predict_ensemble(acts, self.weights).argmax())
 
         t = self.t
@@ -278,7 +282,7 @@ class NetworkLearner:
                 adapted = True
             self.detector = drift_mod.reset(self.detector)
         if not adapted:
-            grad = backward(self.params, acts, self.weights, y, self.lam)
+            grad = backward(self.params, acts, self.weights, y, self.lam, out=self.grad)
             self.params, self.opt_state = apply_update(self.params, grad, self.opt_state,
                                                        self.cfg.lr)
         self.memory.maybe_insert(t, self.rng)

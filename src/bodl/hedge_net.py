@@ -145,13 +145,26 @@ def init_network(dims: tuple, seed: int) -> tuple[NetworkParams, np.ndarray]:
     return NetworkParams(layers, heads), weights
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
+def forward_buffer(dims: tuple) -> np.ndarray:
+    """A vector for `forward(..., out=)` at network dims (input_dim, width,
+    classes, N): room for [x; 1], the (N, width + 1) hidden block and the
+    (N+1, classes) head outputs, back to back."""
+    d, u, c, n = dims
+    return np.empty(d + 1 + n * (u + 1) + (n + 1) * c)
+
+
+def forward(params: NetworkParams, x: np.ndarray,
+            out: np.ndarray | None = None) -> LayerActivations:
     """Run the ReLU chain, then every softmax head at once.
 
-    One buffer holds [x; 1] and then the (N, width + 1) block of hidden rows,
-    whose last column stays 1, so each ReLU writes its output straight into
-    its row and the augmented vectors are never built by appending. The
-    returned record holds the two slices of that buffer.
+    One buffer holds [x; 1], then the (N, width + 1) block of hidden rows,
+    whose last column is 1, so each ReLU writes its output straight into its
+    row and the augmented vectors are never built by appending, and then the
+    head scores, which the softmax turns into probabilities in place. The
+    returned record holds the three slices of that buffer. `out`, from
+    `forward_buffer(params.dims)`, is that buffer; without it a new one is
+    made. A record views its buffer, so the next `forward` into the same
+    buffer overwrites it.
     """
     x = np.asarray(x, dtype=np.float64)
     d, u, c, n = params.dims
@@ -159,17 +172,21 @@ def forward(params: NetworkParams, x: np.ndarray) -> LayerActivations:
         raise InputError(f"input has shape {x.shape}, expected ({d},)")
     if not np.isfinite(x).all():
         raise InputError("input contains non-finite values")
-    buf = np.ones(d + 1 + n * (u + 1))
+    buf = forward_buffer(params.dims) if out is None else out
+    hidden_end = d + 1 + n * (u + 1)
+    if buf.shape != (hidden_end + (n + 1) * c,):
+        raise InputError(f"forward buffer of shape {buf.shape} for network dims {params.dims}")
     buf[:d] = x
-    inputs, block = buf[:d + 1], buf[d + 1:].reshape(n, u + 1)
+    buf[d:hidden_end:u + 1] = 1.0     # the trailing 1 of [x; 1] and of every hidden row
+    inputs, block = buf[:d + 1], buf[d + 1:hidden_end].reshape(n, u + 1)
     prev = inputs
     for w, row in zip(params.layers, block):
         np.maximum(w @ prev, 0.0, out=row[:-1])
         prev = row
-    scores = np.empty((n + 1, c))
+    scores = buf[hidden_end:].reshape(n + 1, c)
     np.matmul(params.heads[0], inputs, out=scores[0])
     np.matmul(params.hidden_heads, block[:, :, None], out=scores[1:, :, None])
-    return LayerActivations(inputs, block, softmax(scores))
+    return LayerActivations(inputs, block, softmax(scores, out=scores))
 
 
 def _matvecs(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -203,7 +220,7 @@ def forward_rows(params: NetworkParams, X: np.ndarray) -> LayerActivations:
     scores = np.empty((rows, n + 1, c))
     np.matmul(params.heads[0], inputs[:, :, None], out=scores[:, 0, :, None])
     np.matmul(params.hidden_heads, block[:, :, :, None], out=scores[:, 1:, :, None])
-    return LayerActivations(inputs, block, softmax(scores))
+    return LayerActivations(inputs, block, softmax(scores, out=scores))
 
 
 def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
@@ -251,7 +268,7 @@ def row_losses(acts: LayerActivations, weights: np.ndarray, y: np.ndarray,
 
 
 def _check_heads(params: NetworkParams, acts: LayerActivations, weights: np.ndarray) -> None:
-    # the gradient vector starts uninitialized, so a head without an
+    # the gradient vector is not cleared first, so a head without an
     # importance or an output must be an error, not an unwritten matrix
     heads = acts.probs.shape[-2]
     if not len(weights) == heads == len(params.heads):
@@ -275,7 +292,7 @@ def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, la
         to_prev = sim_coef * (hidden[1:] - hidden[:-1])   # row i-2: pull of h_i toward h_{i-1}
     slope = (hidden > 0).astype(np.float64)   # ReLU derivative
     deltas = np.empty_like(hidden)      # row i-1: gradient at layer i's pre-activation
-    carry = np.zeros(hidden.shape[1:])  # gradient flowing into h_n from above
+    carry = 0.0                         # into h_n from above; + 0.0 has a zero vector's bits
     for i in range(n, 0, -1):           # hidden layer i, weight matrix layers[i-1]
         g_h = from_heads[i - 1] + carry
         if sim_coef:
@@ -290,7 +307,7 @@ def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, la
 
 
 def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
-             y: int, lam: float) -> np.ndarray:
+             y: int, lam: float, out: NetworkParams | None = None) -> np.ndarray:
     """Exact gradient of `total_loss` w.r.t. every parameter, as a vector
     laid out like `params.flat`.
 
@@ -299,27 +316,32 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     through both members of each consecutive pair. Every head's gradient and
     back-projection is computed at once; only the chain through the hidden
     layers is a loop, and every layer's outer product is taken after it.
+    `out`, a `NetworkParams` of the same dims, receives the gradient through
+    its matrix views, and its `flat` is returned; without it a new vector is
+    made.
     """
     probs = acts.probs
     _check_heads(params, acts, weights)
     check_label(y, probs.shape[1])
+    if out is None:
+        out = params.with_flat(np.empty_like(params.flat))   # every entry written below
+    flat_pair(params, out)    # raises unless the dims match
     inputs, block = acts.inputs, acts.block
     hidden = block[:, :-1]
-    e_y = np.zeros(probs.shape[1])
-    e_y[y] = 1.0
-    grad = np.empty_like(params.flat)   # every entry written below
-    layer0, deep_layers, head0, hidden_heads = _blocks(grad, params.dims)
 
-    score_grads = weights[:, None] * (probs - e_y)   # d loss / d head-scores, scaled by importance
-    np.multiply(score_grads[0, :, None], inputs, out=head0)   # outer products
-    np.multiply(score_grads[1:, :, None], block[:, None, :], out=hidden_heads)
+    score_grads = probs.copy()    # d loss / d head-scores, scaled by importance
+    score_grads[:, y] -= 1.0
+    score_grads *= weights[:, None]
+    np.multiply(score_grads[0, :, None], inputs, out=out.heads[0])   # outer products
+    np.multiply(score_grads[1:, :, None], block[:, None, :], out=out.hidden_heads)
     from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
                            score_grads[1:, :, None])[:, :, 0]
 
     deltas = _chain(params, hidden, from_heads, lam, np.matmul)
-    np.multiply(deltas[1:, :, None], block[:-1, None, :], out=deep_layers)
-    np.multiply(deltas[0, :, None], inputs, out=layer0)
-    return grad
+    if len(block) > 1:                  # layers 2..N; an empty multiply still costs a call
+        np.multiply(deltas[1:, :, None], block[:-1, None, :], out=out.deep_layers)
+    np.multiply(deltas[0, :, None], inputs, out=out.layers[0])
+    return out.flat
 
 
 def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
@@ -339,10 +361,10 @@ def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndar
     _check_heads(params, acts, weights)
     check_label(y, probs.shape[2])
     inputs, block = acts.inputs, acts.block
-    e_y = np.zeros((rows, probs.shape[2]))
-    e_y[np.arange(rows), y] = 1.0
 
-    score_grads = weights[:, None] * (probs - e_y[:, None, :])
+    score_grads = probs.copy()
+    score_grads[np.arange(rows), :, y] -= 1.0
+    score_grads *= weights[:, None]
     from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
                            score_grads[:, 1:, :, None])[..., 0]
     deltas = _chain(params, block[:, :, :-1].transpose(1, 0, 2),

@@ -1,7 +1,8 @@
 """Dense float64 kernels of the hedged network: softmax, cross-entropy, Adam.
 
-All functions are pure (they write only into arrays they allocate);
-optimizer state is passed in and returned.
+Each function writes only into arrays it allocates, except `softmax`, which
+writes into `out` when one is given. `adam_step` is pure: optimizer state is
+passed in and a new state returned.
 Everything runs in double precision so that analytic gradients can be
 checked against central finite differences.
 """
@@ -24,12 +25,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
+def softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stable softmax over the last axis: shifts by the max so exp never overflows.
-    Array-method reductions: np.max/np.sum's ufunc reduce without their wrappers."""
-    z = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    Array-method reductions: np.max/np.sum's ufunc reduce without their wrappers.
+    With `out` (which may be `v` itself) the result is written there and
+    returned, with the same bits as a new array."""
+    out = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def check_label(label, classes: int) -> None:
@@ -76,7 +80,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
 
     Computes param - lr * m_hat / (sqrt(v_hat) + eps) with the same roundings
     in the same order as that expression, but into two temporaries instead
-    of one new array per operation.
+    of one new array per operation. Once 1 - beta1**t rounds to exactly 1.0
+    (from t = 356 on), m_hat = m / 1.0 is m itself, so the division is skipped.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise InputError(
@@ -90,8 +95,12 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     tmp *= 1.0 - b2
     v = np.multiply(state.v, b2)
     v += tmp
-    step = np.divide(m, 1.0 - b1 ** t)  # m_hat
-    step *= lr
+    c1 = 1.0 - b1 ** t
+    if c1 == 1.0:
+        step = np.multiply(m, lr)
+    else:
+        step = np.divide(m, c1)  # m_hat
+        step *= lr
     np.divide(v, 1.0 - b2 ** t, out=tmp)  # v_hat
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS

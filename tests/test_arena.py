@@ -18,6 +18,7 @@ from bodl.hedge_net import (
     backward,
     backward_sum,
     forward,
+    forward_buffer,
     forward_rows,
     hedge_update,
     init_network,
@@ -178,6 +179,50 @@ def test_stacked_kernels_match_row_by_row(optimizer, dims, lr, rows):
     for a, label in zip(per_row[1:], y[1:]):
         acc += backward(params, a, weights, label, LAM)
     assert_same_bits(backward_sum(params, acts, weights, y, LAM), acc)
+
+
+@pytest.mark.parametrize("optimizer, dims, lr", REFERENCE_SHAPES)
+def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
+    # the learner and the inner refinement write every forward record and
+    # gradient into buffers they own; each must come out as a fresh call gives
+    # it, whatever the buffers held before
+    params, _ = small_net(dims=dims)
+    d, _, classes, n = dims
+    rng = np.random.default_rng(5)
+    weights = rng.dirichlet(np.ones(n + 1))
+    X, y = rng.standard_normal((8, d)), rng.integers(classes, size=8)
+    X[0], y[0] = clipping_instance(params)
+    X[1] = 0.0
+    assert forward(params, X[0]).probs[0, y[0]] < PROB_CLIP
+    buf = forward_buffer(dims)
+    grad = params.with_flat(np.full_like(params.flat, np.nan))
+    buf[:] = np.nan
+    for x, label in zip(X, y):
+        acts, fresh = forward(params, x, out=buf), forward(params, x)
+        for field in ("inputs", "block", "probs"):
+            assert np.shares_memory(getattr(acts, field), buf)
+            assert_same_bits(getattr(acts, field), getattr(fresh, field))
+        got = backward(params, acts, weights, label, LAM, out=grad)
+        assert got is grad.flat
+        assert_same_bits(got, backward(params, fresh, weights, label, LAM))
+        buf[:] = grad.flat[:] = np.nan
+
+    first = forward(params, X[2], out=buf)
+    forward(params, X[3], out=buf)
+    assert_same_bits(first.probs, forward(params, X[3]).probs)
+
+
+def test_out_buffers_of_other_dims_rejected():
+    params, w = small_net()
+    acts = forward(params, np.ones(5))
+    for size in (0, len(forward_buffer(params.dims)) - 1, len(forward_buffer(params.dims)) + 1):
+        with pytest.raises(InputError, match="forward buffer"):
+            forward(params, np.ones(5), out=np.empty(size))
+    with pytest.raises(InputError, match="forward buffer"):
+        forward(params, np.ones(5), out=forward_buffer(params.dims).reshape(1, -1))
+    other, _ = small_net(dims=(5, 6, 3, 3))
+    with pytest.raises(InputError, match="dims"):
+        backward(params, acts, w, 0, 0.1, out=other)
 
 
 # ---------------------------------------------------------------- arena invariants

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bodl.errors import InputError
-from bodl.numerics import PROB_CLIP, AdamState, adam_step, cross_entropy, softmax
+from bodl.numerics import ADAM_BETA1, PROB_CLIP, AdamState, adam_step, cross_entropy, softmax
 
-from oracles import scalar_adam_step, scalar_softmax
+from oracles import list_adam_step, scalar_adam_step, scalar_softmax
 
 
 def test_softmax_symmetry():
@@ -74,6 +74,9 @@ def test_softmax_of_rows_equals_softmax_of_each_row(shape):
     rows = softmax(scores)
     assert rows.shape == shape
     assert np.array_equal(rows, np.stack([softmax(v) for v in scores]))
+    in_place = scores.copy()
+    assert softmax(in_place, out=in_place) is in_place
+    assert np.array_equal(in_place, rows)
 
 
 @pytest.mark.parametrize("shape", ROW_SHAPES)
@@ -130,6 +133,25 @@ def test_adam_random_trajectory_matches_scalar_oracle():
         param, state = adam_step(param, np.array([g]), state, lr=0.01)
         ref_p, ref_m, ref_v = scalar_adam_step(ref_p, g, ref_m, ref_v, t, lr=0.01)
         assert param[0] == pytest.approx(ref_p, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0, 354, 355, 356, 400, 40_000])
+def test_adam_matches_list_reference_bit_for_bit(t):
+    # from step 356 on 1 - beta1**t rounds to exactly 1.0 and the m_hat
+    # division is skipped; the steps on both sides of that switch must keep
+    # the reference's bits
+    assert 1.0 - ADAM_BETA1 ** 355 != 1.0 and 1.0 - ADAM_BETA1 ** 356 == 1.0
+    rng = np.random.default_rng(t)
+    for _ in range(50):
+        param = rng.standard_normal(64)
+        grad = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 3, size=64)
+        m = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 3, size=64)
+        v = m * m * rng.uniform(0.5, 2.0, size=64)
+        stepped, state = adam_step(param, grad, AdamState(m, v, t), lr=0.01)
+        [want], [(want_m, want_v, want_t)] = list_adam_step([param], [grad], [(m, v, t)], 0.01)
+        assert np.array_equal(stepped, want)
+        assert np.array_equal(state.m, want_m) and np.array_equal(state.v, want_v)
+        assert state.step == want_t == t + 1
 
 
 def test_adam_shape_mismatch_rejected():
