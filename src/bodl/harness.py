@@ -228,7 +228,9 @@ class NetworkLearner:
 
     The learner steps over `source`'s instances: row t of the history `X`, `y`
     is step t's features and label, and the memory keeps row numbers. Every
-    step's forward record and gradient go into the same two buffers.
+    step's forward record and gradient go into the same two buffers, and
+    each online step updates the parameter vector in place; only a drift
+    response replaces it.
     """
 
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
@@ -284,7 +286,7 @@ class NetworkLearner:
         if not adapted:
             grad = backward(self.params, acts, self.weights, y, self.lam, out=self.grad)
             self.params, self.opt_state = apply_update(self.params, grad, self.opt_state,
-                                                       self.cfg.lr)
+                                                       self.cfg.lr, out=self.params)
         self.memory.maybe_insert(t, self.rng)
         return pred
 

@@ -59,6 +59,9 @@ class NetworkParams:
     matrix, and a matrix cannot be swapped for an outside array.
     `deep_layers` views layers 2..N as one (N-1, width, width + 1) array and
     `hidden_heads` views heads 1..N as one (N, classes, width + 1) array.
+    `backward` reads two more views, built here once: `back_layers`, the
+    transposed weights `W[:, :-1].T` of layers 2..N, and `back_heads`, the
+    transposed weights of heads 1..N as one (N, width, classes) array.
     `NetworkParams(layers, heads)` checks the shapes against `dims` and copies
     the matrices into a new vector.
     """
@@ -81,6 +84,8 @@ class NetworkParams:
         layer0, self.deep_layers, head0, self.hidden_heads = _blocks(flat, dims)
         self.layers = (layer0, *self.deep_layers)
         self.heads = (head0, *self.hidden_heads)
+        self.back_layers = tuple(w[:, :-1].T for w in self.deep_layers)
+        self.back_heads = self.hidden_heads[:, :, :-1].transpose(0, 2, 1)
 
     def checked(self, vec: np.ndarray) -> np.ndarray:
         """`vec` itself, after checking it holds one value per parameter."""
@@ -107,6 +112,15 @@ def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarra
     if a.dims != b.dims:
         raise InputError(f"network dims (input, width, classes, N) differ: {a.dims} vs {b.dims}")
     return a.flat, b.flat
+
+
+def _target(params: NetworkParams, out: NetworkParams | None) -> NetworkParams:
+    """`out` after checking it shares `params`' dims, or, without it, a
+    parameter set of those dims over a new, unset vector."""
+    if out is None:
+        return params.with_flat(np.empty_like(params.flat))
+    flat_pair(params, out)
+    return out
 
 
 @dataclass
@@ -181,10 +195,10 @@ def forward(params: NetworkParams, x: np.ndarray,
     inputs, block = buf[:d + 1], buf[d + 1:hidden_end].reshape(n, u + 1)
     prev = inputs
     for w, row in zip(params.layers, block):
-        np.maximum(w @ prev, 0.0, out=row[:-1])
+        np.maximum(w.dot(prev), 0.0, out=row[:-1])
         prev = row
     scores = buf[hidden_end:].reshape(n + 1, c)
-    np.matmul(params.heads[0], inputs, out=scores[0])
+    params.heads[0].dot(inputs, out=scores[0])
     np.matmul(params.hidden_heads, block[:, :, None], out=scores[1:, :, None])
     return LayerActivations(inputs, block, softmax(scores, out=scores))
 
@@ -225,7 +239,7 @@ def forward_rows(params: NetworkParams, X: np.ndarray) -> LayerActivations:
 
 def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
     """Importance-weighted vote over the heads; a probability vector."""
-    return weights @ acts.probs
+    return weights.dot(acts.probs)
 
 
 def _similarity_penalty(hidden: np.ndarray) -> float:
@@ -248,7 +262,7 @@ def total_loss(acts: LayerActivations, weights: np.ndarray, y: int,
     input to the multiplicative importance update).
     """
     per_head = cross_entropy(acts.probs, y)
-    return float(weights @ per_head + lam * _similarity_penalty(acts.block[:, :-1])), per_head
+    return float(weights.dot(per_head) + lam * _similarity_penalty(acts.block[:, :-1])), per_head
 
 
 def row_losses(acts: LayerActivations, weights: np.ndarray, y: np.ndarray,
@@ -283,7 +297,7 @@ def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, la
     `hidden` holds the post-ReLU rows h_1..h_N and `from_heads` the heads'
     pull on each, layer axis first; a stack of instances rides along on the
     second axis. `matvec(W.T, delta)` carries a layer's gradient to the one
-    below it.
+    below it, through the transposed views of `params.back_layers`.
     """
     n = len(params.layers)
     sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
@@ -294,15 +308,15 @@ def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, la
     deltas = np.empty_like(hidden)      # row i-1: gradient at layer i's pre-activation
     carry = 0.0                         # into h_n from above; + 0.0 has a zero vector's bits
     for i in range(n, 0, -1):           # hidden layer i, weight matrix layers[i-1]
-        g_h = from_heads[i - 1] + carry
+        delta = np.add(from_heads[i - 1], carry, out=deltas[i - 1])   # the pull on h_i
         if sim_coef:
             if i <= n - 1:
-                g_h += to_next[i - 1]
+                delta += to_next[i - 1]
             if i >= 2:
-                g_h += to_prev[i - 2]
-        delta = np.multiply(g_h, slope[i - 1], out=deltas[i - 1])
+                delta += to_prev[i - 2]
+        delta *= slope[i - 1]
         if i > 1:
-            carry = matvec(params.layers[i - 1][:, :-1].T, delta)
+            carry = matvec(params.back_layers[i - 2], delta)
     return deltas
 
 
@@ -323,9 +337,7 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     probs = acts.probs
     _check_heads(params, acts, weights)
     check_label(y, probs.shape[1])
-    if out is None:
-        out = params.with_flat(np.empty_like(params.flat))   # every entry written below
-    flat_pair(params, out)    # raises unless the dims match
+    out = _target(params, out)    # every entry is written below
     inputs, block = acts.inputs, acts.block
     hidden = block[:, :-1]
 
@@ -334,8 +346,7 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     score_grads *= weights[:, None]
     np.multiply(score_grads[0, :, None], inputs, out=out.heads[0])   # outer products
     np.multiply(score_grads[1:, :, None], block[:, None, :], out=out.hidden_heads)
-    from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
-                           score_grads[1:, :, None])[:, :, 0]
+    from_heads = np.matmul(params.back_heads, score_grads[1:, :, None])[:, :, 0]
 
     deltas = _chain(params, hidden, from_heads, lam, np.matmul)
     if len(block) > 1:                  # layers 2..N; an empty multiply still costs a call
@@ -365,8 +376,7 @@ def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndar
     score_grads = probs.copy()
     score_grads[np.arange(rows), :, y] -= 1.0
     score_grads *= weights[:, None]
-    from_heads = np.matmul(params.hidden_heads[:, :, :-1].transpose(0, 2, 1),
-                           score_grads[:, 1:, :, None])[..., 0]
+    from_heads = np.matmul(params.back_heads, score_grads[:, 1:, :, None])[..., 0]
     deltas = _chain(params, block[:, :, :-1].transpose(1, 0, 2),
                     from_heads.transpose(1, 0, 2), lam, _matvecs)
 
@@ -425,15 +435,24 @@ def init_opt_state(params: NetworkParams, optimizer: str) -> AdamState | None:
 
 
 def apply_update(params: NetworkParams, grad: np.ndarray, opt_state: AdamState | None,
-                 lr: float) -> tuple[NetworkParams, AdamState | None]:
+                 lr: float, out: NetworkParams | None = None
+                 ) -> tuple[NetworkParams, AdamState | None]:
     """One optimizer step on the whole parameter vector with the gradient
-    vector `grad`: SGD when `opt_state` is None, Adam otherwise."""
+    vector `grad`: SGD when `opt_state` is None, Adam otherwise. The new
+    parameters go into `out`, a `NetworkParams` of the same dims (which may
+    be `params` itself), and `out` is returned; without it into a new vector.
+    The Adam state is never written."""
     if opt_state is None:
-        return sgd_step(params, grad, lr), None
-    stepped, state = adam_step(params.flat, params.checked(grad), opt_state, lr)
-    return params.with_flat(stepped), state
+        return sgd_step(params, grad, lr, out=out), None
+    out = _target(params, out)
+    _, state = adam_step(params.flat, params.checked(grad), opt_state, lr, out=out.flat)
+    return out, state
 
 
-def sgd_step(params: NetworkParams, grad: np.ndarray, lr: float) -> NetworkParams:
-    """Plain gradient step at a caller-chosen rate with the gradient vector `grad`."""
-    return params.with_flat(params.flat - lr * params.checked(grad))
+def sgd_step(params: NetworkParams, grad: np.ndarray, lr: float,
+             out: NetworkParams | None = None) -> NetworkParams:
+    """Plain gradient step at a caller-chosen rate with the gradient vector
+    `grad`, into `out` as in `apply_update`."""
+    out = _target(params, out)
+    np.subtract(params.flat, lr * params.checked(grad), out=out.flat)
+    return out

@@ -1,8 +1,8 @@
 """Dense float64 kernels of the hedged network: softmax, cross-entropy, Adam.
 
-Each function writes only into arrays it allocates, except `softmax`, which
-writes into `out` when one is given. `adam_step` is pure: optimizer state is
-passed in and a new state returned.
+Each function writes only into arrays it allocates, except `softmax` and
+`adam_step`, which write their result into `out` when one is given. Adam's
+state is never written: it is passed in and a new state returned.
 Everything runs in double precision so that analytic gradients can be
 checked against central finite differences.
 """
@@ -74,9 +74,11 @@ class AdamState:
                    np.zeros_like(param, dtype=np.float64), 0)
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float) -> tuple[np.ndarray, AdamState]:
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns the new parameter and state.
+    With `out` (which may be `param` itself) the new parameter is written
+    there, with the same bits; the moments are always new arrays.
 
     Computes param - lr * m_hat / (sqrt(v_hat) + eps) with the same roundings
     in the same order as that expression, but into two temporaries instead
@@ -105,5 +107,5 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     step /= tmp
-    new_param = np.subtract(param, step, out=step)
+    new_param = np.subtract(param, step, out=step if out is None else out)
     return new_param, AdamState(m, v, t)

@@ -20,6 +20,12 @@ from .errors import ConfigError, StreamFormatError
 # thresholds on x0 + x1 for the piecewise SEA-style concept, cycled per segment
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
+# The largest Euclidean norm `load_csv` accepts for a row's features. Every
+# feature is then at most 1e100 in magnitude, and so is the Standardizer's
+# running mean, so each term delta * (x - mean) of its running variance is at
+# most 4e200 and their sum stays finite for any stream under 4e107 rows.
+MAX_ROW_NORM = 1e100
+
 # the options each generator's stream spec takes; a csv spec takes none
 SPEC_OPTIONS = {"sea": ("seg", "noise", "seed", "d"),
                 "hyperplane": ("seg", "noise", "seed", "d", "mode")}
@@ -79,8 +85,9 @@ def load_csv(path: str | Path) -> StreamSource:
 
     Each non-blank row is ``features..., label``. Labels are encoded by first
     appearance. A ragged row, a non-numeric cell (a header row among them),
-    a non-finite feature (``nan``, ``inf``) and a blank label are rejected
-    with their line number, as are the read errors of `_csv_rows`.
+    a non-finite feature (``nan``, ``inf``), features whose Euclidean norm
+    exceeds MAX_ROW_NORM and a blank label are rejected with their line
+    number, as are the read errors of `_csv_rows`.
     """
     path = Path(path)
     if not path.is_file():
@@ -103,8 +110,11 @@ def load_csv(path: str | Path) -> StreamSource:
                 feats.append(float(cell))
             except ValueError:
                 raise StreamFormatError(f"{path} line {line_no}: non-numeric value {cell!r}")
-        if not all(map(math.isfinite, feats)):
-            raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
+        if not math.hypot(*feats) <= MAX_ROW_NORM:     # also false for nan and inf
+            if not all(map(math.isfinite, feats)):
+                raise StreamFormatError(f"{path} line {line_no}: non-finite feature value")
+            raise StreamFormatError(f"{path} line {line_no}: features of norm above "
+                                    f"{MAX_ROW_NORM:g}")
         name = row[-1].strip()
         if not name:
             raise StreamFormatError(f"{path} line {line_no}: blank label")

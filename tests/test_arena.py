@@ -28,7 +28,7 @@ from bodl.hedge_net import (
     total_loss,
 )
 from bodl.memory import EpisodicMemory
-from bodl.numerics import PROB_CLIP
+from bodl.numerics import PROB_CLIP, AdamState
 
 from oracles import (
     list_adam_step,
@@ -52,9 +52,11 @@ def small_net(seed=3, dims=(5, 6, 3, 4)):
 
 
 def assert_all_equal(got, want):
+    """Equal values and equal bytes, so a sign of zero that differs fails too."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def snapshot(params):
@@ -211,6 +213,24 @@ def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
     forward(params, X[3], out=buf)
     assert_same_bits(first.probs, forward(params, X[3]).probs)
 
+    # the learner steps its own vector: an update into `out`, also into the
+    # parameters themselves, must give the pure call's bits; the Adam steps
+    # t = 1, 355, 356 and 357 straddle t = 356, from which 1 - beta1**t is 1.0
+    grad = backward(params, forward(params, X[4]), weights, y[4], LAM)
+    m = rng.standard_normal(params.flat.size) * 1e-2
+    states = [None] + [AdamState(m, m * m + 1e-6, t) for t in (0, 354, 355, 356)]
+    for state in states:
+        want, want_state = apply_update(params, grad, state, lr)
+        into, alias = params.with_flat(np.full_like(params.flat, np.nan)), params.copy()
+        for source, target in ((params, into), (alias, alias)):
+            got, got_state = apply_update(source, grad, state, lr, out=target)
+            assert got is target
+            assert_same_bits(got.flat, want.flat)
+            if state is not None:
+                assert got_state.step == want_state.step == state.step + 1
+                assert_same_bits(got_state.m, want_state.m)
+                assert_same_bits(got_state.v, want_state.v)
+
 
 def test_out_buffers_of_other_dims_rejected():
     params, w = small_net()
@@ -223,6 +243,12 @@ def test_out_buffers_of_other_dims_rejected():
     other, _ = small_net(dims=(5, 6, 3, 3))
     with pytest.raises(InputError, match="dims"):
         backward(params, acts, w, 0, 0.1, out=other)
+    grad = backward(params, acts, w, 0, 0.1)
+    for state in (None, init_opt_state(params, "adam")):
+        with pytest.raises(InputError, match="dims"):
+            apply_update(params, grad, state, LR, out=other)
+    with pytest.raises(InputError, match="dims"):
+        sgd_step(params, grad, LR, out=other)
 
 
 # ---------------------------------------------------------------- arena invariants

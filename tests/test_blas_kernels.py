@@ -1,0 +1,32 @@
+"""The arena's bit-for-bit contract under another OpenBLAS CPU kernel.
+
+OpenBLAS picks its kernel for the CPU when it loads, and the environment
+variable `OPENBLAS_CORETYPE` names another one. The per-row kernels and the
+list-of-matrices references in `tests/oracles.py` call the same BLAS
+routines, so `tests/test_arena.py` must pass byte for byte whichever kernel
+runs them. Only the child process gets the variable.
+"""
+
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="Haswell is an x86-64 kernel")
+def test_arena_holds_its_bits_under_the_haswell_kernel():
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2")
+    argv = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+            "tests/test_arena.py"]
+    child = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    shown = child.stdout + child.stderr
+    if "Core:" not in shown:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its kernel")
+    assert "Core: Haswell" in shown
+    assert child.returncode == 0, shown[-4000:]

@@ -415,3 +415,24 @@ def test_standardization_flag_is_honored():
     assert on.config["standardize"] is True
     assert off.config["standardize"] is False
     assert on.total == off.total == 600
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_online_steps_update_the_learners_own_vector(optimizer):
+    # every optimizer step writes the one parameter vector the learner holds;
+    # only a drift response replaces it
+    cfg = fast_config("bodl-2", optimizer=optimizer)
+    source = parse_stream_spec(FAST_DRIFT, default_seed=cfg.seed)
+    learner = NetworkLearner(cfg, source, MetricsReport(classes=source.classes))
+    flat = learner.params.flat
+    for inst in source:
+        before = flat.copy()
+        adaptations = len(learner.report.adaptations)
+        learner.step(inst.features, inst.label, inst.position)
+        if len(learner.report.adaptations) > adaptations:
+            assert learner.params.flat is not flat
+            flat = learner.params.flat
+        else:
+            assert learner.params.flat is flat
+            assert not np.array_equal(flat, before)
+    assert learner.report.adaptations

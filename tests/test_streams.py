@@ -89,6 +89,25 @@ def test_load_csv_non_finite_feature_reports_line(tmp_path, cell):
         load_csv(p)
 
 
+def test_load_csv_huge_magnitude_reports_line(tmp_path):
+    # a finite feature of 1e200 would overflow the Standardizer's running
+    # variance and stop a network run mid-stream as if training diverged
+    rows = "".join(f"0.5,{(-1) ** i * 1e200},{'ab'[i % 2]}\n" for i in range(50))
+    with pytest.raises(StreamFormatError, match="line 1: features of norm above 1e\\+100"):
+        load_csv(write_lines(tmp_path / "huge.csv", rows))
+    rows = "".join(f"0.5,{1e308 if i == 19 else i},{'ab'[i % 2]}\n" for i in range(50))
+    with pytest.raises(StreamFormatError, match="line 20: features of norm above"):
+        load_csv(write_lines(tmp_path / "one.csv", rows))
+
+
+def test_rows_at_the_norm_limit_keep_the_standardizer_finite(tmp_path):
+    rows = "".join(f"{(-1) ** i * 1e100},0,{'ab'[i % 2]}\n" for i in range(50))
+    std = Standardizer(2)
+    for inst in load_csv(write_lines(tmp_path / "edge.csv", rows)):
+        assert np.isfinite(std.standardize(inst.features)).all()
+    assert np.isfinite(std.variance).all()
+
+
 def test_load_csv_single_label_rejected(tmp_path):
     p = write_lines(tmp_path / "one.csv", "1,2,a\n3,4,a\n")
     with pytest.raises(StreamFormatError, match="at least 2"):
