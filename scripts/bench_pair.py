@@ -37,6 +37,7 @@ WORK = REPO / ".bench_work"
 SIDES = ("parent", "change")
 SEEDS = list(range(1, 11))
 TRACE_SEED = 1
+STDERR_TAIL = 20     # stderr lines shown of a run that fails or writes there
 
 
 def export_tree(commit: str, dest: Path) -> str:
@@ -51,10 +52,17 @@ def export_tree(commit: str, dest: Path) -> str:
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
-    """stdout of one perfbench/run.py process in `tree`."""
+    """stdout of one perfbench/run.py process in `tree`. A run that exits
+    non-zero or writes to stderr has its exit code and the tail of its stderr
+    printed to stderr, so a run with no result line says why."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    return subprocess.run(cmd, cwd=tree, capture_output=True, text=True).stdout
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode or done.stderr.strip():
+        tail = "\n".join(done.stderr.strip().splitlines()[-STDERR_TAIL:])
+        print(f"{workload} seed {seed} trace {trace} in {tree}: exit {done.returncode}\n{tail}",
+              file=sys.stderr, flush=True)
+    return done.stdout
 
 
 def parse_output(text: str) -> dict:

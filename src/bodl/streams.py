@@ -26,6 +26,14 @@ SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 # most 4e200 and their sum stays finite for any stream under 4e107 rows.
 MAX_ROW_NORM = 1e100
 
+# Once every feature's Standardizer._m2 is at least this, its variance
+# _m2 / count stays positive for any count below 2**63, so the zero-variance
+# mask can stop. _m2 never decreases: the new mean lies between the old mean
+# and x, so each term delta * (x - mean) is >= 0. A bare _m2 > 0 is not
+# enough, as the quotient can underflow: 3 * 2**-1074 over a count of 6
+# rounds to 0.
+SCALED_M2 = 1e-290
+
 # the options each generator's stream spec takes; a csv spec takes none
 SPEC_OPTIONS = {"sea": ("seg", "noise", "seed", "d"),
                 "hyperplane": ("seg", "noise", "seed", "d", "mode")}
@@ -143,6 +151,7 @@ class Standardizer:
         self.count = 0
         self.mean = np.zeros(dim)
         self._m2 = np.zeros(dim)
+        self._scaled = False    # every variance is positive from now on
 
     @property
     def variance(self) -> np.ndarray:
@@ -156,12 +165,14 @@ class Standardizer:
         if self.count == 0:
             z = np.zeros(self.dim)
         else:
-            denom = self._m2 / self.count          # the variance, then the divisor
-            unscaled = ~(denom > 0.0)
-            np.sqrt(denom, out=denom)
-            np.maximum(denom, 1e-8, out=denom)
-            np.copyto(denom, 1.0, where=unscaled)
-            z = delta / denom
+            z = self._m2 / self.count          # the variance, then the divisor, then z
+            unscaled = None if self._scaled else ~(z > 0.0)
+            np.sqrt(z, out=z)
+            np.maximum(z, 1e-8, out=z)
+            if unscaled is not None:
+                np.copyto(z, 1.0, where=unscaled)
+                self._scaled = bool(self._m2.min() >= SCALED_M2)
+            np.divide(delta, z, out=z)
         self.count += 1
         self.mean += delta / self.count
         self._m2 += delta * (x - self.mean)

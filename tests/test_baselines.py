@@ -16,9 +16,9 @@ from bodl.baselines import (
     SCW,
     Perceptron,
 )
-from bodl.errors import ConfigError, InputError
+from bodl.errors import ConfigError, DivergenceError, InputError
 
-from oracles import scalar_arow
+from oracles import LOOP_BASELINES, scalar_arow
 
 
 def random_stream(seed, n, dim, classes):
@@ -78,10 +78,72 @@ def test_deterministic_replay(name):
     assert np.array_equal(a.w, b.w)
 
 
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_non_finite_feature_is_an_input_error(name):
+    # the learner did not diverge: the input is at fault, and nothing is learned
+    model = BASELINES[name](3, 2)
+    model.step(np.array([1.0, -0.5, 2.0]), 1)
+    before = model.w.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="non-finite feature at stream position 7"):
+            model.step(np.array([1.0, bad, 0.0]), 0, 7)
+    assert np.array_equal(model.w, before)
+    # finite features on non-finite weights still name the diverged position
+    model.w[0, 0] = np.inf
+    with pytest.raises(DivergenceError) as err:
+        model.step(np.array([1.0, 0.0, 0.0]), 0, 9)
+    assert err.value.position == 9
+
+
+def batched_loop_stream(seed, n, dim, classes):
+    """Rows that reach every branch of the binary rules: random rows, all-zero
+    rows, a row repeated with either label (ROMMA's degenerate projection) and
+    repeats of a learned row that leave classes passive."""
+    rng = np.random.default_rng(seed)
+    fixed = rng.uniform(-2.0, 2.0, size=dim)
+    rows = []
+    for _ in range(n):
+        kind = rng.integers(0, 4)
+        x = (rng.uniform(-2.0, 2.0, size=dim) if kind == 0 else
+             np.zeros(dim) if kind == 1 else
+             rows[-1][0].copy() if kind == 2 and rows else fixed.copy())
+        rows.append((x, int(rng.integers(0, classes))))
+    return rows
+
+
+@pytest.mark.parametrize("start", ["fresh", "seeded"])
+@pytest.mark.parametrize("classes", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_class_batched_step_matches_per_class_loop(name, classes, start):
+    dim = 4
+    model, loop = BASELINES[name](dim, classes), LOOP_BASELINES[name](dim, classes)
+    if start == "seeded":
+        # the same start for both, with negative zeros that a passive row must keep
+        rng = np.random.default_rng(classes)
+        model.w[:] = rng.uniform(-1.0, 1.0, size=(classes, dim + 1))
+        model.w[:, ::2] = -0.0
+        loop.w[:] = model.w
+        if hasattr(loop, "sigma"):
+            model.sigma[:] = rng.uniform(0.1, 1.0, size=(classes, dim + 1))
+            loop.sigma[:] = model.sigma
+    partial = 0
+    for pos, (x, y) in enumerate(batched_loop_stream(7 * classes, 300, dim, classes)):
+        before = loop.w.copy()
+        assert model.step(x, y, pos) == loop.step(x, y, pos), pos
+        assert model.w.tobytes() == loop.w.tobytes(), pos
+        if hasattr(loop, "sigma"):
+            assert model.sigma.tobytes() == loop.sigma.tobytes(), pos
+        moved = sum(not np.array_equal(a, b) for a, b in zip(before, loop.w))
+        partial += 0 < moved < classes
+    # from the seeded start, some steps update some classes and not others
+    # (from a fresh one, a binary model's rows stay each other's negatives)
+    assert partial > 0 or start == "fresh"
+
+
 def test_scores_use_trailing_bias():
     # the bias column decides the prediction: without it class 1 would win
     model = Perceptron(2, 2)
-    model.w = np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 0.0]])
+    model.w[:] = [[0.0, 0.0, 3.0], [1.0, 0.0, 0.0]]     # w is a view: write in place
     assert model.step(np.array([2.0, 5.0]), 0) == 0
     # class 1's wrong sign is corrected with the augmented vector [x; 1]
     assert np.array_equal(model.w[1], np.array([-1.0, -5.0, -1.0]))
@@ -156,8 +218,8 @@ def test_pa_passive_after_margin_satisfied():
 def test_pa_step_capped_at_aggressiveness():
     model = PA(2, 2)
     model.w[0] = np.array([-5.0, 0.0, 0.0])
-    # loss 6 over squared norm 2 wants tau 3; the cap clips it to 1
-    model._update_binary(0, np.array([1.0, 0.0, 1.0]), 1.0)
+    # loss 6 over squared norm 2 of [x; 1] wants tau 3; the cap clips it to 1
+    model.step(np.array([1.0, 0.0]), 0)
     assert np.allclose(model.w[0], [-4.0, 0.0, 1.0], atol=1e-15)
 
 
@@ -205,7 +267,7 @@ def test_romma_parallel_input_falls_back():
     model = ROMMA(2, 2)
     model.step(np.array([1.0, 0.0]), 0)
     # same direction, flipped label: the projection denominator vanishes
-    model._update_binary(0, np.array([1.0, 0.0, 1.0]), -1.0)
+    model.step(np.array([1.0, 0.0]), 1)
     assert np.array_equal(model.w[0], np.zeros(3))
 
 
@@ -257,8 +319,7 @@ def test_scw_step_size_respects_cap():
     model = SCW(2, 2)
     model.w[0] = np.array([-5.0, 0.0, 0.0])
     # margin -5 at variance 2 wants a step near 2.7; the cap clips it to C
-    xa = np.array([1.0, 0.0, 1.0])
-    model._update_binary(0, xa, 1.0)
+    model.step(np.array([1.0, 0.0]), 0)
     assert np.allclose(model.w[0], [-5.0 + C, 0.0, C], atol=1e-15)
 
 
@@ -267,5 +328,5 @@ def test_scw_passive_when_confident_and_correct():
     model.w[0] = np.array([50.0, 0.0, 0.0])
     model.sigma[0] = np.full(3, 1e-4)
     w_before = model.w[0].copy()
-    model._update_binary(0, np.array([1.0, 0.0, 1.0]), 1.0)
+    model.step(np.array([1.0, 0.0]), 0)
     assert np.array_equal(model.w[0], w_before)

@@ -3,6 +3,7 @@ schema, the pairing and the exit code. Nothing is timed."""
 
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,6 +111,29 @@ def test_run_without_result_line_counts_as_failed(tmp_path):
     assert w["failed"]["parent"] == 1
     assert w["per_layer"]["hedge_net.hedge_update_us"]["parent"] is None
     assert bench_pair.main(["--compare", str(path)]) == 1
+
+
+def test_run_perfbench_reports_exit_code_and_stderr_tail(monkeypatch, capsys):
+    runs = {"crashed": subprocess.CompletedProcess(
+                [], 1, stdout="", stderr="".join(f"line {i}\n" for i in range(30))),
+            "clean": subprocess.CompletedProcess([], 0, stdout=canned("change", "deep-flip",
+                                                                      3, 30, 0), stderr="")}
+
+    def fake_run(cmd, cwd, **kwargs):
+        assert cmd[1:3] == ["perfbench/run.py", "--workload"]
+        return runs[cwd]
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    out = bench_pair.run_perfbench("crashed", "deep-flip", 3, 30, 1)
+    assert bench_pair.parse_output(out)["failed"] == 1
+    err = capsys.readouterr().err
+    assert "deep-flip seed 3 trace 1 in crashed: exit 1" in err
+    shown = [f"line {i}" for i in range(30) if f"line {i}\n" in err]
+    assert shown == [f"line {i}" for i in range(30 - bench_pair.STDERR_TAIL, 30)]
+
+    out = bench_pair.run_perfbench("clean", "deep-flip", 3, 30, 0)
+    assert bench_pair.parse_output(out)["failed"] == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")

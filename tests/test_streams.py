@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bodl.errors import ConfigError, StreamFormatError
 from bodl.streams import (
+    MAX_ROW_NORM,
     SEA_THRESHOLDS,
     Standardizer,
     StreamSource,
@@ -280,6 +281,40 @@ def test_standardizer_matches_out_of_place_reference_bit_for_bit(stream):
         assert np.array_equal(stz.mean, ref.mean)
         assert np.array_equal(stz._m2, ref._m2)
         last, kept = z, z.copy()
+
+
+# Rows of up to 4 features, each on its own scale from MAX_ROW_NORM / 2 down
+# to 1e-165, where the variance _m2 / count can underflow; a row's norm is at
+# most MAX_ROW_NORM. Each feature holds its first value for its first rows.
+@st.composite
+def scaled_streams(draw):
+    k, d = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    xs = np.array(draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d),
+                                min_size=k, max_size=k)))
+    xs *= MAX_ROW_NORM / 10.0 ** np.array(
+        draw(st.lists(st.integers(0, 265), min_size=d, max_size=d)), dtype=np.float64)
+    for j, held in enumerate(draw(st.lists(st.integers(0, k), min_size=d, max_size=d))):
+        xs[:held, j] = xs[0, j]
+    return xs
+
+
+# _m2 is 3 * 2**-1074 from row 1 on, as the later rows' terms underflow to 0,
+# so the variance is positive at counts 2 to 5 and rounds to 0 from count 6:
+# a feature's variance can return to 0 after it was positive.
+UNDERFLOWING_VARIANCE = np.array([[0.0], [5e-162]] + [[2.5e-162 + k * 1e-175] for k in range(1, 10)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scaled_streams())
+@example(UNDERFLOWING_VARIANCE)
+def test_standardizer_matches_reference_byte_for_byte_at_any_scale(xs):
+    stz, ref = Standardizer(xs.shape[1]), ReferenceStandardizer(xs.shape[1])
+    for x in xs:
+        m2 = stz._m2.copy()
+        assert stz.standardize(x).tobytes() == ref.standardize(x).tobytes()
+        assert stz.mean.tobytes() == ref.mean.tobytes()
+        assert stz._m2.tobytes() == ref._m2.tobytes()
+        assert np.all(stz._m2 >= m2)          # _m2 never decreases
 
 
 def test_standardizer_validation():
