@@ -16,8 +16,9 @@ The file holds, per workload: each end-to-end metric's medians, the
 parent's quartiles and the change's wins out of the pairs, the same from
 the raw `# wall` line, the traced per-layer metrics of both sides, the
 failed and attempted pass counts of both sides, and every run's figures.
-Both modes print the parent/change table and exit 1 if any pass failed
-its golden check (or a run gave no result line).
+It also holds the lines of src/ added and deleted against the parent.
+Both modes print the parent/change table and those line counts, and exit 1
+if any pass failed its golden check (or a run gave no result line).
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def export_tree(commit: str, dest: Path) -> str:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def src_lines(parent: str) -> dict:
+    """Lines of src/ added and deleted in this checkout against `parent`,
+    summed from `git diff --numstat` (a binary file's "-" counts 0)."""
+    text = subprocess.run(["git", "diff", "--numstat", parent, "--", "src"], cwd=REPO,
+                          check=True, capture_output=True, text=True).stdout
+    counts = [line.split("\t")[:2] for line in text.splitlines()]
+    return {"added": sum(int(a) for a, _ in counts if a != "-"),
+            "deleted": sum(int(d) for _, d in counts if d != "-")}
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
@@ -169,6 +180,10 @@ def table(doc: dict) -> str:
     failed = {wl: w["failed"] for wl, w in doc["workloads"].items()}
     rows += ["", "failed passes (parent / change): " + ", ".join(
         f"{wl} {f['parent']} / {f['change']}" for wl, f in failed.items())]
+    if "src_lines" in doc:      # files written before the counts were recorded lack them
+        lines = doc["src_lines"]
+        rows.append(f"src/ lines against the parent: +{lines['added']} -{lines['deleted']} "
+                    f"(net {lines['added'] - lines['deleted']:+d})")
     return "\n".join(rows)
 
 
@@ -197,7 +212,7 @@ def main(argv=None) -> int:
                          bench["run_seconds"])
         change = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                                 cwd=REPO, capture_output=True, text=True).stdout.strip()
-        meta = {"parent": parent, "change": change, "seeds": SEEDS,
+        meta = {"parent": parent, "change": change, "src_lines": src_lines(parent), "seeds": SEEDS,
                 "seconds": bench["run_seconds"], "trace_seed": TRACE_SEED,
                 "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                          "python": platform.python_version()}}

@@ -24,9 +24,9 @@ R = 1.0                            # AROW: regularization
 
 class LinearBaseline:
     """Shared one-vs-rest scaffolding. `step` updates every class in one pass:
-    each subclass's `_update` runs its binary rule on Python floats over the
-    class list and writes the updated rows with one array expression per
-    vector."""
+    it runs the subclass's binary `_rule` on Python floats over the class
+    list, and `_write` writes the rows of the classes to update, from one row
+    of coefficients each, with one array expression per vector."""
 
     stack = 1    # per-class vectors held: w, then sigma for CW, AROW and SCW
 
@@ -39,10 +39,15 @@ class LinearBaseline:
         # [x; 1] (and its square) rows of one buffer made once, so one matmul
         # gives every w[c] @ xa (and sigma[c] @ (xa * xa)) as the same ddot
         self._state = np.zeros((self.stack, classes, input_dim + 1))
-        self.w = self._state[0]
+        self._w = self._state[0]
         self._xs = np.ones((self.stack, input_dim + 1))
         self._xa = self._xs[0]
         self._pairs = (self._state[:, :, None, :], self._xs[:, None, :, None])
+
+    @property
+    def w(self) -> np.ndarray:
+        """The (classes, d+1) weights: a view of the state, written in place."""
+        return self._w
 
     def step(self, x: np.ndarray, y: int, position: int = -1) -> int:
         """Predict from pre-update weights, then learn; returns the prediction.
@@ -56,7 +61,7 @@ class LinearBaseline:
         xa = self._xa
         xa[:-1] = x
         # a gemv, whose bits may differ from the per-class ddot of the update
-        scores = self.w.dot(xa).tolist()
+        scores = self._w.dot(xa).tolist()
         if not math.isfinite(sum(scores)):
             if not np.isfinite(x).all():
                 raise InputError(f"non-finite feature at stream position {position}")
@@ -64,36 +69,40 @@ class LinearBaseline:
         pred = scores.index(max(scores))   # first maximum, as np.argmax
         if self.stack == 2:
             np.multiply(xa, xa, out=self._xs[1])
-        self._update(np.matmul(*self._pairs).ravel().tolist(), y)
+        # every w[c] @ xa, then (CW, AROW, SCW) every sigma[c] @ (xa * xa)
+        dots, k = np.matmul(*self._pairs).ravel().tolist(), self.classes
+        self._begin()
+        rule, rows, coefs = self._rule, [], []
+        for c, m, v in zip(range(k), dots, dots[k:] or dots):
+            coef = rule(c, 1.0 if c == y else -1.0, m, v)
+            if coef is not None:
+                rows.append(c)
+                coefs.append(coef)
+        if rows:
+            # a slice when every class updates: a basic index costs a
+            # fraction of a fancy one
+            self._write(slice(None) if len(rows) == k else rows, np.array(coefs))
         return pred
 
-    def _update(self, dots: list, y: int) -> None:
-        """Learn from label y, given every w[c] @ xa and then (CW, AROW, SCW)
-        every sigma[c] @ (xa * xa)."""
+    def _begin(self) -> None:
+        """Per-step values the rule reads, set before the class loop."""
+
+    def _rule(self, c: int, yc: float, m: float, v: float) -> tuple | None:
+        """Class c's update coefficients at sign yc, margin m = w[c] @ xa and
+        variance v = sigma[c] @ (xa * xa) (CW, AROW, SCW; m again, unused, for
+        the others), or None to leave the class as it is."""
         raise NotImplementedError
 
-    def _select(self, rows: list) -> list | slice:
-        """The listed classes as an index: a slice when they are all of them,
-        as a basic index costs a fraction of a fancy one."""
-        return slice(None) if len(rows) == self.classes else rows
-
-    def _add(self, rows: list, coefs: list) -> None:
-        """w[c] += coef * xa for each listed class; the others keep their bits."""
-        if rows:
-            self.w[self._select(rows)] += np.array(coefs)[:, None] * self._xa
+    def _write(self, rows, coefs: np.ndarray) -> None:
+        """w[c] += coef * xa for each listed class, one row (coef,) of `coefs` each."""
+        self._w[rows] += coefs * self._xa
 
 
 class Perceptron(LinearBaseline):
     """Mistake-driven: w += y*x on wrongly signed margins."""
 
-    def _update(self, dots, y):
-        rows, coefs = [], []
-        for c, m in enumerate(dots):
-            yc = 1.0 if c == y else -1.0
-            if yc * m <= 0.0:
-                rows.append(c)
-                coefs.append(yc)
-        self._add(rows, coefs)
+    def _rule(self, c, yc, m, v):
+        return (yc,) if yc * m <= 0.0 else None
 
 
 class OGD(LinearBaseline):
@@ -104,146 +113,116 @@ class OGD(LinearBaseline):
         self.lr = lr
         self.t = 0
 
-    def _update(self, dots, y):
+    def _begin(self):
         self.t += 1
-        rate = self.lr / math.sqrt(self.t)
-        rows, coefs = [], []
-        for c, m in enumerate(dots):
-            yc = 1.0 if c == y else -1.0
-            if yc * m < 1.0:
-                rows.append(c)
-                coefs.append(rate * yc)
-        self._add(rows, coefs)
+        self._rate = self.lr / math.sqrt(self.t)
+
+    def _rule(self, c, yc, m, v):
+        return (self._rate * yc,) if yc * m < 1.0 else None
 
 
 class PA(LinearBaseline):
     """Passive-aggressive: jump to the margin-1 boundary, step capped at C."""
 
-    def _update(self, dots, y):
-        a = float(self._xa @ self._xa)
-        rows, coefs = [], []
-        for c, m in enumerate(dots):
-            yc = 1.0 if c == y else -1.0
-            loss = max(0.0, 1.0 - yc * m)
-            if loss > 0.0:
-                rows.append(c)
-                coefs.append(min(C, loss / a) * yc)
-        self._add(rows, coefs)
+    def _begin(self):
+        self._a = float(self._xa @ self._xa)
+
+    def _rule(self, c, yc, m, v):
+        loss = max(0.0, 1.0 - yc * m)
+        return (min(C, loss / self._a) * yc,) if loss > 0.0 else None
 
 
 class ROMMA(LinearBaseline):
     """Relaxed maximum-margin projection update on mistakes."""
 
-    def _update(self, dots, y):
-        w, xa = self.w, self._xa
-        a = float(xa @ xa)
-        norms = np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist()   # w[c] @ w[c]
-        rows, coef_w, coef_x = [], [], []
-        for c, m in enumerate(dots):
-            yc = 1.0 if c == y else -1.0
-            if yc * m > 0.0:
-                continue
-            b = norms[c]
-            denom = a * b - m * m
-            rows.append(c)
-            if b == 0.0 or denom <= 1e-12 * a * b:
-                # degenerate (zero weights or x parallel to w): plain mistake
-                # step, w + yc * xa, as 1.0 * w is w
-                coef_w.append(1.0)
-                coef_x.append(yc)
-            else:
-                coef_w.append((a * b - yc * m) / denom)
-                coef_x.append(b * (yc - m) / denom)
-        if rows:
-            sel = self._select(rows)
-            w[sel] = np.array(coef_w)[:, None] * w[sel] + np.array(coef_x)[:, None] * xa
+    def _begin(self):
+        w = self._w
+        self._a = float(self._xa @ self._xa)
+        self._norms = np.matmul(w[:, None, :], w[:, :, None]).ravel().tolist()   # w[c] @ w[c]
+
+    def _rule(self, c, yc, m, v):
+        if yc * m > 0.0:
+            return None
+        a, b = self._a, self._norms[c]
+        denom = a * b - m * m
+        if b == 0.0 or denom <= 1e-12 * a * b:
+            # degenerate (zero weights or x parallel to w): plain mistake
+            # step, w + yc * xa, as 1.0 * w is w
+            return 1.0, yc
+        return (a * b - yc * m) / denom, b * (yc - m) / denom
+
+    def _write(self, rows, coefs):
+        w = self._w    # coefs: one row (coef_w, coef_x) per class
+        w[rows] = coefs[:, :1] * w[rows] + coefs[:, 1:] * self._xa
 
 
 class ConfidenceBaseline(LinearBaseline):
-    """Adds a diagonal variance per class, one entry per augmented feature."""
+    """Adds a diagonal variance per class, one entry per augmented feature.
+    Its `_write` is AROW's and SCW's: given one row (step, beta) per class,
+    with sx = sigma[c] * xa, w[c] += step * sx and sigma[c] -= beta * sx * sx."""
 
     stack = 2
 
     def __init__(self, input_dim, classes):
         super().__init__(input_dim, classes)
-        self.sigma = self._state[1]
-        self.sigma.fill(1.0)
+        self._sigma = self._state[1]
+        self._sigma.fill(1.0)
 
-    def _shrink(self, rows: list, steps: list, betas: list) -> None:
-        """AROW's and SCW's write: with sx = sigma[c] * xa, w[c] += step * sx
-        and sigma[c] -= beta * sx * sx for each listed class."""
-        if rows:
-            sel = self._select(rows)
-            sigma = self.sigma[sel]     # a view of every row, else a copy
-            sx = sigma * self._xa
-            self.w[sel] += np.array(steps)[:, None] * sx
-            sigma -= np.array(betas)[:, None] * sx * sx
-            self.sigma[sel] = sigma
+    @property
+    def sigma(self) -> np.ndarray:
+        """The (classes, d+1) variances: a view of the state, written in place."""
+        return self._sigma
+
+    def _write(self, rows, coefs):
+        sigma = self._sigma[rows]     # a view of every row, else a copy
+        sx = sigma * self._xa
+        self._w[rows] += coefs[:, :1] * sx
+        sigma -= coefs[:, 1:] * sx * sx
+        self._sigma[rows] = sigma
 
 
 class CW(ConfidenceBaseline):
     """Confidence-weighted learning, diagonal variance variant."""
 
-    def _update(self, dots, y):
-        phi, k = PHI, self.classes
-        rows, steps, gains = [], [], []
-        for c in range(k):
-            yc = 1.0 if c == y else -1.0
-            m = yc * dots[c]
-            v = dots[k + c]
-            disc = (1.0 + 2.0 * phi * m) ** 2 - 8.0 * phi * (m - phi * v)
-            gamma = (-(1.0 + 2.0 * phi * m) + math.sqrt(disc)) / (4.0 * phi * v)
-            alpha = max(0.0, gamma)
-            if alpha > 0.0:
-                rows.append(c)
-                steps.append(alpha * yc)
-                gains.append(2.0 * alpha * phi)
-        if rows:
-            sel, xa = self._select(rows), self._xa
-            sigma = self.sigma[sel]
-            self.w[sel] += np.array(steps)[:, None] * sigma * xa
-            self.sigma[sel] = 1.0 / (1.0 / sigma + np.array(gains)[:, None] * xa * xa)
+    def _rule(self, c, yc, m, v):
+        phi = PHI
+        m = yc * m
+        disc = (1.0 + 2.0 * phi * m) ** 2 - 8.0 * phi * (m - phi * v)
+        gamma = (-(1.0 + 2.0 * phi * m) + math.sqrt(disc)) / (4.0 * phi * v)
+        alpha = max(0.0, gamma)
+        return (alpha * yc, 2.0 * alpha * phi) if alpha > 0.0 else None
+
+    def _write(self, rows, coefs):
+        xa, sigma = self._xa, self._sigma[rows]    # coefs: one row (step, gain) per class
+        self._w[rows] += coefs[:, :1] * sigma * xa
+        self._sigma[rows] = 1.0 / (1.0 / sigma + coefs[:, 1:] * xa * xa)
 
 
 class AROW(ConfidenceBaseline):
     """Adaptive regularization of weights, diagonal covariance."""
 
-    def _update(self, dots, y):
-        k = self.classes
-        rows, steps, betas = [], [], []
-        for c in range(k):
-            yc = 1.0 if c == y else -1.0
-            loss = 1.0 - yc * dots[c]
-            if loss <= 0.0:
-                continue
-            beta = 1.0 / (dots[k + c] + R)
-            rows.append(c)
-            steps.append(loss * beta * yc)
-            betas.append(beta)
-        self._shrink(rows, steps, betas)
+    def _rule(self, c, yc, m, v):
+        loss = 1.0 - yc * m
+        if loss <= 0.0:
+            return None
+        beta = 1.0 / (v + R)
+        return loss * beta * yc, beta
 
 
 class SCW(ConfidenceBaseline):
     """Soft confidence-weighted (variant I), diagonal covariance."""
 
-    def _update(self, dots, y):
-        phi, psi, zeta, k = PHI, PSI, ZETA, self.classes
-        rows, steps, betas = [], [], []
-        for c in range(k):
-            yc = 1.0 if c == y else -1.0
-            m = yc * dots[c]
-            v = dots[k + c]
-            if phi * math.sqrt(v) - m <= 0.0:
-                continue
-            alpha = min(C, max(0.0, (-m * psi + math.sqrt(
-                m * m * phi ** 4 / 4.0 + v * phi * phi * zeta)) / (v * zeta)))
-            if alpha <= 0.0:
-                continue
-            sqrt_u = 0.5 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v))
-            rows.append(c)
-            steps.append(alpha * yc)
-            betas.append(alpha * phi / (sqrt_u + v * alpha * phi))
-        self._shrink(rows, steps, betas)
+    def _rule(self, c, yc, m, v):
+        phi, psi, zeta = PHI, PSI, ZETA
+        m = yc * m
+        if phi * math.sqrt(v) - m <= 0.0:
+            return None
+        alpha = min(C, max(0.0, (-m * psi + math.sqrt(
+            m * m * phi ** 4 / 4.0 + v * phi * phi * zeta)) / (v * zeta)))
+        if alpha <= 0.0:
+            return None
+        sqrt_u = 0.5 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v))
+        return alpha * yc, alpha * phi / (sqrt_u + v * alpha * phi)
 
 
 BASELINES = {

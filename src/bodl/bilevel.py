@@ -37,9 +37,9 @@ def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np
     """Refine a copy of the parameters on the recent drifted rows `(X, y)`.
 
     `inner_steps` plain single-row gradient steps at `inner_rate` on the copy,
-    in place (rounded as a chain of `sgd_step`s), cycling through the rows in
-    order; head importances stay frozen. The forward record and the gradient
-    are written into one buffer each, made once per call."""
+    in place, cycling through the rows in order; head importances stay
+    frozen. The forward record and the gradient are written into one buffer
+    each, made once per call."""
     if not len(X):
         raise StateError("recent window is empty; nothing to adapt on")
     adapted = params.copy()
@@ -48,22 +48,22 @@ def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np
     for i in range(inner_steps):
         k = i % len(X)
         acts = forward(adapted, X[k], out=buf)
-        step = backward(adapted, acts, weights, labels[k], lam, out=grad)
-        step *= inner_rate
-        adapted.flat -= step
+        sgd_step(adapted, backward(adapted, acts, weights, labels[k], lam, out=grad), inner_rate)
     return adapted
 
 
 def lookahead(adapted: NetworkParams, X: np.ndarray, y: np.ndarray,
               weights: np.ndarray, lam: float, *, inner_rate: float) -> NetworkParams:
-    """One further step at `inner_rate` on the mean loss over a replayed batch `(X, y)`.
+    """One further step at `inner_rate` on the mean loss over a replayed batch
+    `(X, y)`, taken in place on the working copy `adapted`, which is returned.
 
     The rows' gradients are summed in row order by one stacked call."""
     if not len(X):
         raise StateError("memory batch is empty")
     grad = backward_sum(adapted, forward_rows(adapted, X), weights, y, lam)
     grad *= 1.0 / len(X)
-    return sgd_step(adapted, grad, inner_rate)
+    sgd_step(adapted, grad, inner_rate)
+    return adapted
 
 
 def outer_interpolate(params: NetworkParams, target: NetworkParams,

@@ -285,8 +285,7 @@ class NetworkLearner:
             self.detector = drift_mod.reset(self.detector)
         if not adapted:
             grad = backward(self.params, acts, self.weights, y, self.lam, out=self.grad)
-            self.params, self.opt_state = apply_update(self.params, grad, self.opt_state,
-                                                       self.cfg.lr, out=self.params)
+            apply_update(self.params, grad, self.opt_state, self.cfg.lr)
         self.memory.maybe_insert(t, self.rng)
         return pred
 

@@ -114,15 +114,6 @@ def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarra
     return a.flat, b.flat
 
 
-def _target(params: NetworkParams, out: NetworkParams | None) -> NetworkParams:
-    """`out` after checking it shares `params`' dims, or, without it, a
-    parameter set of those dims over a new, unset vector."""
-    if out is None:
-        return params.with_flat(np.empty_like(params.flat))
-    flat_pair(params, out)
-    return out
-
-
 @dataclass
 class LayerActivations:
     """Forward-pass record: slices of the one buffer `forward` fills. A
@@ -337,7 +328,8 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     probs = acts.probs
     _check_heads(params, acts, weights)
     check_label(y, probs.shape[1])
-    out = _target(params, out)    # every entry is written below
+    out = params.with_flat(np.empty_like(params.flat)) if out is None else out
+    flat_pair(params, out)        # every entry of `out` is written below
     inputs, block = acts.inputs, acts.block
     hidden = block[:, :-1]
 
@@ -429,30 +421,21 @@ def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float) -
 
 def init_opt_state(params: NetworkParams, optimizer: str) -> AdamState | None:
     """None for "sgd"; for "adam" one AdamState over the whole parameter vector."""
-    if optimizer == "sgd":
-        return None
-    return AdamState.zeros_like(params.flat)
+    return None if optimizer == "sgd" else AdamState.zeros_like(params.flat)
 
 
 def apply_update(params: NetworkParams, grad: np.ndarray, opt_state: AdamState | None,
-                 lr: float, out: NetworkParams | None = None
-                 ) -> tuple[NetworkParams, AdamState | None]:
-    """One optimizer step on the whole parameter vector with the gradient
-    vector `grad`: SGD when `opt_state` is None, Adam otherwise. The new
-    parameters go into `out`, a `NetworkParams` of the same dims (which may
-    be `params` itself), and `out` is returned; without it into a new vector.
-    The Adam state is never written."""
+                 lr: float) -> None:
+    """One optimizer step on the whole parameter vector, in place, with the
+    gradient vector `grad`: SGD when `opt_state` is None, else Adam, which
+    also moves `opt_state`."""
     if opt_state is None:
-        return sgd_step(params, grad, lr, out=out), None
-    out = _target(params, out)
-    _, state = adam_step(params.flat, params.checked(grad), opt_state, lr, out=out.flat)
-    return out, state
+        sgd_step(params, grad, lr)
+    else:
+        adam_step(params.flat, params.checked(grad), opt_state, lr)
 
 
-def sgd_step(params: NetworkParams, grad: np.ndarray, lr: float,
-             out: NetworkParams | None = None) -> NetworkParams:
-    """Plain gradient step at a caller-chosen rate with the gradient vector
-    `grad`, into `out` as in `apply_update`."""
-    out = _target(params, out)
-    np.subtract(params.flat, lr * params.checked(grad), out=out.flat)
-    return out
+def sgd_step(params: NetworkParams, grad: np.ndarray, lr: float) -> None:
+    """Plain gradient step, in place, at a caller-chosen rate with the
+    gradient vector `grad`."""
+    params.flat -= lr * params.checked(grad)

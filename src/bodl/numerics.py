@@ -1,8 +1,8 @@
 """Dense float64 kernels of the hedged network: softmax, cross-entropy, Adam.
 
-Each function writes only into arrays it allocates, except `softmax` and
-`adam_step`, which write their result into `out` when one is given. Adam's
-state is never written: it is passed in and a new state returned.
+Each function writes only into arrays it allocates, except `softmax`,
+which writes its result into `out` when one is given, and `adam_step`,
+which moves the parameter vector and the `AdamState` it is given in place.
 Everything runs in double precision so that analytic gradients can be
 checked against central finite differences.
 """
@@ -74,28 +74,27 @@ class AdamState:
                    np.zeros_like(param, dtype=np.float64), 0)
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
-              out: np.ndarray | None = None) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new parameter and state.
-    With `out` (which may be `param` itself) the new parameter is written
-    there, with the same bits; the moments are always new arrays.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of `param`, its moments and its step
+    count, all in place.
 
     Computes param - lr * m_hat / (sqrt(v_hat) + eps) with the same roundings
-    in the same order as that expression, but into two temporaries instead
-    of one new array per operation. Once 1 - beta1**t rounds to exactly 1.0
-    (from t = 356 on), m_hat = m / 1.0 is m itself, so the division is skipped.
+    in the same order as that expression, through two temporaries. Once
+    1 - beta1**t rounds to exactly 1.0 (from t = 356 on), m_hat = m / 1.0 is
+    m itself, so the division is skipped.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise InputError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, moment {state.m.shape}")
-    t = state.step + 1
+    state.step += 1
+    t, m, v = state.step, state.m, state.v
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     tmp = np.multiply(grad, 1.0 - b1)
-    m = np.multiply(state.m, b1)
+    m *= b1
     m += tmp
     np.multiply(grad, grad, out=tmp)
     tmp *= 1.0 - b2
-    v = np.multiply(state.v, b2)
+    v *= b2
     v += tmp
     c1 = 1.0 - b1 ** t
     if c1 == 1.0:
@@ -107,5 +106,4 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     step /= tmp
-    new_param = np.subtract(param, step, out=step if out is None else out)
-    return new_param, AdamState(m, v, t)
+    param -= step

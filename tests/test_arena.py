@@ -10,6 +10,7 @@ from bodl.bilevel import (
     adapt_on_drift,
     lookahead,
     outer_interpolate,
+    params_distance,
 )
 from bodl.errors import InputError
 from bodl.hedge_net import (
@@ -124,7 +125,7 @@ def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
         ref_grads = list_backward(ref[:n], ref[n:], hidden, probs, ref_weights, y, LAM)
         assert_all_equal(params.with_flat(grads).matrices(), ref_grads[0] + ref_grads[1])
 
-        params, opt = apply_update(params, grads, opt, lr)
+        apply_update(params, grads, opt, lr)
         if optimizer == "adam":
             ref, ref_states = list_adam_step(ref, ref_grads[0] + ref_grads[1],
                                              ref_states, lr)
@@ -213,23 +214,26 @@ def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
     forward(params, X[3], out=buf)
     assert_same_bits(first.probs, forward(params, X[3]).probs)
 
-    # the learner steps its own vector: an update into `out`, also into the
-    # parameters themselves, must give the pure call's bits; the Adam steps
-    # t = 1, 355, 356 and 357 straddle t = 356, from which 1 - beta1**t is 1.0
+    # the learner steps its own vector: the in-place update must give the
+    # matrix-by-matrix reference's bits; the Adam steps t = 1, 355, 356 and
+    # 357 straddle t = 356, from which 1 - beta1**t is 1.0
     grad = backward(params, forward(params, X[4]), weights, y[4], LAM)
+    mats, grads = params.matrices(), params.with_flat(grad).matrices()
     m = rng.standard_normal(params.flat.size) * 1e-2
-    states = [None] + [AdamState(m, m * m + 1e-6, t) for t in (0, 354, 355, 356)]
-    for state in states:
-        want, want_state = apply_update(params, grad, state, lr)
-        into, alias = params.with_flat(np.full_like(params.flat, np.nan)), params.copy()
-        for source, target in ((params, into), (alias, alias)):
-            got, got_state = apply_update(source, grad, state, lr, out=target)
-            assert got is target
-            assert_same_bits(got.flat, want.flat)
-            if state is not None:
-                assert got_state.step == want_state.step == state.step + 1
-                assert_same_bits(got_state.m, want_state.m)
-                assert_same_bits(got_state.v, want_state.v)
+    for t in (None, 0, 354, 355, 356):
+        work = params.copy()
+        if t is None:
+            apply_update(work, grad, None, lr)
+            assert_all_equal(work.matrices(), list_sgd_step(mats, grads, lr))
+            continue
+        state = AdamState(m.copy(), m * m + 1e-6, t)
+        moments = zip(work.with_flat(state.m).matrices(), work.with_flat(state.v).matrices())
+        want, want_states = list_adam_step(mats, grads, [(a, b, t) for a, b in moments], lr)
+        apply_update(work, grad, state, lr)
+        assert_all_equal(work.matrices(), want)
+        assert_all_equal(work.with_flat(state.m).matrices(), [s[0] for s in want_states])
+        assert_all_equal(work.with_flat(state.v).matrices(), [s[1] for s in want_states])
+        assert state.step == t + 1
 
 
 def test_out_buffers_of_other_dims_rejected():
@@ -240,15 +244,18 @@ def test_out_buffers_of_other_dims_rejected():
             forward(params, np.ones(5), out=np.empty(size))
     with pytest.raises(InputError, match="forward buffer"):
         forward(params, np.ones(5), out=forward_buffer(params.dims).reshape(1, -1))
-    other, _ = small_net(dims=(5, 6, 3, 3))
+    other, other_w = small_net(dims=(5, 6, 3, 3))
     with pytest.raises(InputError, match="dims"):
         backward(params, acts, w, 0, 0.1, out=other)
-    grad = backward(params, acts, w, 0, 0.1)
+    # an in-place update refuses a gradient of other dims before anything moves
+    grad, kept = backward(other, forward(other, np.ones(5)), other_w, 0, 0.1), params.copy()
     for state in (None, init_opt_state(params, "adam")):
         with pytest.raises(InputError, match="dims"):
-            apply_update(params, grad, state, LR, out=other)
+            apply_update(params, grad, state, LR)
+        assert state is None or state.step == 0
     with pytest.raises(InputError, match="dims"):
-        sgd_step(params, grad, LR, out=other)
+        sgd_step(params, grad, LR)
+    assert_all_equal(params.matrices(), kept.matrices())
 
 
 # ---------------------------------------------------------------- arena invariants
@@ -323,26 +330,35 @@ def test_copy_is_independent():
     assert not np.shares_memory(dup.flat, params.flat)
 
 
-def test_updates_never_mutate_their_inputs():
+def test_updates_write_only_their_target():
+    # an optimizer step moves the parameters it is given, and Adam's state,
+    # but not the gradient; `lookahead` moves its working copy; the
+    # interpolation and the distance move nothing
     params, w = small_net()
     x = np.random.default_rng(1).standard_normal(5)
+    X, y = np.stack([x, -x]), np.array([1, 0])
     grads = backward(params, forward(params, x), w, 2, 0.1)
-    target = params.copy()
-    target.flat *= 0.5
-    kept = [snapshot(params), snapshot(params.with_flat(grads)), snapshot(target)]
+    other = params.copy()
+    other.flat *= 0.5
     opt = init_opt_state(params, "adam")
-    opt_m, opt_v = opt.m.copy(), opt.v.copy()
+    arrays = {"params": params.flat, "grads": grads, "other": other.flat, "m": opt.m,
+              "v": opt.v, "weights": w, "X": X, "y": y}
 
-    apply_update(params, grads, opt, LR)
-    sgd_step(params, grads, 0.1)
-    outer_interpolate(params, target, 0.3)
-    lookahead(params, np.stack([x, -x]), np.array([1, 0]), w, 0.1, inner_rate=0.01)
+    def moves(call, *targets):
+        before = {name: a.copy() for name, a in arrays.items()}
+        call()
+        for name, a in arrays.items():
+            same = a.tobytes() == before[name].tobytes()
+            assert same != (name in targets), name
 
-    assert_all_equal(params.matrices(), kept[0])
-    assert_all_equal(params.with_flat(grads).matrices(), kept[1])
-    assert_all_equal(target.matrices(), kept[2])
-    assert np.array_equal(opt.m, opt_m) and np.array_equal(opt.v, opt_v)
-    assert opt.step == 0
+    moves(lambda: apply_update(params, grads, opt, LR), "params", "m", "v")
+    assert opt.step == 1
+    moves(lambda: apply_update(params, grads, None, LR), "params")
+    moves(lambda: sgd_step(params, grads, 0.1), "params")
+    moves(lambda: lookahead(params, X, y, w, 0.1, inner_rate=0.01), "params")
+    moves(lambda: outer_interpolate(params, other, 0.3))
+    moves(lambda: params_distance(params, other))
+    assert opt.step == 1
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -356,9 +372,10 @@ def test_foreign_gradient_matrix_rejected(optimizer):
     with pytest.raises(TypeError):
         grads.layers[0] = grads.layers[0].copy()
     grads.heads[2][:] = 0.0
-    stepped, _ = apply_update(params, grads.flat, init_opt_state(params, optimizer), LR)
-    assert np.array_equal(stepped.heads[2], params.heads[2])
-    assert not np.array_equal(stepped.heads[1], params.heads[1])
+    before = params.copy()
+    apply_update(params, grads.flat, init_opt_state(params, optimizer), LR)
+    assert np.array_equal(params.heads[2], before.heads[2])
+    assert not np.array_equal(params.heads[1], before.heads[1])
 
 
 def test_backward_rejects_activations_not_from_forward():

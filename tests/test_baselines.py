@@ -140,6 +140,31 @@ def test_class_batched_step_matches_per_class_loop(name, classes, start):
     assert partial > 0 or start == "fresh"
 
 
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_state_views_are_read_only_and_written_in_place(name):
+    # the prediction reads w, the update the stacked state behind it: a
+    # rebound w (or sigma) would split the two, so rebinding is refused, and
+    # an in-place write mid-stream reaches both the prediction and the update
+    dim, classes = 4, 3
+    model, loop = BASELINES[name](dim, classes), LOOP_BASELINES[name](dim, classes)
+    views = {"w": (-1.0, 1.0)}
+    if hasattr(loop, "sigma"):
+        views["sigma"] = (0.1, 1.0)
+    for attr in views:
+        with pytest.raises(AttributeError):
+            setattr(model, attr, np.ones((classes, dim + 1)))
+    rng = np.random.default_rng(11)
+    for pos, (x, y) in enumerate(batched_loop_stream(5, 120, dim, classes)):
+        if pos % 40 == 20:
+            for attr, (low, high) in views.items():
+                fresh = rng.uniform(low, high, size=(classes, dim + 1))
+                getattr(model, attr)[:] = fresh
+                getattr(loop, attr)[:] = fresh
+        assert model.step(x, y, pos) == loop.step(x, y, pos), pos
+        for attr in views:
+            assert getattr(model, attr).tobytes() == getattr(loop, attr).tobytes(), pos
+
+
 def test_scores_use_trailing_bias():
     # the bias column decides the prediction: without it class 1 would win
     model = Perceptron(2, 2)

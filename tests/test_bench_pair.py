@@ -136,6 +136,27 @@ def test_run_perfbench_reports_exit_code_and_stderr_tail(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_src_line_counts_from_numstat(tmp_path, monkeypatch, capsys):
+    numstat = ("113\t133\tsrc/bodl/baselines.py\n0\t2\tsrc/bodl/harness.py\n"
+               "-\t-\tsrc/bodl/blob.bin\n7\t0\tsrc/bodl/new.py\n")
+
+    def fake_run(cmd, cwd, **kwargs):
+        assert cmd == ["git", "diff", "--numstat", "abc123", "--", "src"]
+        assert cwd == bench_pair.REPO
+        return subprocess.CompletedProcess(cmd, 0, stdout=numstat, stderr="")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    counts = bench_pair.src_lines("abc123")
+    assert counts == {"added": 120, "deleted": 135}
+    doc, _, _ = run_sweep(tmp_path, canned, seeds=[1, 2])
+    assert "src/ lines" not in bench_pair.table(doc)     # a file from before the counts
+    path = tmp_path / "BENCH_y.json"
+    path.write_text(json.dumps({**doc, "src_lines": counts}))
+    assert bench_pair.main(["--compare", str(path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(
+        "src/ lines against the parent: +120 -135 (net -15)")
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
 @pytest.mark.parametrize("crash", [False, True], ids=["ends", "fails"])
 def test_sweep_leaves_no_exported_parent(tmp_path, monkeypatch, crash):
@@ -159,10 +180,12 @@ def test_sweep_leaves_no_exported_parent(tmp_path, monkeypatch, crash):
 
     monkeypatch.setattr(bench_pair, "export_tree", fake_export)
     monkeypatch.setattr(bench_pair, "sweep", canned_sweep)
+    monkeypatch.setattr(bench_pair, "src_lines", lambda parent: {"added": 3, "deleted": 5})
     if crash:
         with pytest.raises(RuntimeError):
             bench_pair.main(["PARENT", "--pr", "x"])
     else:
         assert bench_pair.main(["PARENT", "--pr", "x"]) == 0
-        assert (tmp_path / "BENCH_x.json").is_file()
+        doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+        assert doc["src_lines"] == {"added": 3, "deleted": 5}
     assert list((tmp_path / ".bench_work").iterdir()) == []

@@ -420,11 +420,14 @@ def test_standardization_flag_is_honored():
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_online_steps_update_the_learners_own_vector(optimizer):
     # every optimizer step writes the one parameter vector the learner holds;
-    # only a drift response replaces it
+    # only a drift response replaces it. Adam's state and its moments are
+    # likewise stepped in place, and its step count counts the online steps
     cfg = fast_config("bodl-2", optimizer=optimizer)
     source = parse_stream_spec(FAST_DRIFT, default_seed=cfg.seed)
     learner = NetworkLearner(cfg, source, MetricsReport(classes=source.classes))
-    flat = learner.params.flat
+    flat, state = learner.params.flat, learner.opt_state
+    moments = (state.m, state.v) if state else None
+    online = 0
     for inst in source:
         before = flat.copy()
         adaptations = len(learner.report.adaptations)
@@ -433,6 +436,11 @@ def test_online_steps_update_the_learners_own_vector(optimizer):
             assert learner.params.flat is not flat
             flat = learner.params.flat
         else:
+            online += 1
             assert learner.params.flat is flat
             assert not np.array_equal(flat, before)
+        assert learner.opt_state is state
+        if state:
+            assert state.m is moments[0] and state.v is moments[1]
+            assert state.step == online
     assert learner.report.adaptations

@@ -96,20 +96,21 @@ def test_cross_entropy_of_rows_equals_each_row(shape):
 
 def test_adam_zero_gradient_is_identity():
     param = np.array([[1.0, -2.0], [0.5, 3.0]])
+    before = param.copy()
     state = AdamState.zeros_like(param)
-    new_param, new_state = adam_step(param, np.zeros_like(param), state, lr=0.01)
-    assert np.array_equal(new_param, param)
-    assert new_state.step == 1
+    adam_step(param, np.zeros_like(param), state, lr=0.01)
+    assert np.array_equal(param, before)
+    assert state.step == 1
 
 
 def test_adam_first_step_hand_value():
     # m_hat = v_hat = 1 after one unit-gradient step, so the move is
     # lr / (1 + eps), a shade under the learning rate
     param = np.array([1.0])
-    new_param, _ = adam_step(param, np.array([1.0]), AdamState.zeros_like(param), lr=0.01)
+    adam_step(param, np.array([1.0]), AdamState.zeros_like(param), lr=0.01)
     expected = 1.0 - 0.01 * (1.0 / (1.0 + 1e-8))
-    assert new_param[0] == pytest.approx(expected, abs=1e-15)
-    assert new_param[0] == pytest.approx(0.99, abs=1e-9)
+    assert param[0] == pytest.approx(expected, abs=1e-15)
+    assert param[0] == pytest.approx(0.99, abs=1e-9)
 
 
 def test_adam_two_steps_match_scalar_oracle():
@@ -117,7 +118,7 @@ def test_adam_two_steps_match_scalar_oracle():
     state = AdamState.zeros_like(param)
     ref_p, ref_m, ref_v = 0.7, 0.0, 0.0
     for t in (1, 2):
-        param, state = adam_step(param, np.array([0.3]), state, lr=0.05)
+        adam_step(param, np.array([0.3]), state, lr=0.05)
         ref_p, ref_m, ref_v = scalar_adam_step(ref_p, 0.3, ref_m, ref_v, t, lr=0.05)
         assert param[0] == pytest.approx(ref_p, abs=1e-12)
     assert state.step == 2
@@ -130,7 +131,7 @@ def test_adam_random_trajectory_matches_scalar_oracle():
     ref_p, ref_m, ref_v = float(param[0]), 0.0, 0.0
     for t in range(1, 40):
         g = float(rng.standard_normal())
-        param, state = adam_step(param, np.array([g]), state, lr=0.01)
+        adam_step(param, np.array([g]), state, lr=0.01)
         ref_p, ref_m, ref_v = scalar_adam_step(ref_p, g, ref_m, ref_v, t, lr=0.01)
         assert param[0] == pytest.approx(ref_p, abs=1e-12)
 
@@ -139,7 +140,8 @@ def test_adam_random_trajectory_matches_scalar_oracle():
 def test_adam_matches_list_reference_bit_for_bit(t):
     # from step 356 on 1 - beta1**t rounds to exactly 1.0 and the m_hat
     # division is skipped; the steps on both sides of that switch must keep
-    # the reference's bits
+    # the reference's bits, and the step moves the parameter and the state
+    # it is given, in place, and leaves the gradient as it was
     assert 1.0 - ADAM_BETA1 ** 355 != 1.0 and 1.0 - ADAM_BETA1 ** 356 == 1.0
     rng = np.random.default_rng(t)
     for _ in range(50):
@@ -147,22 +149,28 @@ def test_adam_matches_list_reference_bit_for_bit(t):
         grad = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 3, size=64)
         m = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 3, size=64)
         v = m * m * rng.uniform(0.5, 2.0, size=64)
-        stepped, state = adam_step(param, grad, AdamState(m, v, t), lr=0.01)
         [want], [(want_m, want_v, want_t)] = list_adam_step([param], [grad], [(m, v, t)], 0.01)
-        assert np.array_equal(stepped, want)
-        assert np.array_equal(state.m, want_m) and np.array_equal(state.v, want_v)
+        kept_grad = grad.copy()
+        state = AdamState(m, v, t)
+        adam_step(param, grad, state, lr=0.01)
+        assert np.array_equal(param, want)
+        assert state.m is m and state.v is v
+        assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
         assert state.step == want_t == t + 1
+        assert np.array_equal(grad, kept_grad)
 
 
 def test_adam_shape_mismatch_rejected():
     param = np.zeros((2, 2))
+    state = AdamState.zeros_like(param)
     with pytest.raises(InputError):
-        adam_step(param, np.zeros(3), AdamState.zeros_like(param), lr=0.01)
+        adam_step(param, np.zeros(3), state, lr=0.01)
+    assert state.step == 0      # refused before anything moves
 
 
 def test_adam_deterministic():
-    param = np.array([1.0, 2.0])
     grad = np.array([0.1, -0.2])
-    a, _ = adam_step(param, grad, AdamState.zeros_like(param), lr=0.01)
-    b, _ = adam_step(param, grad, AdamState.zeros_like(param), lr=0.01)
+    a, b = np.array([1.0, 2.0]), np.array([1.0, 2.0])
+    adam_step(a, grad, AdamState.zeros_like(a), lr=0.01)
+    adam_step(b, grad, AdamState.zeros_like(b), lr=0.01)
     assert np.array_equal(a, b)
