@@ -16,9 +16,13 @@ The file holds, per workload: each end-to-end metric's medians, the
 parent's quartiles and the change's wins out of the pairs, the same from
 the raw `# wall` line, the traced per-layer metrics of both sides, the
 failed and attempted pass counts of both sides, and every run's figures.
-It also holds the lines of src/ added and deleted against the parent.
-Both modes print the parent/change table and those line counts, and exit 1
-if any pass failed its golden check (or a run gave no result line).
+It also holds the lines of src/ added and deleted against the parent, and
+each end-to-end metric's gate verdict (see `verdict`) with a mark where the
+raw and rescaled medians move in opposite directions. Both modes print the
+parent/change table and those line counts, and exit 1 if any pass failed
+its golden check (or a run gave no result line). `--compare` works out the
+verdicts afresh, with the bounds in BENCHMARK.json, so a file written
+before they were recorded prints them too.
 """
 
 from __future__ import annotations
@@ -131,6 +135,39 @@ def pair_stats(paired: list, key: str, name: str, better: str) -> dict | None:
             "pairs": len(pairs)}
 
 
+def verdict(stats: dict, bound: float) -> str:
+    """The benchmark gate's reading of one end-to-end metric's pair statistics.
+
+    `worse`: the change's median is worse than the parent's by more than
+    `bound`, a fraction of the parent's median. Else `unresolved`: the
+    parent's quartile spread is wider than that bound. Else `gain`: the
+    change wins at least 9 of 10 pairs, and its median is better than the
+    parent's by more than the parent's quartile spread. Else `ok`.
+    """
+    parent = stats["parent_median"]
+    better_by = (stats["change_median"] - parent) * (1.0 if stats["better"] == "higher" else -1.0)
+    spread = stats["parent_q3"] - stats["parent_q1"]
+    if better_by < -bound * parent:
+        return "worse"
+    if spread > bound * parent:
+        return "unresolved"
+    if 10 * stats["wins"] >= 9 * stats["pairs"] and better_by > spread:
+        return "gain"
+    return "ok"
+
+
+def add_verdicts(doc: dict, bench: dict) -> dict:
+    """Set `verdict` and `raw_disagrees` (the raw and rescaled Δ have opposite
+    signs) on every end-to-end metric of `doc`, and return it."""
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    for w in doc["workloads"].values():
+        for name, s in w["end_to_end"].items():
+            raw = w["wall"].get(name)
+            s["verdict"] = verdict(s, bounds[name])
+            s["raw_disagrees"] = raw is not None and raw["delta_pct"] * s["delta_pct"] < 0
+    return doc
+
+
 def summarize(runs: dict, bench: dict, meta: dict) -> dict:
     """The BENCH_<pr>.json document for the runs of one sweep."""
     out = {**meta, "workloads": {}}
@@ -154,22 +191,25 @@ def summarize(runs: dict, bench: dict, meta: dict) -> dict:
                      + traced[side]["attempted"] for side in SIDES}
         out["workloads"][wl] = {"end_to_end": end, "wall": wall, "per_layer": layers,
                                 "failed": failed, "attempted": attempted, "runs": r}
-    return out
+    return add_verdicts(out, bench)
 
 
 def table(doc: dict) -> str:
     """The parent/change table: rescaled medians with the parent's quartiles,
-    the change's wins, and the raw wall medians with their wins."""
-    rows = ["| workload | metric | parent [q1, q3] | change | Δ | wins | raw wall parent -> change |",
-            "|---|---|---|---|---|---|---|"]
+    the change's wins, the raw wall medians with their wins, and the verdict."""
+    rows = ["| workload | metric | parent [q1, q3] | change | Δ | wins | raw wall parent -> change "
+            "| verdict |",
+            "|---|---|---|---|---|---|---|---|"]
     for wl, w in doc["workloads"].items():
         for name, s in w["end_to_end"].items():
             raw = w["wall"].get(name)
             raw_text = (f"{raw['parent_median']:.4g} -> {raw['change_median']:.4g} "
                         f"({raw['delta_pct']:+.1f}%, {raw['wins']}/{raw['pairs']})" if raw else "")
+            mark = ", raw disagrees" if s["raw_disagrees"] else ""
             rows.append(f"| {wl} | {name} | {s['parent_median']:.4g} [{s['parent_q1']:.4g}, "
                         f"{s['parent_q3']:.4g}] | {s['change_median']:.4g} | "
-                        f"{s['delta_pct']:+.1f}% | {s['wins']}/{s['pairs']} | {raw_text} |")
+                        f"{s['delta_pct']:+.1f}% | {s['wins']}/{s['pairs']} | {raw_text} | "
+                        f"{s['verdict']}{mark} |")
     rows += ["", f"Per-layer, --trace 1 at seed {doc.get('trace_seed', TRACE_SEED)} "
              "(parent -> change):", ""]
     for wl, w in doc["workloads"].items():
@@ -198,12 +238,12 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", type=Path, help="print the table of a BENCH_<pr>.json")
     args = ap.parse_args(argv)
 
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
     if args.compare:
-        doc = json.loads(args.compare.read_text())
+        doc = add_verdicts(json.loads(args.compare.read_text()), bench)
     else:
         if not args.parent or not args.pr:
             ap.error("a sweep needs PARENT and --pr")
-        bench = json.loads((REPO / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in bench["workloads"]]
         WORK.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory(prefix="parent-", dir=WORK) as tree:

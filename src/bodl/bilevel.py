@@ -18,8 +18,8 @@ from .hedge_net import (
     backward,
     backward_sum,
     flat_pair,
+    Workspace,
     forward,
-    forward_buffer,
     forward_rows,
     row_losses,
     sgd_step,
@@ -38,17 +38,17 @@ def inner_adapt(params: NetworkParams, X: np.ndarray, y: np.ndarray, weights: np
 
     `inner_steps` plain single-row gradient steps at `inner_rate` on the copy,
     in place, cycling through the rows in order; head importances stay
-    frozen. The forward record and the gradient are written into one buffer
-    each, made once per call."""
+    frozen. Every step's forward record and gradient go into one
+    `Workspace`, built once per call."""
     if not len(X):
         raise StateError("recent window is empty; nothing to adapt on")
     adapted = params.copy()
-    buf, grad = forward_buffer(params.dims), params.with_flat(np.empty_like(params.flat))
+    ws = Workspace(params.dims)
     labels = y.tolist()     # Python ints: cheaper to check and index with than numpy scalars
     for i in range(inner_steps):
         k = i % len(X)
-        acts = forward(adapted, X[k], out=buf)
-        sgd_step(adapted, backward(adapted, acts, weights, labels[k], lam, out=grad), inner_rate)
+        acts = forward(adapted, X[k], out=ws)
+        sgd_step(adapted, backward(adapted, acts, weights, labels[k], lam, out=ws), inner_rate)
     return adapted
 
 

@@ -32,7 +32,7 @@ def _add_run_options(p: argparse.ArgumentParser, with_learner: bool = True) -> N
         p.add_argument("--learner",
                        help="bodl-2 | bodl-1 | bodl-base | perceptron | romma | "
                             "ogd | pa | cw | arow | scw")
-    p.add_argument("--eta", type=float, help="head reweighting rate")
+    p.add_argument("--eta", type=float, help="head reweighting rate, in (0, 14]")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="similarity penalty weight (default per learner)")
     p.add_argument("--lr", type=float, help="optimizer step size")

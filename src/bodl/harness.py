@@ -20,10 +20,12 @@ from .baselines import BASELINES
 from .bilevel import adapt_on_drift
 from .errors import ConfigError, DivergenceError, InputError
 from .hedge_net import (
+    HEDGE_LOSS_CAP,
+    MAX_HEDGE_EXPONENT,
+    Workspace,
     apply_update,
     backward,
     forward,
-    forward_buffer,
     hedge_update,
     init_network,
     init_opt_state,
@@ -111,6 +113,10 @@ class RunConfig:
         self.resolve_learner()
         if self.eta <= 0:
             raise ConfigError("eta must be positive")
+        if self.eta * HEDGE_LOSS_CAP > MAX_HEDGE_EXPONENT:
+            raise ConfigError(f"eta must be at most {MAX_HEDGE_EXPONENT / HEDGE_LOSS_CAP:g}, "
+                              f"got {self.eta!r}: exp(-eta * loss) could underflow to 0 "
+                              "for every head")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.optimizer not in ("adam", "sgd"):
@@ -228,9 +234,9 @@ class NetworkLearner:
 
     The learner steps over `source`'s instances: row t of the history `X`, `y`
     is step t's features and label, and the memory keeps row numbers. Every
-    step's forward record and gradient go into the same two buffers, and
-    each online step updates the parameter vector in place; only a drift
-    response replaces it.
+    step's forward record and gradient go into one `Workspace`, built with
+    the learner, and each online step updates the parameter vector in
+    place; only a drift response replaces the vector.
     """
 
     def __init__(self, cfg: RunConfig, source: StreamSource, report: MetricsReport):
@@ -241,8 +247,7 @@ class NetworkLearner:
         init_seq, aux_seq = root.spawn(2)
         self.params, self.weights = init_network(dims, int(init_seq.generate_state(1)[0]))
         self.opt_state = init_opt_state(self.params, cfg.optimizer)
-        self.buf = forward_buffer(dims)
-        self.grad = self.params.with_flat(np.empty_like(self.params.flat))
+        self.workspace = Workspace(dims)
         self.detector = drift_mod.DriftState(min_instances=cfg.detector_min_instances,
                                              sensitivity=cfg.detector_sensitivity)
         self.memory = EpisodicMemory(cfg.memory_capacity)
@@ -254,7 +259,7 @@ class NetworkLearner:
     def step(self, x: np.ndarray, y: int, position: int) -> int:
         """Predict, then learn; returns the prediction. Raises DivergenceError
         before the importances or parameters change if the loss is not finite."""
-        acts = forward(self.params, x, out=self.buf)
+        acts = forward(self.params, x, out=self.workspace)
         pred = int(predict_ensemble(acts, self.weights).argmax())
 
         t = self.t
@@ -284,7 +289,7 @@ class NetworkLearner:
                 adapted = True
             self.detector = drift_mod.reset(self.detector)
         if not adapted:
-            grad = backward(self.params, acts, self.weights, y, self.lam, out=self.grad)
+            grad = backward(self.params, acts, self.weights, y, self.lam, out=self.workspace)
             apply_update(self.params, grad, self.opt_state, self.cfg.lr)
         self.memory.maybe_insert(t, self.rng)
         return pred

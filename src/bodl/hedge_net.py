@@ -21,10 +21,13 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .numerics import AdamState, adam_step, check_label, cross_entropy, softmax
 
-# Per-head losses are capped before exponentiation so exp(-eta * loss) cannot
-# underflow; unreachable in normal operation (the probability floor already
-# bounds cross-entropy near 27.6).
+# Per-head losses are capped before exponentiation so that exp(-eta * loss)
+# cannot underflow to 0 for every head: RunConfig refuses an eta with
+# eta * HEDGE_LOSS_CAP > MAX_HEDGE_EXPONENT, that is eta > 14, and exp(-700)
+# is still a normal float. The cap is unreachable in normal operation (the
+# probability floor already bounds cross-entropy near 27.6).
 HEDGE_LOSS_CAP = 50.0
+MAX_HEDGE_EXPONENT = 700.0
 
 # Head importances never fall below WEIGHT_FLOOR / (N + 1), so no head dies.
 WEIGHT_FLOOR = 1e-4
@@ -96,15 +99,20 @@ class NetworkParams:
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParams":
         """Same dims, viewing `flat` (not copied)."""
-        other = NetworkParams.__new__(NetworkParams)
-        other._bind(self.checked(flat), self.dims)
-        return other
+        return _viewing(self.checked(flat), self.dims)
 
     def copy(self) -> "NetworkParams":
         return self.with_flat(self.flat.copy())
 
     def matrices(self) -> list:
         return [*self.layers, *self.heads]
+
+
+def _viewing(flat: np.ndarray, dims: tuple) -> NetworkParams:
+    """A `NetworkParams` of `dims` over `flat`, which must have its size."""
+    params = NetworkParams.__new__(NetworkParams)
+    params._bind(flat, dims)
+    return params
 
 
 def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +124,9 @@ def flat_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class LayerActivations:
-    """Forward-pass record: slices of the one buffer `forward` fills. A
-    `forward_rows` record has the same fields with a leading row axis."""
+    """Forward-pass record: slices of a workspace's buffer, which `forward`
+    refills, so each workspace has one record. A `forward_rows` record has
+    the same fields, with a leading row axis, over an array of its own."""
 
     inputs: np.ndarray   # [x; 1]
     block: np.ndarray    # (N, width + 1): row n-1 is [h_n; 1], h_n post-ReLU
@@ -150,48 +159,76 @@ def init_network(dims: tuple, seed: int) -> tuple[NetworkParams, np.ndarray]:
     return NetworkParams(layers, heads), weights
 
 
-def forward_buffer(dims: tuple) -> np.ndarray:
-    """A vector for `forward(..., out=)` at network dims (input_dim, width,
-    classes, N): room for [x; 1], the (N, width + 1) hidden block and the
-    (N+1, classes) head outputs, back to back."""
-    d, u, c, n = dims
-    return np.empty(d + 1 + n * (u + 1) + (n + 1) * c)
+class Workspace:
+    """Everything one single-row `forward` and `backward` write at network
+    dims (input_dim, width, classes, N), with every view they use bound once.
+
+    `buf` holds [x; 1], then the (N, width + 1) block of hidden rows, whose
+    last column is 1, then the (N+1, classes) head scores. `acts` is the one
+    `LayerActivations` record over those three slices. `layer_io` pairs each
+    layer's input row with the slice its ReLU writes, the row's first `width`
+    entries, so a layer's output is the next one's input and no augmented
+    vector is ever built by appending. `score_grads` is backward's (N+1,
+    classes) gradient at the head scores, with one column view per label in
+    `label_grads`, and `grad` the `NetworkParams` that receives the
+    parameter gradient. A workspace holds one record and one gradient at a
+    time: the next call into it overwrites them.
+    """
+
+    def __init__(self, dims: tuple):
+        d, u, c, n = dims
+        self.dims = dims
+        hidden_end = d + 1 + n * (u + 1)
+        self.buf = buf = np.empty(hidden_end + (n + 1) * c)
+        self.x, self.ones = buf[:d], buf[d:hidden_end:u + 1]   # the 1 of [x; 1] and of each row
+        inputs, block = buf[:d + 1], buf[d + 1:hidden_end].reshape(n, u + 1)
+        self.layer_io = tuple(zip((inputs, *block[:-1]), (row[:-1] for row in block)))
+        scores = buf[hidden_end:].reshape(n + 1, c)
+        self.head0_scores, self.hidden_scores = scores[0], scores[1:, :, None]
+        self.block_cols = block[:, :, None]
+        self.acts = LayerActivations(inputs, block, scores)
+        self.score_grads = grads = np.empty((n + 1, c))
+        self.head0_grads, self.hidden_grads = grads[0, :, None], grads[1:, :, None]
+        self.label_grads = tuple(grads[:, k] for k in range(c))   # column k: label k's
+        self.grad = _viewing(np.empty(sum(r * k for r, k in _shapes(dims))), dims)
+
+
+def _workspace(params: NetworkParams, out: Workspace | None) -> Workspace:
+    """`out`, after checking it was built for `params`' dims, or a new workspace."""
+    if out is None:
+        return Workspace(params.dims)
+    if out.dims != params.dims:
+        raise InputError(f"workspace for network dims {out.dims}, not {params.dims}")
+    return out
 
 
 def forward(params: NetworkParams, x: np.ndarray,
-            out: np.ndarray | None = None) -> LayerActivations:
-    """Run the ReLU chain, then every softmax head at once.
+            out: Workspace | None = None) -> LayerActivations:
+    """Run the ReLU chain, then every softmax head at once, into the
+    workspace `out` (a new one without it), and return its record.
 
-    One buffer holds [x; 1], then the (N, width + 1) block of hidden rows,
-    whose last column is 1, so each ReLU writes its output straight into its
-    row and the augmented vectors are never built by appending, and then the
-    head scores, which the softmax turns into probabilities in place. The
-    returned record holds the three slices of that buffer. `out`, from
-    `forward_buffer(params.dims)`, is that buffer; without it a new one is
-    made. A record views its buffer, so the next `forward` into the same
-    buffer overwrites it.
+    Each ReLU writes its output straight into its hidden row, and the head
+    scores go to the buffer's end, where the softmax turns them into
+    probabilities in place. The trailing ones are rewritten on every call,
+    so a workspace whose buffer was overwritten still gives a fresh call's
+    bits. The record returned is `out.acts`, the same object on every call.
     """
     x = np.asarray(x, dtype=np.float64)
-    d, u, c, n = params.dims
+    d = params.dims[0]
     if x.shape != (d,):
         raise InputError(f"input has shape {x.shape}, expected ({d},)")
     if not np.isfinite(x).all():
         raise InputError("input contains non-finite values")
-    buf = forward_buffer(params.dims) if out is None else out
-    hidden_end = d + 1 + n * (u + 1)
-    if buf.shape != (hidden_end + (n + 1) * c,):
-        raise InputError(f"forward buffer of shape {buf.shape} for network dims {params.dims}")
-    buf[:d] = x
-    buf[d:hidden_end:u + 1] = 1.0     # the trailing 1 of [x; 1] and of every hidden row
-    inputs, block = buf[:d + 1], buf[d + 1:hidden_end].reshape(n, u + 1)
-    prev = inputs
-    for w, row in zip(params.layers, block):
-        np.maximum(w.dot(prev), 0.0, out=row[:-1])
-        prev = row
-    scores = buf[hidden_end:].reshape(n + 1, c)
-    params.heads[0].dot(inputs, out=scores[0])
-    np.matmul(params.hidden_heads, block[:, :, None], out=scores[1:, :, None])
-    return LayerActivations(inputs, block, softmax(scores, out=scores))
+    ws = _workspace(params, out)
+    ws.x[...] = x
+    ws.ones.fill(1.0)
+    for w, (prev, relu) in zip(params.layers, ws.layer_io):
+        np.maximum(w.dot(prev), 0.0, out=relu)
+    acts = ws.acts
+    params.heads[0].dot(acts.inputs, out=ws.head0_scores)
+    np.matmul(params.hidden_heads, ws.block_cols, out=ws.hidden_scores)
+    softmax(acts.probs, out=acts.probs)
+    return acts
 
 
 def _matvecs(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -312,7 +349,7 @@ def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, la
 
 
 def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
-             y: int, lam: float, out: NetworkParams | None = None) -> np.ndarray:
+             y: int, lam: float, out: Workspace | None = None) -> np.ndarray:
     """Exact gradient of `total_loss` w.r.t. every parameter, as a vector
     laid out like `params.flat`.
 
@@ -321,30 +358,32 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     through both members of each consecutive pair. Every head's gradient and
     back-projection is computed at once; only the chain through the hidden
     layers is a loop, and every layer's outer product is taken after it.
-    `out`, a `NetworkParams` of the same dims, receives the gradient through
-    its matrix views, and its `flat` is returned; without it a new vector is
-    made.
+    The gradient is written into the workspace `out` (a new one without
+    it): the head-score gradient into `out.score_grads`, the parameter
+    gradient through `out.grad`'s matrix views. `out.grad.flat` is returned.
+    `acts` may be any record of `params`' dims, `out`'s own included.
     """
     probs = acts.probs
     _check_heads(params, acts, weights)
     check_label(y, probs.shape[1])
-    out = params.with_flat(np.empty_like(params.flat)) if out is None else out
-    flat_pair(params, out)        # every entry of `out` is written below
+    ws = _workspace(params, out)
+    grad = ws.grad                # every entry is written below
     inputs, block = acts.inputs, acts.block
-    hidden = block[:, :-1]
 
-    score_grads = probs.copy()    # d loss / d head-scores, scaled by importance
-    score_grads[:, y] -= 1.0
+    score_grads = ws.score_grads  # d loss / d head-scores, scaled by importance
+    score_grads[...] = probs
+    label_col = ws.label_grads[y]  # score_grads[:, y]
+    label_col -= 1.0
     score_grads *= weights[:, None]
-    np.multiply(score_grads[0, :, None], inputs, out=out.heads[0])   # outer products
-    np.multiply(score_grads[1:, :, None], block[:, None, :], out=out.hidden_heads)
-    from_heads = np.matmul(params.back_heads, score_grads[1:, :, None])[:, :, 0]
+    np.multiply(ws.head0_grads, inputs, out=grad.heads[0])   # outer products
+    np.multiply(ws.hidden_grads, block[:, None, :], out=grad.hidden_heads)
+    from_heads = np.matmul(params.back_heads, ws.hidden_grads)[:, :, 0]
 
-    deltas = _chain(params, hidden, from_heads, lam, np.matmul)
+    deltas = _chain(params, block[:, :-1], from_heads, lam, np.matmul)
     if len(block) > 1:                  # layers 2..N; an empty multiply still costs a call
-        np.multiply(deltas[1:, :, None], block[:-1, None, :], out=out.deep_layers)
-    np.multiply(deltas[0, :, None], inputs, out=out.layers[0])
-    return out.flat
+        np.multiply(deltas[1:, :, None], block[:-1, None, :], out=grad.deep_layers)
+    np.multiply(deltas[0, :, None], inputs, out=grad.layers[0])
+    return grad.flat
 
 
 def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,

@@ -15,11 +15,11 @@ from bodl.bilevel import (
 from bodl.errors import InputError
 from bodl.hedge_net import (
     NetworkParams,
+    Workspace,
     apply_update,
     backward,
     backward_sum,
     forward,
-    forward_buffer,
     forward_rows,
     hedge_update,
     init_network,
@@ -187,8 +187,8 @@ def test_stacked_kernels_match_row_by_row(optimizer, dims, lr, rows):
 @pytest.mark.parametrize("optimizer, dims, lr", REFERENCE_SHAPES)
 def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
     # the learner and the inner refinement write every forward record and
-    # gradient into buffers they own; each must come out as a fresh call gives
-    # it, whatever the buffers held before
+    # gradient into a workspace they own; each must come out as a fresh call
+    # gives it, whatever the workspace held before
     params, _ = small_net(dims=dims)
     d, _, classes, n = dims
     rng = np.random.default_rng(5)
@@ -197,21 +197,31 @@ def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
     X[0], y[0] = clipping_instance(params)
     X[1] = 0.0
     assert forward(params, X[0]).probs[0, y[0]] < PROB_CLIP
-    buf = forward_buffer(dims)
-    grad = params.with_flat(np.full_like(params.flat, np.nan))
-    buf[:] = np.nan
-    for x, label in zip(X, y):
-        acts, fresh = forward(params, x, out=buf), forward(params, x)
-        for field in ("inputs", "block", "probs"):
-            assert np.shares_memory(getattr(acts, field), buf)
-            assert_same_bits(getattr(acts, field), getattr(fresh, field))
-        got = backward(params, acts, weights, label, LAM, out=grad)
-        assert got is grad.flat
-        assert_same_bits(got, backward(params, fresh, weights, label, LAM))
-        buf[:] = grad.flat[:] = np.nan
+    ws = Workspace(dims)
+    record = ws.acts
 
-    first = forward(params, X[2], out=buf)
-    forward(params, X[3], out=buf)
+    def refill():
+        ws.buf[:] = ws.score_grads[:] = ws.grad.flat[:] = np.nan
+
+    refill()
+    for x, label in zip(X, y):
+        acts, fresh = forward(params, x, out=ws), forward(params, x)
+        assert acts is record
+        for field in ("inputs", "block", "probs"):
+            assert np.shares_memory(getattr(acts, field), ws.buf)
+            assert_same_bits(getattr(acts, field), getattr(fresh, field))
+        want = backward(params, fresh, weights, label, LAM)
+        got = backward(params, acts, weights, label, LAM, out=ws)
+        assert got is ws.grad.flat
+        assert_same_bits(got, want)
+        # a record from outside the workspace gives the same gradient in it
+        ws.score_grads[:] = ws.grad.flat[:] = np.nan
+        assert_same_bits(backward(params, fresh, weights, label, LAM, out=ws), want)
+        assert_same_bits(acts.probs, fresh.probs)
+        refill()
+
+    first = forward(params, X[2], out=ws)
+    assert forward(params, X[3], out=ws) is first
     assert_same_bits(first.probs, forward(params, X[3]).probs)
 
     # the learner steps its own vector: the in-place update must give the
@@ -237,16 +247,19 @@ def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
 
 
 def test_out_buffers_of_other_dims_rejected():
+    # a workspace of other dims is refused by both calls before either writes it
     params, w = small_net()
     acts = forward(params, np.ones(5))
-    for size in (0, len(forward_buffer(params.dims)) - 1, len(forward_buffer(params.dims)) + 1):
-        with pytest.raises(InputError, match="forward buffer"):
-            forward(params, np.ones(5), out=np.empty(size))
-    with pytest.raises(InputError, match="forward buffer"):
-        forward(params, np.ones(5), out=forward_buffer(params.dims).reshape(1, -1))
     other, other_w = small_net(dims=(5, 6, 3, 3))
-    with pytest.raises(InputError, match="dims"):
-        backward(params, acts, w, 0, 0.1, out=other)
+    for dims in (other.dims, (5, 6, 2, 4), (5, 7, 3, 4), (4, 6, 3, 4)):
+        ws = Workspace(dims)
+        ws.buf[:] = ws.score_grads[:] = ws.grad.flat[:] = np.nan
+        with pytest.raises(InputError, match="dims"):
+            forward(params, np.ones(5), out=ws)
+        with pytest.raises(InputError, match="dims"):
+            backward(params, acts, w, 0, 0.1, out=ws)
+        for written in (ws.buf, ws.score_grads, ws.grad.flat):
+            assert np.isnan(written).all()
     # an in-place update refuses a gradient of other dims before anything moves
     grad, kept = backward(other, forward(other, np.ones(5)), other_w, 0, 0.1), params.copy()
     for state in (None, init_opt_state(params, "adam")):

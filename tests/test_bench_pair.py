@@ -82,6 +82,11 @@ def test_bench_file_schema_and_figures(tmp_path):
     assert w["per_layer"]["hedge_net.hedge_update_us"]["change"] == pytest.approx(18.0)
     assert w["failed"] == {"parent": 0, "change": 0}
     assert w["attempted"] == {"parent": 33, "change": 33}
+    # throughput's parent runs spread from 100 to 1000; every other metric
+    # wins 9/10 pairs with no spread at all
+    assert {name: s["verdict"] for name, s in w["end_to_end"].items()} == {
+        **{name: "gain" for name in END}, "throughput_ips": "unresolved"}
+    assert not any(s["raw_disagrees"] for s in w["end_to_end"].values())
     assert len(w["runs"]["paired"]) == 20
 
 
@@ -91,6 +96,47 @@ def test_compare_prints_table_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "| deep-flip | throughput_ips | 550 [" in out
     assert "9/10" in out and "hedge_net.hedge_update_us" in out
+
+
+def stats(parent, q1, q3, change, wins, better="higher"):
+    return {"parent_median": parent, "parent_q1": q1, "parent_q3": q3,
+            "change_median": change, "wins": wins, "pairs": 10, "better": better}
+
+
+@pytest.mark.parametrize("figures, want", [
+    (stats(100, 99, 101, 103, 9), "gain"),
+    (stats(100, 99, 101, 103, 8), "ok"),                   # 8 of 10 pairs won
+    (stats(100, 98, 102, 103, 10), "ok"),                  # 3 better, inside the spread of 4
+    (stats(100, 99, 101, 97, 0), "ok"),
+    (stats(100, 99, 101, 86, 0), "ok"),                    # 14% worse, inside the bound
+    (stats(100, 99, 101, 84, 0), "worse"),                 # 16% worse
+    (stats(1.0, 0.99, 1.01, 0.9, 10, "lower"), "gain"),
+    (stats(1.0, 0.99, 1.01, 1.2, 0, "lower"), "worse"),
+    (stats(100, 90, 110, 100, 5), "unresolved"),           # a spread of 20%
+    (stats(100, 90, 110, 140, 10), "unresolved"),          # before a gain
+    (stats(100, 90, 110, 80, 0), "worse"),                 # before unresolved
+])
+def test_verdict_reads_the_gate(figures, want):
+    assert bench_pair.verdict(figures, 0.15) == want
+
+
+def test_compare_marks_verdicts_in_a_file_without_them(tmp_path, capsys):
+    # a file written before verdicts were recorded, with the raw and rescaled
+    # step_ms_p50 medians moving in opposite directions
+    doc, path, _ = run_sweep(tmp_path, canned)
+    w = doc["workloads"]["deep-flip"]
+    for s in w["end_to_end"].values():
+        del s["verdict"], s["raw_disagrees"]
+    w["wall"]["step_ms_p50"]["delta_pct"] = 5.0
+    path.write_text(json.dumps(doc))
+    assert bench_pair.main(["--compare", str(path)]) == 0
+    rows = {line.split(" | ")[1]: line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| deep-flip |")}
+    assert rows["step_ms_p50"].endswith("| gain, raw disagrees |")
+    assert rows["throughput_ips"].endswith("| unresolved |")
+    assert rows["peak_rss_mb"].endswith("|  | gain |")          # no raw figure to disagree
+    assert "verdict" not in json.loads(path.read_text())["workloads"]["deep-flip"][
+        "end_to_end"]["step_ms_p50"]                               # --compare writes nothing
 
 
 def test_compare_exits_nonzero_on_a_failed_pass(tmp_path):

@@ -15,7 +15,7 @@ from bodl.bilevel import (
     params_distance,
 )
 from bodl.errors import InputError, StateError
-from bodl.hedge_net import NetworkParams, backward, forward, init_network, sgd_step
+from bodl.hedge_net import NetworkParams, Workspace, backward, forward, init_network, sgd_step
 from bodl.memory import EpisodicMemory
 
 from oracles import tiny_net_adaptation, tiny_net_grads
@@ -112,6 +112,37 @@ def test_inner_calls_forward_and_backward_once_per_step(calls):
         calls.update(forward=0, backward=0)
         inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.05, inner_steps=k)
         assert calls == {"forward": k, "backward": k}
+
+
+def test_inner_steps_share_one_workspace(monkeypatch):
+    # one refinement builds one workspace: each of its inner_steps forward
+    # calls writes into it and returns its one record, and each backward its
+    # one gradient vector; the next refinement builds its own
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(*args, out=None, **kwargs):
+            result = fn(*args, out=out, **kwargs)
+            seen.append((name, out, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(bilevel, "forward", recording("forward", forward))
+    monkeypatch.setattr(bilevel, "backward", recording("backward", backward))
+    params, weights = toy_setup(seed=6, n=2)
+    X, y = rows([[0.2, 0.4], [-0.6, 1.0], [0.1, -0.3]], [0, 1, 1])
+    used = []
+    for k in [1, 7]:
+        seen.clear()
+        inner_adapt(params, X, y, weights, lam=0.1, inner_rate=0.05, inner_steps=k)
+        ws = seen[0][1]
+        assert isinstance(ws, Workspace) and ws.dims == params.dims
+        assert [name for name, _, _ in seen] == ["forward", "backward"] * k
+        assert all(out is ws for _, out, _ in seen)
+        assert all(result is (ws.acts if name == "forward" else ws.grad.flat)
+                   for name, _, result in seen)
+        used.append(ws)
+    assert used[0] is not used[1]
 
 
 def test_adapt_makes_per_row_calls_only_in_the_inner_steps(calls):

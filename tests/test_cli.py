@@ -145,6 +145,17 @@ def test_run_diverging_network_exits_2(capsys):
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_run_eta_that_underflows_exits_2(capsys):
+    # refused before the run: at eta 2000 the head importances would turn
+    # to 0 / 0 on the first step and the run stop as if training diverged
+    code = run_cli("run", "--learner", "bodl-2", "--layers", "2", "--width", "8",
+                   "--eta", "2000", "--stream",
+                   "hyperplane:seg=500,500;noise=0.1;mode=flip;d=5", "--seed", "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: eta must be at most 14, got 2000.0")
+
+
 def test_run_diverging_baseline_exits_2(capsys):
     # ROMMA assumes separable data; on this noisy stream its weights reach inf.
     # No errstate here: the command itself keeps numpy's overflow warnings

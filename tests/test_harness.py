@@ -15,6 +15,7 @@ from bodl.harness import (
     prequential_run,
     update_metrics,
 )
+from bodl.hedge_net import WEIGHT_FLOOR, hedge_update
 from bodl.streams import StreamInstance, StreamSource, gen_drift_stream, parse_stream_spec
 
 # fast two-concept stream that reliably trips the detector (flip drift is
@@ -90,6 +91,21 @@ def test_validate_covers_detector_and_memory_knobs():
         RunConfig("sea:seg=10", optimizer="adagrad").validate()
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         RunConfig("sea:seg=10", seed=-1).validate()
+
+
+def test_eta_that_underflows_every_head_rejected():
+    # above eta = 14 a capped loss takes exp(-eta * loss) under exp(-700); at
+    # eta = 2000 every head's factor is 0 and the importances become 0 / 0
+    for eta in (14.000001, 20.0, 2000.0):
+        with pytest.raises(ConfigError, match=r"eta must be at most 14, got"):
+            RunConfig("sea:seg=10", eta=eta).validate()
+    for eta in (0.01, 5.0, 14.0):
+        RunConfig("sea:seg=10", eta=eta).validate()
+    # at the largest accepted eta, every loss at the cap still renormalizes
+    weights = np.r_[np.full(15, WEIGHT_FLOOR / 16), 1.0 - 15 * WEIGHT_FLOOR / 16]
+    for w in (weights, np.full(16, 1.0 / 16)):
+        out = hedge_update(w, np.full(16, 1e9), 14.0)
+        assert np.isfinite(out).all() and out.sum() == pytest.approx(1.0)
 
 
 # Wrongly typed or non-finite values. Without the type checks each one
@@ -418,20 +434,39 @@ def test_standardization_flag_is_honored():
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_online_steps_update_the_learners_own_vector(optimizer):
+def test_online_steps_update_the_learners_own_vector(optimizer, monkeypatch):
     # every optimizer step writes the one parameter vector the learner holds;
     # only a drift response replaces it. Adam's state and its moments are
-    # likewise stepped in place, and its step count counts the online steps
+    # likewise stepped in place, and its step count counts the online steps.
+    # Every step's forward and backward go into the learner's one workspace,
+    # whose one record and gradient vector they return
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, out=None, **kwargs):
+            result = fn(*args, out=out, **kwargs)
+            calls.append((out, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(harness, "forward", recording(harness.forward))
+    monkeypatch.setattr(harness, "backward", recording(harness.backward))
     cfg = fast_config("bodl-2", optimizer=optimizer)
     source = parse_stream_spec(FAST_DRIFT, default_seed=cfg.seed)
     learner = NetworkLearner(cfg, source, MetricsReport(classes=source.classes))
     flat, state = learner.params.flat, learner.opt_state
     moments = (state.m, state.v) if state else None
+    ws = learner.workspace
+    record, grad = ws.acts, ws.grad.flat
     online = 0
     for inst in source:
         before = flat.copy()
         adaptations = len(learner.report.adaptations)
+        calls.clear()
         learner.step(inst.features, inst.label, inst.position)
+        assert learner.workspace is ws and ws.acts is record and ws.grad.flat is grad
+        assert [out for out, _ in calls] == [ws] * len(calls)
+        assert calls[0][1] is record
         if len(learner.report.adaptations) > adaptations:
             assert learner.params.flat is not flat
             flat = learner.params.flat
@@ -439,6 +474,7 @@ def test_online_steps_update_the_learners_own_vector(optimizer):
             online += 1
             assert learner.params.flat is flat
             assert not np.array_equal(flat, before)
+            assert len(calls) == 2 and calls[1][1] is grad
         assert learner.opt_state is state
         if state:
             assert state.m is moments[0] and state.v is moments[1]
