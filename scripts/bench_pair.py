@@ -197,8 +197,8 @@ def summarize(runs: dict, bench: dict, meta: dict) -> dict:
 def table(doc: dict) -> str:
     """The parent/change table: rescaled medians with the parent's quartiles,
     the change's wins, the raw wall medians with their wins, and the verdict."""
-    rows = ["| workload | metric | parent [q1, q3] | change | Δ | wins | raw wall parent -> change "
-            "| verdict |",
+    rows = ["| workload | metric | parent [q1, q3] | change | Δ | wins "
+            "| raw wall parent -> change | verdict |",
             "|---|---|---|---|---|---|---|---|"]
     for wl, w in doc["workloads"].items():
         for name, s in w["end_to_end"].items():

@@ -15,10 +15,10 @@ import numpy as np
 from .errors import StateError
 from .hedge_net import (
     NetworkParams,
+    Workspace,
     backward,
     backward_sum,
     flat_pair,
-    Workspace,
     forward,
     forward_rows,
     row_losses,
