@@ -4,6 +4,13 @@ A stream is a fully materialized list of instances so that runs are repeatable
 and cheap to re-iterate. Stream descriptions use a compact one-line grammar,
 e.g. ``csv:data/pima.csv``, ``sea:seg=2000,2000;noise=0.1;seed=7`` or
 ``hyperplane:seg=2000,2000;d=8;mode=flip;noise=0.1;seed=7``.
+
+The generators draw a segment at a time: one ``rng.random((rows, d + 1))``
+call per segment, one row per instance holding its d feature draws and then,
+when ``noise > 0``, its label-flip draw. That is the order in which one
+``uniform(size=d)`` and one ``random()`` call per instance would consume the
+generator, so the stream's bits do not depend on the batching. Each
+instance's features are a row view of its segment's draw buffer.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ MAX_ROW_NORM = 1e100
 # enough, as the quotient can underflow: 3 * 2**-1074 over a count of 6
 # rounds to 0.
 SCALED_M2 = 1e-290
+
+# The most random draws a generated stream may take, rows x (d + 1): 1 GiB of
+# float64. A larger spec is refused before anything is drawn or allocated.
+MAX_GENERATED_DRAWS = 2**27
 
 # the options each generator's stream spec takes; a csv spec takes none
 SPEC_OPTIONS = {"sea": ("seg", "noise", "seed", "d"),
@@ -194,10 +205,12 @@ def gen_drift_stream(
     uniform on [-1, 1], label from the sign of w.x with w redrawn per segment
     (``mode=redraw``) or negated (``mode=flip``, the hardest switch).
     ``noise`` flips each label independently with that probability.
+    A spec whose rows x (dim + 1) exceeds MAX_GENERATED_DRAWS is refused.
     """
     if kind not in ("sea", "hyperplane"):
         raise ConfigError(f"unknown stream kind {kind!r}")
-    if not segments or any(int(s) < 1 for s in segments):
+    segments = [int(s) for s in segments]
+    if not segments or min(segments) < 1:
         raise ConfigError("segments must be a non-empty list of positive lengths")
     if not 0.0 <= noise < 1.0:
         raise ConfigError("noise must lie in [0, 1)")
@@ -210,30 +223,34 @@ def gen_drift_stream(
     if dim < 1:
         raise ConfigError("dim must be >= 1")
 
+    rows = sum(segments)
+    if rows * (dim + 1) > MAX_GENERATED_DRAWS:
+        raise ConfigError(f"{rows} rows of {dim} features exceed the generator's limit of "
+                          f"{MAX_GENERATED_DRAWS} random draws (rows x (d + 1))")
+
     rng = np.random.default_rng(seed)
+    low, high = (0.0, 10.0) if kind == "sea" else (-1.0, 1.0)
+    noisy = noise > 0.0
     instances: list[StreamInstance] = []
     w = None
-    pos = 0
     for seg_idx, seg_len in enumerate(segments):
+        if kind == "hyperplane":
+            w = rng.standard_normal(dim) if w is None or mode == "redraw" else -w
+        draws = rng.random((seg_len, dim + noisy))
+        x = draws[:, :dim]
+        x *= high - low
+        x += low
         if kind == "sea":
-            threshold = SEA_THRESHOLDS[seg_idx % len(SEA_THRESHOLDS)]
+            labels = x[:, 0] + x[:, 1] <= SEA_THRESHOLDS[seg_idx % len(SEA_THRESHOLDS)]
         else:
-            if w is None or mode == "redraw":
-                w = rng.standard_normal(dim)
-            else:
-                w = -w
-        for _ in range(int(seg_len)):
-            if kind == "sea":
-                x = rng.uniform(0.0, 10.0, size=dim)
-                label = 1 if x[0] + x[1] <= threshold else 0
-            else:
-                x = rng.uniform(-1.0, 1.0, size=dim)
-                label = 1 if float(w @ x) >= 0.0 else 0
-            if noise > 0.0 and rng.random() < noise:
-                label = 1 - label
-            instances.append(StreamInstance(x, label, pos))
-            pos += 1
-    desc = f"{kind}:seg={','.join(str(int(s)) for s in segments)};noise={noise};seed={seed}"
+            # one ddot per row, as `w @ x` on a lone row; `x @ w` is a gemv
+            labels = np.matmul(x[:, None, :], w[:, None])[:, 0, 0] >= 0.0
+        if noisy:
+            labels ^= draws[:, dim] < noise
+        start = len(instances)
+        instances.extend(map(StreamInstance, x, labels.astype(int).tolist(),
+                             range(start, start + len(x))))
+    desc = f"{kind}:seg={','.join(map(str, segments))};noise={noise};seed={seed}"
     if kind == "hyperplane":
         desc += f";d={dim};mode={mode}"
     return StreamSource(instances, dim, 2, desc, ["0", "1"])

@@ -11,6 +11,7 @@ import numpy as np
 
 from bodl.baselines import C, PHI, PSI, R, ZETA
 from bodl.errors import ConfigError, DivergenceError, InputError
+from bodl.streams import SEA_THRESHOLDS, StreamInstance, StreamSource
 
 
 def scalar_softmax(values):
@@ -551,3 +552,42 @@ LOOP_BASELINES = {
     "arow": LoopAROW,
     "scw": LoopSCW,
 }
+
+
+# ---------------------------------------------------------------- stream generators
+# The drift generators one instance at a time: one `uniform(size=d)` call, one
+# `w @ x` and, with noise, one `random()` per instance. `bodl.streams` draws a
+# segment at a time and must match this loop bit for bit. Arguments are taken
+# as already validated.
+
+
+def loop_drift_stream(kind, segments, noise=0.0, dim=None, seed=0, mode="redraw"):
+    if dim is None:
+        dim = 3 if kind == "sea" else 8
+    rng = np.random.default_rng(seed)
+    instances = []
+    w = None
+    pos = 0
+    for seg_idx, seg_len in enumerate(segments):
+        if kind == "sea":
+            threshold = SEA_THRESHOLDS[seg_idx % len(SEA_THRESHOLDS)]
+        else:
+            if w is None or mode == "redraw":
+                w = rng.standard_normal(dim)
+            else:
+                w = -w
+        for _ in range(int(seg_len)):
+            if kind == "sea":
+                x = rng.uniform(0.0, 10.0, size=dim)
+                label = 1 if x[0] + x[1] <= threshold else 0
+            else:
+                x = rng.uniform(-1.0, 1.0, size=dim)
+                label = 1 if float(w @ x) >= 0.0 else 0
+            if noise > 0.0 and rng.random() < noise:
+                label = 1 - label
+            instances.append(StreamInstance(x, label, pos))
+            pos += 1
+    desc = f"{kind}:seg={','.join(str(int(s)) for s in segments)};noise={noise};seed={seed}"
+    if kind == "hyperplane":
+        desc += f";d={dim};mode={mode}"
+    return StreamSource(instances, dim, 2, desc, ["0", "1"])

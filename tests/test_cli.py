@@ -195,6 +195,15 @@ def test_gen_bad_spec_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_oversized_spec_exits_2(tmp_path, capsys):
+    # refused up front, not a MemoryError from the draw
+    out = tmp_path / "x.csv"
+    assert run_cli("gen", "--spec", "hyperplane:seg=10000000000", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 10000000000 rows of 8 features exceed the generator's limit")
+    assert not out.exists()
+
+
 def test_gen_negative_seed_is_named(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli("gen", "--spec", "sea:seg=10", "--seed", "-1", "--out", str(out)) == 2

@@ -1,14 +1,18 @@
 """CSV ingestion, online standardization, synthetic generators, spec grammar."""
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bodl import streams
 from bodl.errors import ConfigError, StreamFormatError
 from bodl.streams import (
+    MAX_GENERATED_DRAWS,
     MAX_ROW_NORM,
     SEA_THRESHOLDS,
     Standardizer,
@@ -19,7 +23,7 @@ from bodl.streams import (
     write_stream_csv,
 )
 
-from oracles import ReferenceStandardizer
+from oracles import ReferenceStandardizer, loop_drift_stream
 
 
 def write_lines(path, text):
@@ -399,6 +403,102 @@ def test_generator_provenance_round_trips():
     again = parse_stream_spec(src.provenance)
     assert all(np.array_equal(x.features, y.features) and x.label == y.label
                for x, y in zip(src, again))
+
+
+_default_rng = np.random.default_rng
+
+
+class CoarseGenerator:
+    """numpy's Generator with every double rounded to a multiple of 1/20, so
+    SEA sums land exactly on their thresholds and hyperplane dot products on
+    or next to 0, where their sign depends on the order of the sum. It hands
+    out the same doubles in the same order whether asked for one, d or a
+    block of them, and its `uniform` is numpy's `low + (high - low) * u`."""
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+
+    def random(self, size=None):
+        return np.round(self._rng.random(size) * 20.0) / 20.0
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * self.random(size)
+
+    def standard_normal(self, size=None):
+        return np.round(self._rng.standard_normal(size) * 20.0) / 20.0
+
+
+@st.composite
+def generator_args(draw):
+    kind = draw(st.sampled_from(["sea", "hyperplane"]))
+    return dict(
+        kind=kind,
+        segments=draw(st.lists(st.integers(1, 300), min_size=1, max_size=5)),
+        noise=draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        dim=draw(st.integers(2 if kind == "sea" else 1, 24)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=draw(st.sampled_from(["redraw", "flip"])),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(args=generator_args(), coarse=st.booleans())
+@example(args=dict(kind="sea", segments=[300] * 5, noise=0.0, dim=2, seed=0, mode="redraw"),
+         coarse=True)
+@example(args=dict(kind="hyperplane", segments=[40, 300, 1], noise=0.25, dim=24, seed=3,
+                   mode="flip"), coarse=False)
+@example(args=dict(kind="hyperplane", segments=[9, 9], noise=0.0, dim=1, seed=5,
+                   mode="redraw"), coarse=True)
+def test_generator_matches_per_instance_reference(args, coarse):
+    # one draw per segment gives the per-instance loop's streams byte for byte;
+    # the coarse doubles make ties at the label rules common
+    with mock.patch.object(np.random, "default_rng", CoarseGenerator if coarse else _default_rng):
+        got = gen_drift_stream(**args)
+        want = loop_drift_stream(**args)
+    assert (got.input_dim, got.classes, got.provenance, got.label_names) == \
+        (want.input_dim, want.classes, want.provenance, want.label_names)
+    assert len(got) == len(want) == sum(args["segments"])
+    assert all(i.features.dtype == np.float64 and i.features.shape == (args["dim"],)
+               for i in got)
+    assert b"".join(i.features.tobytes() for i in got) == \
+        b"".join(i.features.tobytes() for i in want)
+    assert [(i.label, i.position) for i in got] == [(i.label, i.position) for i in want]
+    assert {type(v) for i in got for v in (i.label, i.position)} == {int}
+
+
+def test_generator_refuses_more_draws_than_the_cap(monkeypatch):
+    # rows x (d + 1) draws: 20 x 3 = 60 is at the cap, 21 x 3 and 20 x 4 are over
+    monkeypatch.setattr(streams, "MAX_GENERATED_DRAWS", 60)
+    assert len(gen_drift_stream("sea", [10, 10], dim=2)) == 20
+    assert len(gen_drift_stream("hyperplane", [10, 10], noise=0.1, dim=2)) == 20
+    with pytest.raises(ConfigError, match="^21 rows of 2 features exceed .* of 60 random draws"):
+        gen_drift_stream("sea", [10, 11], dim=2)
+    with pytest.raises(ConfigError, match="^20 rows of 3 features exceed"):
+        gen_drift_stream("hyperplane", [20], dim=3)
+
+
+@pytest.mark.parametrize("seg", ["10000000000", "10000000000000000000", "1,134217727"])
+def test_oversized_spec_is_refused_before_drawing(seg):
+    # refused by the real cap before any RNG call or allocation
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ConfigError, match=f"^{sum(map(int, seg.split(',')))} rows of 8 "
+                                              f"features exceed .* {MAX_GENERATED_DRAWS} random"):
+            parse_stream_spec(f"hyperplane:seg={seg}")
+
+
+def test_generation_peaks_near_what_the_stream_holds():
+    # the deep-flip benchmark stream: features are transformed in the draw
+    # buffer, not copied, so building it takes little beyond what it keeps
+    gen_drift_stream("sea", [5])         # one-time allocations happen outside the trace
+    tracemalloc.start()
+    try:
+        src = parse_stream_spec("hyperplane:seg=2000,2000;noise=0.1;mode=flip;d=20",
+                                default_seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(src) == 4000
+    assert peak <= 1.05 * held, (peak, held)
 
 
 # ---------------------------------------------------------------- spec grammar
