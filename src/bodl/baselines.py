@@ -60,17 +60,16 @@ class LinearBaseline:
             raise InputError(f"label {y} outside 0..{self.classes - 1}")
         xa = self._xa
         xa[:-1] = x
-        # a gemv, whose bits may differ from the per-class ddot of the update
-        scores = self._w.dot(xa).tolist()
+        if self.stack == 2:
+            np.multiply(xa, xa, out=self._xs[1])
+        # every w[c] @ xa, the scores, then (CW, AROW, SCW) every sigma[c] @ (xa * xa)
+        dots, k = np.matmul(*self._pairs).ravel().tolist(), self.classes
+        scores = dots[:k]
         if not math.isfinite(sum(scores)):
             if not np.isfinite(x).all():
                 raise InputError(f"non-finite feature at stream position {position}")
             raise DivergenceError(position)
         pred = scores.index(max(scores))   # first maximum, as np.argmax
-        if self.stack == 2:
-            np.multiply(xa, xa, out=self._xs[1])
-        # every w[c] @ xa, then (CW, AROW, SCW) every sigma[c] @ (xa * xa)
-        dots, k = np.matmul(*self._pairs).ravel().tolist(), self.classes
         self._begin()
         rule, rows, coefs = self._rule, [], []
         for c, m, v in zip(range(k), dots, dots[k:] or dots):

@@ -319,7 +319,7 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
     else:
         learner = NetworkLearner(cfg, source, report)
     for inst in source:
-        x = std.standardize(inst.features) if std else np.asarray(inst.features, dtype=np.float64)
+        x = std.standardize(inst.features) if std else inst.features
         pred = learner.step(x, inst.label, inst.position)
         update_metrics(report, pred, inst.label)
 

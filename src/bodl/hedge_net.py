@@ -135,7 +135,8 @@ class LayerActivations:
 
 def init_network(dims: tuple, seed: int) -> tuple[NetworkParams, np.ndarray]:
     """Fan-balanced uniform init (biases zero) and uniform head importances
-    for dims (input_dim, width, classes, N)."""
+    for dims (input_dim, width, classes, N). Each matrix's weight columns are
+    drawn in `matrices()` order straight into one zero parameter vector."""
     d, u, c, n = dims
     if n < 1:
         raise ConfigError("need at least one hidden layer")
@@ -146,17 +147,12 @@ def init_network(dims: tuple, seed: int) -> tuple[NetworkParams, np.ndarray]:
     if d < 1:
         raise ConfigError("input dimension must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def draw(fan_out, fan_in):
+    params = _viewing(np.zeros(sum(r * k for r, k in _shapes(dims))), dims)
+    for mat in params.matrices():
+        fan_out, fan_in = mat.shape[0], mat.shape[1] - 1
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        mat = np.zeros((fan_out, fan_in + 1))
         mat[:, :-1] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        return mat
-
-    layers = [draw(u, d if i == 0 else u) for i in range(n)]
-    heads = [draw(c, d)] + [draw(c, u) for _ in range(n)]
-    weights = np.full(n + 1, 1.0 / (n + 1))
-    return NetworkParams(layers, heads), weights
+    return params, np.full(n + 1, 1.0 / (n + 1))
 
 
 class Workspace:
@@ -425,37 +421,26 @@ def _floor_and_renormalize(raw: np.ndarray, floor: float) -> np.ndarray:
     """Project onto the simplex with a per-entry lower bound.
 
     Entries at the floor are pinned there; the rest share the remaining mass
-    proportionally. Iterates because renormalization can push new entries
-    below the floor. Returns within K - 1 passes for K entries: with
+    proportionally. The first pass only normalizes; each later pass pins
+    every entry an earlier pass put below the floor, and runs only while
+    that set grows. Returns within K passes for K entries: with
     floor * K < 1 the largest free entry never falls below the floor.
     """
-    fixed = np.zeros(len(raw), dtype=bool)
-    while True:
-        free = ~fixed
-        free_mass = 1.0 - floor * np.count_nonzero(fixed)
-        scaled = np.where(fixed, floor, raw * (free_mass / raw[free].sum()))
-        below = free & (scaled < floor)
-        if not below.any():
-            return scaled
-        fixed |= below
+    scaled = raw * (1.0 / raw.sum())
+    fixed = scaled < floor
+    pinned = 0
+    while (count := np.count_nonzero(fixed)) > pinned:
+        pinned = count
+        scaled = np.where(fixed, floor, raw * ((1.0 - floor * count) / raw[~fixed].sum()))
+        fixed |= scaled < floor
+    return scaled
 
 
 def hedge_update(weights: np.ndarray, per_head_losses: np.ndarray, eta: float) -> np.ndarray:
     """Discount each head importance by exp(-eta * loss), floor at
-    WEIGHT_FLOOR / K for K heads, renormalize.
-
-    When no normalized importance falls below the floor, the normalized vector
-    is returned directly. That is the projection's first iteration with no
-    entry pinned (free mass 1.0 over the sum of all entries), so the bits are
-    the same as going through `_floor_and_renormalize`.
-    """
-    floor = WEIGHT_FLOOR / len(weights)
+    WEIGHT_FLOOR / K for K heads, renormalize."""
     capped = np.minimum(per_head_losses, HEDGE_LOSS_CAP)
-    raw = weights * np.exp(-eta * capped)
-    scaled = raw * (1.0 / raw.sum())
-    if scaled.min() >= floor:
-        return scaled
-    return _floor_and_renormalize(raw, floor)
+    return _floor_and_renormalize(weights * np.exp(-eta * capped), WEIGHT_FLOOR / len(weights))
 
 
 def init_opt_state(params: NetworkParams, optimizer: str) -> AdamState | None:

@@ -329,10 +329,12 @@ def parse_stream_spec(spec: str, default_seed: int = 0) -> StreamSource:
 
 
 def write_stream_csv(source: StreamSource, path: str | Path) -> None:
-    """Save a stream as headerless rows of features followed by the label."""
+    """Save a stream as headerless rows of features followed by the label:
+    its name when the source has label names, else its index."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    names = source.label_names or range(source.classes)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for inst in source:
-            writer.writerow([repr(float(v)) for v in inst.features] + [inst.label])
+            writer.writerow([repr(float(v)) for v in inst.features] + [names[inst.label]])

@@ -11,6 +11,7 @@ import numpy as np
 
 from bodl.baselines import C, PHI, PSI, R, ZETA
 from bodl.errors import ConfigError, DivergenceError, InputError
+from bodl.hedge_net import NetworkParams
 from bodl.streams import SEA_THRESHOLDS, StreamInstance, StreamSource
 
 
@@ -347,7 +348,8 @@ def list_adapt_on_drift(mats, n_layers, recent, batch, weights, lam, mu, gamma,
 
 # ---------------------------------------------------------------------------
 # The per-instance helpers as they were before their fast paths: every head
-# importance update goes through the whole floored-simplex projection, and the
+# importance update goes through the whole floored-simplex projection from an
+# unpinned start, init draws a list of matrices and copies it, and the
 # standardizer builds its statistics out of place. The library must return the
 # same bits.
 
@@ -365,6 +367,23 @@ def reference_hedge_update(weights, per_head_losses, eta, floor, cap):
             return scaled
         fixed |= below
     return np.full(n, 1.0 / n)
+
+
+def reference_init_network(dims, seed):
+    """Every matrix drawn as its own array, layers 1..N then heads 0..N, and
+    the list copied into one vector by `NetworkParams(layers, heads)`."""
+    d, u, c, n = dims
+    rng = np.random.default_rng(seed)
+
+    def draw(fan_out, fan_in):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        mat = np.zeros((fan_out, fan_in + 1))
+        mat[:, :-1] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        return mat
+
+    layers = [draw(u, d if i == 0 else u) for i in range(n)]
+    heads = [draw(c, d)] + [draw(c, u) for _ in range(n)]
+    return NetworkParams(layers, heads), np.full(n + 1, 1.0 / (n + 1))
 
 
 class ReferenceStandardizer:

@@ -84,10 +84,14 @@ def test_non_finite_feature_is_an_input_error(name):
     model = BASELINES[name](3, 2)
     model.step(np.array([1.0, -0.5, 2.0]), 1)
     before = model.w.copy()
+    sigma = getattr(model, "sigma", None)    # CW, AROW and SCW
+    sigma_before = None if sigma is None else sigma.copy()
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InputError, match="non-finite feature at stream position 7"):
             model.step(np.array([1.0, bad, 0.0]), 0, 7)
     assert np.array_equal(model.w, before)
+    if sigma is not None:
+        assert np.array_equal(model.sigma, sigma_before)
     # finite features on non-finite weights still name the diverged position
     model.w[0, 0] = np.inf
     with pytest.raises(DivergenceError) as err:

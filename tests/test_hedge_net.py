@@ -33,6 +33,7 @@ from oracles import (
     finite_difference_grads,
     max_relative_error,
     reference_hedge_update,
+    reference_init_network,
     scalar_softmax,
 )
 
@@ -65,6 +66,21 @@ def test_init_same_seed_bit_identical():
     for x, y in zip(a.matrices(), b.matrices()):
         assert np.array_equal(x, y)
     assert np.array_equal(wa, wb)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(st.integers(1, 22), st.integers(1, 40), st.integers(2, 5), st.integers(1, 15)),
+       st.integers(0, 2 ** 32 - 1))
+@example((8, 30, 2, 15), 0)
+@example((1, 1, 2, 1), 3)
+def test_init_matches_list_and_copy_reference_bit_for_bit(dims, seed):
+    # the draw order (layers 1..N, head 0, heads 1..N) and each bound are
+    # the reference's, so the vector and the importances keep their bits
+    params, weights = init_network(dims, seed)
+    ref, ref_weights = reference_init_network(dims, seed)
+    assert params.dims == ref.dims
+    assert np.array_equal(params.flat, ref.flat)
+    assert np.array_equal(weights, ref_weights)
 
 
 def test_init_different_seeds_differ():
@@ -423,9 +439,16 @@ hedge_cases = st.integers(1, 16).flatmap(lambda n: st.tuples(
     st.floats(1e-3, 5.0)))
 
 
+# Head 1 stays above the floor after the first pass and is pushed below it
+# only once heads 2 and 3 are pinned, so the projection takes two pinning
+# passes.
+CASCADE = (np.full(4, 0.25), np.array([0.0, 10.5966, 50.0, 60.0]), False, 1.0)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(hedge_cases)
 @example((np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), False, 1.0))
+@example(CASCADE)
 @example((np.array([0.5, 0.5]), np.array([30.0, 0.0]), False, 0.1))
 @example((np.full(16, 1 / 16), np.full(16, 0.7), False, 0.01))
 def test_hedge_update_matches_full_projection_bit_for_bit(case):
@@ -439,10 +462,15 @@ def test_hedge_update_matches_full_projection_bit_for_bit(case):
 
 
 def test_hedge_update_floor_binds_in_the_pinned_examples():
-    # the first example above, and the regret bound's second, must take the
-    # projection path, or those tests would only ever see the fast path
+    # the first example above, and the regret bound's second, must pin
+    # heads, or those tests would only ever see the unpinned first pass
     out = hedge_update(np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), 1.0)
     assert np.count_nonzero(out == WEIGHT_FLOOR / 4) == 3
+    # CASCADE: a projection that stops after one pinning pass fails here
+    weights, losses, _, eta = CASCADE
+    raw = weights * np.exp(-eta * np.minimum(losses, HEDGE_LOSS_CAP))
+    assert list(raw * (1.0 / raw.sum()) < WEIGHT_FLOOR / 4) == [False, False, True, True]
+    assert list(hedge_update(weights, losses, eta) == WEIGHT_FLOOR / 4) == [False, True, True, True]
 
 
 @pytest.mark.parametrize("heads", [2, 16])

@@ -605,6 +605,16 @@ def test_write_then_load_round_trip(tmp_path):
         assert int(back.label_names[loaded.label]) == orig.label
 
 
+def test_write_keeps_label_names(tmp_path):
+    src = load_csv(write_lines(tmp_path / "named.csv", "1,2,yes\n3,4,no\n5,6,yes\n"))
+    out = tmp_path / "dump.csv"
+    write_stream_csv(src, out)
+    assert out.read_text().splitlines() == ["1.0,2.0,yes", "3.0,4.0,no", "5.0,6.0,yes"]
+    back = load_csv(out)
+    assert back.label_names == ["yes", "no"]
+    assert [i.label for i in back] == [0, 1, 0]
+
+
 def test_stream_source_iterates_and_sizes():
     insts = gen_drift_stream("sea", [10], seed=0).instances
     src = StreamSource(insts, 3, 2, "x")
