@@ -62,9 +62,11 @@ class NetworkParams:
     matrix, and a matrix cannot be swapped for an outside array.
     `deep_layers` views layers 2..N as one (N-1, width, width + 1) array and
     `hidden_heads` views heads 1..N as one (N, classes, width + 1) array.
-    `backward` reads two more views, built here once: `back_layers`, the
-    transposed weights `W[:, :-1].T` of layers 2..N, and `back_heads`, the
-    transposed weights of heads 1..N as one (N, width, classes) array.
+    `backward` reads two more views, built here once: `back_down`, the
+    transposed weights `W[:, :-1].T` of layers N down to 2 and then None,
+    which carry each layer's gradient to the one below it, top layer first,
+    and `back_heads`, the transposed weights of heads 1..N as one (N, width,
+    classes) array.
     `NetworkParams(layers, heads)` checks the shapes against `dims` and copies
     the matrices into a new vector.
     """
@@ -87,7 +89,7 @@ class NetworkParams:
         layer0, self.deep_layers, head0, self.hidden_heads = _blocks(flat, dims)
         self.layers = (layer0, *self.deep_layers)
         self.heads = (head0, *self.hidden_heads)
-        self.back_layers = tuple(w[:, :-1].T for w in self.deep_layers)
+        self.back_down = (*(w[:, :-1].T for w in self.deep_layers[::-1]), None)
         self.back_heads = self.hidden_heads[:, :, :-1].transpose(0, 2, 1)
 
     def checked(self, vec: np.ndarray) -> np.ndarray:
@@ -155,6 +157,60 @@ def init_network(dims: tuple, seed: int) -> tuple[NetworkParams, np.ndarray]:
     return params, np.full(n + 1, 1.0 / (n + 1))
 
 
+class _Chain:
+    """The gradient at each hidden layer's pre-activation, from the top down,
+    in buffers and row views bound once.
+
+    `from_heads` holds the heads' pull on each hidden layer, layer axis
+    first. Each layer's row of it, and of every buffer here, has
+    `row_shape`: (width,) for one instance, or (rows, width) for a stack of
+    them. `deltas` row i-1 is the gradient at layer i's pre-activation,
+    `slope` row i-1 its ReLU derivative, `to_next` row i-1 the similarity
+    pull of h_i toward h_{i+1} and `to_prev` row i-2 that of h_i toward
+    h_{i-1}. `steps` lists one tuple per layer, top layer first: (pull,
+    delta row, to_next row or None, to_prev row or None, slope row), so the
+    loop indexes nothing.
+    """
+
+    def __init__(self, from_heads: np.ndarray, row_shape: tuple):
+        n = len(from_heads)
+        self.deltas = deltas = np.empty((n, *row_shape))
+        self.slope = slope = np.empty((n, *row_shape))
+        self.to_next = to_next = np.empty((n - 1, *row_shape))
+        self.to_prev = to_prev = np.empty((n - 1, *row_shape))
+        # rows by index: iterating an ndarray costs more than indexing a few rows,
+        # and `backward_sum` builds a chain per call
+        self.steps = [(from_heads[i], deltas[i], to_next[i] if i < n - 1 else None,
+                       to_prev[i - 1] if i else None, slope[i]) for i in range(n - 1, -1, -1)]
+
+    def run(self, params: NetworkParams, hidden: np.ndarray, lam: float, matvec) -> np.ndarray:
+        """Fill and return `deltas`, given the post-ReLU rows h_1..h_N in
+        `hidden` (shaped like `deltas`) and the pull already in `from_heads`.
+        `matvec(W.T, delta)` carries a layer's gradient to the one below it,
+        through `params.back_down`, so the weights are always `params`' own.
+        """
+        n = len(hidden)
+        sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
+        if sim_coef:
+            np.subtract(hidden[:-1], hidden[1:], out=self.to_next)
+            np.multiply(sim_coef, self.to_next, out=self.to_next)
+            np.subtract(hidden[1:], hidden[:-1], out=self.to_prev)
+            np.multiply(sim_coef, self.to_prev, out=self.to_prev)
+        np.greater(hidden, 0.0, out=self.slope)     # ReLU derivative
+        carry = 0.0                     # into h_N from above; + 0.0 has a zero vector's bits
+        for (pull, delta, to_next, to_prev, slope), back in zip(self.steps, params.back_down):
+            np.add(pull, carry, out=delta)
+            if sim_coef:
+                if to_next is not None:
+                    delta += to_next
+                if to_prev is not None:
+                    delta += to_prev
+            delta *= slope
+            if back is not None:
+                carry = matvec(back, delta)
+        return self.deltas
+
+
 class Workspace:
     """Everything one single-row `forward` and `backward` write at network
     dims (input_dim, width, classes, N), with every view they use bound once.
@@ -164,11 +220,18 @@ class Workspace:
     `LayerActivations` record over those three slices. `layer_io` pairs each
     layer's input row with the slice its ReLU writes, the row's first `width`
     entries, so a layer's output is the next one's input and no augmented
-    vector is ever built by appending. `score_grads` is backward's (N+1,
-    classes) gradient at the head scores, with one column view per label in
-    `label_grads`, and `grad` the `NetworkParams` that receives the
-    parameter gradient. A workspace holds one record and one gradient at a
-    time: the next call into it overwrites them.
+    vector is ever built by appending; each ReLU compares against `zero`, a
+    bound 0-d array, not a Python float to convert. `score_grads` is
+    backward's (N+1, classes) gradient at the head scores, with one column
+    view per label in `label_grads`. `from_heads` is the (N, width, 1)
+    back-projection of heads 1..N, and `chain` the `_Chain` over its rows,
+    which owns the `deltas`, `slope`, `to_next` and `to_prev` buffers and
+    binds each layer's rows of them once; `deep_deltas` and `first_delta`
+    are the column views of `deltas` that the outer products read. `grad`
+    is the `NetworkParams` that receives the parameter gradient. No weight
+    is bound here, so one workspace serves every `NetworkParams` of its
+    dims. A workspace holds one record and one gradient at a time: the next
+    call into it overwrites them.
     """
 
     def __init__(self, dims: tuple):
@@ -186,6 +249,11 @@ class Workspace:
         self.score_grads = grads = np.empty((n + 1, c))
         self.head0_grads, self.hidden_grads = grads[0, :, None], grads[1:, :, None]
         self.label_grads = tuple(grads[:, k] for k in range(c))   # column k: label k's
+        self.zero = np.zeros(())
+        self.from_heads = np.empty((n, u, 1))
+        self.chain = _Chain(self.from_heads[:, :, 0], (u,))
+        deltas = self.chain.deltas
+        self.deep_deltas, self.first_delta = deltas[1:, :, None], deltas[0, :, None]
         self.grad = _viewing(np.empty(sum(r * k for r, k in _shapes(dims))), dims)
 
 
@@ -219,7 +287,7 @@ def forward(params: NetworkParams, x: np.ndarray,
     ws.x[...] = x
     ws.ones.fill(1.0)
     for w, (prev, relu) in zip(params.layers, ws.layer_io):
-        np.maximum(w.dot(prev), 0.0, out=relu)
+        np.maximum(w.dot(prev), ws.zero, out=relu)
     acts = ws.acts
     params.heads[0].dot(acts.inputs, out=ws.head0_scores)
     np.matmul(params.hidden_heads, ws.block_cols, out=ws.hidden_scores)
@@ -314,36 +382,6 @@ def _check_heads(params: NetworkParams, acts: LayerActivations, weights: np.ndar
                          f"{heads} head outputs")
 
 
-def _chain(params: NetworkParams, hidden: np.ndarray, from_heads: np.ndarray, lam: float,
-           matvec) -> np.ndarray:
-    """The gradient at each hidden layer's pre-activation, from the top down.
-
-    `hidden` holds the post-ReLU rows h_1..h_N and `from_heads` the heads'
-    pull on each, layer axis first; a stack of instances rides along on the
-    second axis. `matvec(W.T, delta)` carries a layer's gradient to the one
-    below it, through the transposed views of `params.back_layers`.
-    """
-    n = len(params.layers)
-    sim_coef = 2.0 * lam / (n - 1) if n >= 2 else 0.0
-    if sim_coef:
-        to_next = sim_coef * (hidden[:-1] - hidden[1:])   # row i-1: pull of h_i toward h_{i+1}
-        to_prev = sim_coef * (hidden[1:] - hidden[:-1])   # row i-2: pull of h_i toward h_{i-1}
-    slope = (hidden > 0).astype(np.float64)   # ReLU derivative
-    deltas = np.empty_like(hidden)      # row i-1: gradient at layer i's pre-activation
-    carry = 0.0                         # into h_n from above; + 0.0 has a zero vector's bits
-    for i in range(n, 0, -1):           # hidden layer i, weight matrix layers[i-1]
-        delta = np.add(from_heads[i - 1], carry, out=deltas[i - 1])   # the pull on h_i
-        if sim_coef:
-            if i <= n - 1:
-                delta += to_next[i - 1]
-            if i >= 2:
-                delta += to_prev[i - 2]
-        delta *= slope[i - 1]
-        if i > 1:
-            carry = matvec(params.back_layers[i - 2], delta)
-    return deltas
-
-
 def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
              y: int, lam: float, out: Workspace | None = None) -> np.ndarray:
     """Exact gradient of `total_loss` w.r.t. every parameter, as a vector
@@ -352,12 +390,15 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     Head importances are treated as constants. Head n backpropagates into
     layers 1..n scaled by its importance; the similarity penalty contributes
     through both members of each consecutive pair. Every head's gradient and
-    back-projection is computed at once; only the chain through the hidden
-    layers is a loop, and every layer's outer product is taken after it.
+    back-projection is computed at once, into `out.from_heads`; only the
+    chain through the hidden layers is a loop, `out.chain` over the rows it
+    bound, and every layer's outer product is taken after it.
     The gradient is written into the workspace `out` (a new one without
     it): the head-score gradient into `out.score_grads`, the parameter
     gradient through `out.grad`'s matrix views. `out.grad.flat` is returned.
-    `acts` may be any record of `params`' dims, `out`'s own included.
+    `acts` may be any record of `params`' dims, `out`'s own included, and
+    `params` any network of `out`'s dims: the chain reads the weights from
+    `params.back_down` on every call.
     """
     probs = acts.probs
     _check_heads(params, acts, weights)
@@ -373,12 +414,12 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     score_grads *= weights[:, None]
     np.multiply(ws.head0_grads, inputs, out=grad.heads[0])   # outer products
     np.multiply(ws.hidden_grads, block[:, None, :], out=grad.hidden_heads)
-    from_heads = np.matmul(params.back_heads, ws.hidden_grads)[:, :, 0]
+    np.matmul(params.back_heads, ws.hidden_grads, out=ws.from_heads)
 
-    deltas = _chain(params, block[:, :-1], from_heads, lam, np.matmul)
+    ws.chain.run(params, block[:, :-1], lam, np.matmul)
     if len(block) > 1:                  # layers 2..N; an empty multiply still costs a call
-        np.multiply(deltas[1:, :, None], block[:-1, None, :], out=grad.deep_layers)
-    np.multiply(deltas[0, :, None], inputs, out=grad.layers[0])
+        np.multiply(ws.deep_deltas, block[:-1, None, :], out=grad.deep_layers)
+    np.multiply(ws.first_delta, inputs, out=grad.layers[0])
     return grad.flat
 
 
@@ -388,7 +429,8 @@ def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndar
     record with labels `y`, as one vector, bit for bit as
     `acc = g_0; acc += g_1; ...`.
 
-    Each row's chain runs as in `backward`, with its mat-vecs stacked the way
+    Each row's chain runs through `backward`'s loop: a `_Chain` built per
+    call over (N, rows, width) buffers, with its mat-vecs stacked the way
     `forward_rows` stacks them. The rows' outer products are then added one
     matrix at a time by `np.add.reduce` over the row axis, which adds them in
     row order (from -0.0, the one start that leaves every sum's bits as they
@@ -404,8 +446,8 @@ def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndar
     score_grads[np.arange(rows), :, y] -= 1.0
     score_grads *= weights[:, None]
     from_heads = np.matmul(params.back_heads, score_grads[:, 1:, :, None])[..., 0]
-    deltas = _chain(params, block[:, :, :-1].transpose(1, 0, 2),
-                    from_heads.transpose(1, 0, 2), lam, _matvecs)
+    chain = _Chain(from_heads.transpose(1, 0, 2), (rows, params.dims[1]))
+    deltas = chain.run(params, block[:, :, :-1].transpose(1, 0, 2), lam, _matvecs)
 
     grad = np.empty_like(params.flat)
     layer0, deep_layers, head0, hidden_heads = _blocks(grad, params.dims)

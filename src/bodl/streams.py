@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, StreamFormatError
+from .errors import ConfigError, InputError, StreamFormatError
 
 # thresholds on x0 + x1 for the piecewise SEA-style concept, cycled per segment
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
@@ -171,7 +171,12 @@ class Standardizer:
         return self._m2 / self.count
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
+        """`x` scored against the instances before it, which it then joins.
+        A row not of shape (dim,) raises InputError and moves no statistic:
+        it would broadcast against the running mean instead."""
         x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.mean.shape:
+            raise InputError(f"feature shape {x.shape}, expected {self.mean.shape}")
         delta = x - self.mean
         if self.count == 0:
             z = np.zeros(self.dim)

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodl.bilevel import (
     adapt_on_drift,
@@ -170,18 +172,41 @@ def test_stacked_kernels_match_row_by_row(optimizer, dims, lr, rows):
     X[0], y[0] = clipping_instance(params)
     X[1:2] = 0.0
 
+    acts = assert_stacked_match_row_by_row(params, weights, X, y, LAM)
+    assert acts.probs[0, 0, y[0]] < PROB_CLIP
+
+
+def assert_stacked_match_row_by_row(params, weights, X, y, lam):
+    """`forward_rows`, `row_losses` and `backward_sum` against the per-row
+    calls, byte for byte; returns the stacked record."""
     acts = forward_rows(params, X)
     per_row = [forward(params, x) for x in X]
-    assert acts.probs[0, 0, y[0]] < PROB_CLIP
     assert_same_bits(acts.inputs, [a.inputs for a in per_row])
     assert_same_bits(acts.block, [a.block for a in per_row])
     assert_same_bits(acts.probs, [a.probs for a in per_row])
-    assert_same_bits(row_losses(acts, weights, y, LAM),
-                     [total_loss(a, weights, label, LAM)[0] for a, label in zip(per_row, y)])
-    acc = backward(params, per_row[0], weights, y[0], LAM)
+    assert_same_bits(row_losses(acts, weights, y, lam),
+                     [total_loss(a, weights, label, lam)[0] for a, label in zip(per_row, y)])
+    acc = backward(params, per_row[0], weights, y[0], lam)
     for a, label in zip(per_row[1:], y[1:]):
-        acc += backward(params, a, weights, label, LAM)
-    assert_same_bits(backward_sum(params, acts, weights, y, LAM), acc)
+        acc += backward(params, a, weights, label, lam)
+    assert_same_bits(backward_sum(params, acts, weights, y, lam), acc)
+    return acts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(dims=st.tuples(st.integers(1, 24), st.integers(1, 40), st.integers(2, 5),
+                      st.integers(1, 5)),
+       rows=st.integers(1, 40), lam=st.just(0.0) | st.floats(1e-3, 10.0),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernels_match_row_by_row_on_generated_shapes(dims, rows, lam, scale, seed):
+    # the hand-picked shapes above have one odd head count; generated ones
+    # reach width 1, a single class pair, one row and the penalty's absence
+    params, _ = init_network(dims, seed)
+    d, _, classes, n = dims
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n + 1))
+    X, y = scale * rng.standard_normal((rows, d)), rng.integers(classes, size=rows)
+    assert_stacked_match_row_by_row(params, weights, X, y, lam)
 
 
 @pytest.mark.parametrize("optimizer, dims, lr", REFERENCE_SHAPES)
@@ -199,24 +224,34 @@ def test_out_buffers_match_fresh_calls(optimizer, dims, lr):
     assert forward(params, X[0]).probs[0, y[0]] < PROB_CLIP
     ws = Workspace(dims)
     record = ws.acts
+    chain = ws.chain
+    # a second network of the same dims shares the workspace: nothing of the
+    # first one's weights may stay bound in it
+    other, _ = small_net(seed=11, dims=dims)
 
-    def refill():
-        ws.buf[:] = ws.score_grads[:] = ws.grad.flat[:] = np.nan
+    backward_bufs = (ws.score_grads, ws.grad.flat, ws.from_heads, chain.deltas, chain.slope,
+                     chain.to_next, chain.to_prev)
+
+    def refill(bufs=(ws.buf, *backward_bufs)):
+        for buf in bufs:
+            buf[...] = np.nan
 
     refill()
-    for x, label in zip(X, y):
-        acts, fresh = forward(params, x, out=ws), forward(params, x)
+    for step, (x, label) in enumerate(zip(X, y)):
+        lam = LAM if step % 2 else 0.0      # the similarity pulls, on and off
+        net = other if step % 3 == 2 else params
+        acts, fresh = forward(net, x, out=ws), forward(net, x)
         assert acts is record
         for field in ("inputs", "block", "probs"):
             assert np.shares_memory(getattr(acts, field), ws.buf)
             assert_same_bits(getattr(acts, field), getattr(fresh, field))
-        want = backward(params, fresh, weights, label, LAM)
-        got = backward(params, acts, weights, label, LAM, out=ws)
+        want = backward(net, fresh, weights, label, lam)
+        got = backward(net, acts, weights, label, lam, out=ws)
         assert got is ws.grad.flat
         assert_same_bits(got, want)
         # a record from outside the workspace gives the same gradient in it
-        ws.score_grads[:] = ws.grad.flat[:] = np.nan
-        assert_same_bits(backward(params, fresh, weights, label, LAM, out=ws), want)
+        refill(backward_bufs)
+        assert_same_bits(backward(net, fresh, weights, label, lam, out=ws), want)
         assert_same_bits(acts.probs, fresh.probs)
         refill()
 

@@ -267,6 +267,19 @@ def test_empty_stream_yields_empty_report():
     assert report.drift_events == []
 
 
+@pytest.mark.parametrize("learner", ["bodl-base", "arow"])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_mis_shaped_instance_rejected(learner, standardize):
+    # a (1,) row in a 3-feature stream must not broadcast against the
+    # standardizer's running mean into a (3,) row the learner accepts
+    insts = [StreamInstance(np.ones(3), 0, 0), StreamInstance(np.ones(1), 1, 1),
+             StreamInstance(np.ones(3), 0, 2)]
+    cfg = RunConfig(stream=StreamSource(insts, 3, 2, "ragged"), learner=learner,
+                    standardize=standardize)
+    with pytest.raises(InputError, match=r"shape \(1,\), expected \(3,\)"):
+        prequential_run(cfg)
+
+
 def test_prediction_happens_before_learning():
     # identical single-instance streams that differ only in the label must
     # produce the same prediction: the learner cannot peek

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bodl import streams
-from bodl.errors import ConfigError, StreamFormatError
+from bodl.errors import ConfigError, InputError, StreamFormatError
 from bodl.streams import (
     MAX_GENERATED_DRAWS,
     MAX_ROW_NORM,
@@ -243,6 +243,18 @@ def test_standardizer_never_peeks_at_current_instance():
     # an extreme outlier must be scored against the old stats only
     z = st.standardize(np.array([1e6]))
     assert z[0] == pytest.approx((1e6 - 1.5) / 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("row", [np.ones(1), np.ones(4), np.ones((1, 3)), np.float64(2.0)])
+def test_standardizer_rejects_mis_shaped_row_before_moving(row):
+    st = Standardizer(3)
+    st.standardize(np.array([1.0, 2.0, 3.0]))
+    st.standardize(np.array([2.0, 0.0, 3.0]))
+    count, mean, m2 = st.count, st.mean.copy(), st._m2.copy()
+    with pytest.raises(InputError, match=r"expected \(3,\)"):
+        st.standardize(row)
+    assert st.count == count
+    assert st.mean.tobytes() == mean.tobytes() and st._m2.tobytes() == m2.tobytes()
 
 
 # A stream of k instances with d features in [-1e6, 1e6], some features held
