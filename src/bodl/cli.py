@@ -82,23 +82,27 @@ def _parse_seeds(text: str) -> list[int]:
 def _write_report(report: MetricsReport, path: str, timing: bool) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report.as_dict(include_timing=timing), sort_keys=True, indent=2)
+    data = report.as_dict()
+    if timing:
+        data["wall_time_s"] = float(report.wall_time)
+    text = json.dumps(data, sort_keys=True, indent=2)
     target.write_text(text + "\n")
 
 
-def _summary_line(report: MetricsReport) -> str:
-    return (f"accuracy {report.accuracy:.4f}  macro_f1 {report.macro_f1:.4f}  "
+def _summary_line(report: MetricsReport, metrics: dict) -> str:
+    return (f"accuracy {metrics['accuracy']:.4f}  macro_f1 {metrics['macro_f1']:.4f}  "
             f"drift_events {len(report.drift_events)}  "
-            f"instances {report.total}  [{report.wall_time:.2f}s]")
+            f"instances {metrics['total']}  [{report.wall_time:.2f}s]")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     report = prequential_run(cfg)
-    print(f"{cfg.learner} on {report.stream_info['provenance']}: {_summary_line(report)}")
-    if cfg.out:
-        _write_report(report, cfg.out, args.timing)
-        print(f"report written to {cfg.out}")
+    print(f"{cfg.learner} on {report.stream_info['provenance']}: "
+          f"{_summary_line(report, report.metrics())}")
+    if args.out:
+        _write_report(report, args.out, args.timing)
+        print(f"report written to {args.out}")
     return 0
 
 
@@ -106,28 +110,30 @@ TABLE_COLUMNS = ["learner", "stream", "seed", "accuracy", "macro_precision",
                  "macro_recall", "macro_f1", "drift_events", "error"]
 
 
-def _run_table(configs: list[RunConfig], writer, timing: bool) -> list[MetricsReport | None]:
-    """Run the configs in order, one table row each, past any failed run.
-    Returns the reports, with None where a run failed."""
+def _run_table(runs: list[tuple[RunConfig, str | None]], writer,
+               timing: bool) -> list[MetricsReport | None]:
+    """Run the (config, report path) pairs in order, one table row each, past
+    any failed run. Returns the reports, with None where a run failed."""
     writer.writerow(TABLE_COLUMNS)
     reports = []
-    for cfg in configs:
+    for cfg, out in runs:
         tag = f"{cfg.learner} on {cfg.stream} seed {cfg.seed}"
         try:
             rep = prequential_run(cfg)
-            if cfg.out:
-                _write_report(rep, cfg.out, timing)
+            if out:
+                _write_report(rep, out, timing)
         except Exception as exc:  # noqa: BLE001 - one failed run must not stop the suite
             error = f"{type(exc).__name__}: {exc}"
             writer.writerow([cfg.learner, cfg.stream, cfg.seed, "", "", "", "", "", error])
             print(f"{tag}: FAILED ({error})", file=sys.stderr)
             reports.append(None)
             continue
+        m = rep.metrics()
         writer.writerow([cfg.learner, cfg.stream, cfg.seed,
-                         f"{rep.accuracy:.6f}", f"{rep.macro_precision:.6f}",
-                         f"{rep.macro_recall:.6f}", f"{rep.macro_f1:.6f}",
+                         f"{m['accuracy']:.6f}", f"{m['macro_precision']:.6f}",
+                         f"{m['macro_recall']:.6f}", f"{m['macro_f1']:.6f}",
                          len(rep.drift_events), ""])
-        print(f"{tag}: {_summary_line(rep)}")
+        print(f"{tag}: {_summary_line(rep, m)}")
         reports.append(rep)
     return reports
 
@@ -137,14 +143,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if not seeds:
         raise ConfigError("at least one seed is required")
     configs = [
-        _config_from_args(args, learner=learner, seed=seed, out=None,
+        _config_from_args(args, learner=learner, seed=seed,
                           # an explicit lambda applies to the variants that use it
                           **({"lam": None} if learner == "bodl-base" else {}))
         for learner in ABLATION_LEARNERS for seed in seeds
     ]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        reports = _run_table(configs, writer, timing=False)
+        reports = _run_table([(cfg, None) for cfg in configs], writer, timing=False)
         for learner in ABLATION_LEARNERS:
             accs = [rep.accuracy for cfg, rep in zip(configs, reports)
                     if rep is not None and cfg.learner == learner]
@@ -165,18 +171,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{args.config}: expected a non-empty list of run entries")
     names = {f.name for f in fields(RunConfig)}
-    configs = []
+    runs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "stream" not in entry:
             raise ConfigError(f"{args.config}: entry {i} needs at least a 'stream' key")
+        out = entry.pop("out", None)   # the entry's report path, not a run setting
         unknown = set(entry) - names
         if unknown:
             raise ConfigError(f"{args.config}: entry {i} has unknown keys {sorted(unknown)}")
-        configs.append(RunConfig(**entry))
+        if not (out is None or isinstance(out, str)):
+            raise ConfigError(f"{args.config}: entry {i} out must be a string or null, "
+                              f"got {out!r}")
+        runs.append((RunConfig(**entry), out))
 
     out_csv = args.out or str(Path(args.config).with_suffix(".results.csv"))
     with open(out_csv, "w", newline="") as fh:
-        reports = _run_table(configs, csv.writer(fh), args.timing)
+        reports = _run_table(runs, csv.writer(fh), args.timing)
     print(f"results written to {out_csv}")
     return 1 if None in reports else 0
 
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                            argument_default=argparse.SUPPRESS)
     _add_run_options(p_run)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out", help="write the JSON report here")
+    p_run.add_argument("--out", default=None, help="write the JSON report here")
     p_run.add_argument("--timing", action="store_true", default=False,
                        help="include wall time in the report file")
     p_run.set_defaults(func=cmd_run)

@@ -50,7 +50,6 @@ _FIELD_TYPES = {
     "float | None": ("a finite number or None", lambda v: v is None or _is_number(v)),
     "bool": ("a bool", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
 }
 
 
@@ -80,7 +79,6 @@ class RunConfig:
     detector_min_instances: int = 30
     detector_sensitivity: float = 3.0
     standardize: bool = True
-    out: str | None = None
 
     def resolve_learner(self) -> tuple[float, bool]:
         """Returns (similarity weight, bilevel enabled); rejects contradictions
@@ -138,7 +136,6 @@ class RunConfig:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         if isinstance(d["stream"], StreamSource):
             d["stream"] = d["stream"].provenance
-        d.pop("out")   # where the report lands is not part of the run
         return d
 
 
@@ -159,66 +156,44 @@ class MetricsReport:
             self.confusion = np.zeros((self.classes, self.classes), dtype=np.int64)
 
     @property
-    def total(self) -> int:
-        return int(self.confusion.sum())
-
-    @property
-    def correct(self) -> int:
-        return int(np.trace(self.confusion))
-
-    @property
     def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
+        return self.metrics()["accuracy"]
 
-    def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-class true positives, false positives and false negatives."""
-        tp = np.diag(self.confusion)
-        return tp, self.confusion.sum(axis=0) - tp, self.confusion.sum(axis=1) - tp
-
-    def _per_class(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Precision, recall and F1 per class; 0 where the denominator is 0."""
+    def metrics(self) -> dict:
+        """The report's ``metrics`` section, read from the confusion matrix:
+        the counts, accuracy, and precision, recall and F1 per class averaged
+        over the classes, each ratio 0 where its denominator is 0."""
         def ratio(num, den):
             return np.divide(num, den, out=np.zeros(self.classes), where=den != 0)
 
-        tp, fp, fn = self._counts()
-        prec, rec = ratio(tp, tp + fp), ratio(tp, tp + fn)
-        return prec, rec, ratio(2 * prec * rec, prec + rec)
+        tp = np.diag(self.confusion)
+        actual, predicted = self.confusion.sum(axis=1), self.confusion.sum(axis=0)
+        prec, rec = ratio(tp, predicted), ratio(tp, actual)
+        f1 = ratio(2 * prec * rec, prec + rec)
+        total, correct = int(actual.sum()), int(tp.sum())
+        return {
+            "total": total,
+            "correct": correct,
+            "accuracy": correct / total if total else 0.0,
+            "macro_precision": float(prec.mean()),
+            "macro_recall": float(rec.mean()),
+            "macro_f1": float(f1.mean()),
+        }
 
-    @property
-    def macro_precision(self) -> float:
-        return float(self._per_class()[0].mean()) if self.classes else 0.0
-
-    @property
-    def macro_recall(self) -> float:
-        return float(self._per_class()[1].mean()) if self.classes else 0.0
-
-    @property
-    def macro_f1(self) -> float:
-        return float(self._per_class()[2].mean()) if self.classes else 0.0
-
-    def as_dict(self, include_timing: bool = False) -> dict:
-        """Plain-type report. Timing is opt-in so that identical configs
+    def as_dict(self) -> dict:
+        """Plain-type report. It holds no wall time, so identical configs
         serialize identically byte for byte."""
-        tp, fp, fn = self._counts()
-        out = {
+        tp = np.diag(self.confusion)
+        return {
             "config": self.config,
             "stream": self.stream_info,
-            "metrics": {
-                "total": int(self.total),
-                "correct": int(self.correct),
-                "accuracy": float(self.accuracy),
-                "macro_precision": float(self.macro_precision),
-                "macro_recall": float(self.macro_recall),
-                "macro_f1": float(self.macro_f1),
-            },
-            "per_class": {"true_pos": tp.tolist(), "false_pos": fp.tolist(),
-                          "false_neg": fn.tolist()},
+            "metrics": self.metrics(),
+            "per_class": {"true_pos": tp.tolist(),
+                          "false_pos": (self.confusion.sum(axis=0) - tp).tolist(),
+                          "false_neg": (self.confusion.sum(axis=1) - tp).tolist()},
             "drift_events": self.drift_events,
             "adaptations": self.adaptations,
         }
-        if include_timing:
-            out["wall_time_s"] = float(self.wall_time)
-        return out
 
 
 def update_metrics(report: MetricsReport, predicted: int, actual: int) -> MetricsReport:

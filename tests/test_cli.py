@@ -300,6 +300,21 @@ def test_bench_per_entry_report_files(tmp_path):
     assert json.loads(report.read_text())["config"]["learner"] == "pa"
 
 
+def test_bench_non_string_out_refused_before_any_run(tmp_path, capsys):
+    # a bad report path would otherwise fail only after its run had finished
+    first = tmp_path / "first.json"
+    entries = [{"stream": "sea:seg=40;noise=0", "learner": "pa", "out": str(first)},
+               {"stream": "sea:seg=40;noise=0", "learner": "arow", "out": 5}]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(entries))
+    assert run_cli("bench", "--config", str(suite)) == 2
+    captured = capsys.readouterr()
+    assert "entry 1 out must be a string or null, got 5" in captured.err
+    assert captured.out == ""
+    assert not first.exists()
+    assert not (tmp_path / "suite.results.csv").exists()
+
+
 def test_bench_bad_learner_is_captured_not_fatal(tmp_path, capsys):
     entries = bench_entries() + [{"stream": "sea:seg=40", "learner": "hal9000"}]
     suite = tmp_path / "suite.json"
