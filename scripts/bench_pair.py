@@ -19,7 +19,8 @@ failed and attempted pass counts of both sides, and every run's figures.
 It also holds the lines of src/ added and deleted against the parent, and
 each end-to-end metric's gate verdict (see `verdict`) with a mark where the
 raw and rescaled medians move in opposite directions. Both modes print the
-parent/change table and those line counts, and exit 1 if any pass failed
+parent/change table, each side's probe speed factor (see `speed_factors`)
+and those line counts, and exit 1 if any pass failed
 its golden check (or a run gave no result line). `--compare` works out the
 verdicts afresh, with the bounds in BENCHMARK.json, so a file written
 before they were recorded prints them too.
@@ -194,9 +195,24 @@ def summarize(runs: dict, bench: dict, meta: dict) -> dict:
     return add_verdicts(out, bench)
 
 
+def speed_factors(workload: dict) -> dict:
+    """Each side's median of rescaled over raw `throughput_ips` across the
+    paired runs: the speed factor perfbench's in-process probe measured,
+    its probe time over the reference one (higher is a slower host). A run
+    without both figures (a failed one) is left out; a side with none
+    reads None."""
+    ratios = {side: [] for side in SIDES}
+    for r in workload["runs"]["paired"]:
+        rescaled, raw = r["metrics"].get("throughput_ips"), r["wall"].get("throughput_ips")
+        if rescaled and raw:
+            ratios[r["side"]].append(rescaled / raw)
+    return {side: statistics.median(v) if v else None for side, v in ratios.items()}
+
+
 def table(doc: dict) -> str:
     """The parent/change table: rescaled medians with the parent's quartiles,
-    the change's wins, the raw wall medians with their wins, and the verdict."""
+    the change's wins, the raw wall medians with their wins, and the verdict;
+    then the traced spans and each side's probe speed factor per workload."""
     rows = ["| workload | metric | parent [q1, q3] | change | Δ | wins "
             "| raw wall parent -> change | verdict |",
             "|---|---|---|---|---|---|---|---|"]
@@ -217,6 +233,11 @@ def table(doc: dict) -> str:
                           for name, s in w["per_layer"].items()
                           if s["parent"] is not None and s["change"] is not None)
         rows.append(f"- {wl}: {spans}")
+    rows += ["", "Probe speed factor, rescaled / raw `throughput_ips` "
+             "(median of the paired runs, parent -> change):", ""]
+    for wl, w in doc["workloads"].items():
+        rows.append(f"- {wl}: " + " -> ".join(
+            "n/a" if f is None else f"{f:.3f}" for f in speed_factors(w).values()))
     failed = {wl: w["failed"] for wl, w in doc["workloads"].items()}
     rows += ["", "failed passes (parent / change): " + ", ".join(
         f"{wl} {f['parent']} / {f['change']}" for wl, f in failed.items())]

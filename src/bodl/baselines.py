@@ -25,10 +25,15 @@ R = 1.0                            # AROW: regularization
 class LinearBaseline:
     """Shared one-vs-rest scaffolding. `step` updates every class in one pass:
     it runs the subclass's binary `_rule` on Python floats over the class
-    list, and `_write` writes the rows of the classes to update, from one row
-    of coefficients each, with one array expression per vector."""
+    list and fills a coefficient buffer, one row per class to update. When
+    every class updates, `_write` works in place on w (and sigma) through
+    operands bound at construction: the state rows, the coefficient columns
+    and two scratch rows. When only some do, their rows are gathered through
+    one fancy index, written the same way and scattered back, so the other
+    rows keep their bits."""
 
     stack = 1    # per-class vectors held: w, then sigma for CW, AROW and SCW
+    width = 1    # coefficients per updated class: 2 for ROMMA, CW, AROW and SCW
 
     def __init__(self, input_dim: int, classes: int):
         if input_dim < 1 or classes < 2:
@@ -41,8 +46,14 @@ class LinearBaseline:
         self._state = np.zeros((self.stack, classes, input_dim + 1))
         self._w = self._state[0]
         self._xs = np.ones((self.stack, input_dim + 1))
-        self._xa = self._xs[0]
+        self._xa, self._xsq = self._xs[0], self._xs[-1]
         self._pairs = (self._state[:, :, None, :], self._xs[:, None, :, None])
+        # _write's operands when every class updates, bound once: w (and
+        # sigma), the (classes, 1) coefficient columns and two scratch rows
+        self._coefs = np.empty(classes * self.width)    # filled from one flat list
+        self._scratch = np.empty((2, classes, input_dim + 1))
+        columns = self._coefs.reshape(classes, -1).T[:, :, None]
+        self._full = (*self._state, *columns, *self._scratch)
 
     @property
     def w(self) -> np.ndarray:
@@ -61,11 +72,11 @@ class LinearBaseline:
         xa = self._xa
         xa[:-1] = x
         if self.stack == 2:
-            np.multiply(xa, xa, out=self._xs[1])
+            np.multiply(xa, xa, out=self._xsq)
         # every w[c] @ xa, the scores, then (CW, AROW, SCW) every sigma[c] @ (xa * xa)
         dots, k = np.matmul(*self._pairs).ravel().tolist(), self.classes
         scores = dots[:k]
-        if not math.isfinite(sum(scores)):
+        if not all(map(math.isfinite, scores)):
             if not np.isfinite(x).all():
                 raise InputError(f"non-finite feature at stream position {position}")
             raise DivergenceError(position)
@@ -76,11 +87,17 @@ class LinearBaseline:
             coef = rule(c, 1.0 if c == y else -1.0, m, v)
             if coef is not None:
                 rows.append(c)
-                coefs.append(coef)
-        if rows:
-            # a slice when every class updates: a basic index costs a
-            # fraction of a fancy one
-            self._write(slice(None) if len(rows) == k else rows, np.array(coefs))
+                coefs += coef
+        n = len(rows)
+        if n == k:
+            self._coefs[:] = coefs
+            self._write(*self._full)
+        elif n:
+            coefs_n, state_n = self._coefs[:len(coefs)], self._state[:, rows]
+            coefs_n[:] = coefs
+            columns = coefs_n.reshape(n, -1).T[:, :, None]
+            self._write(*state_n, *columns, *self._scratch[:, :n])
+            self._state[:, rows] = state_n
         return pred
 
     def _begin(self) -> None:
@@ -92,9 +109,10 @@ class LinearBaseline:
         the others), or None to leave the class as it is."""
         raise NotImplementedError
 
-    def _write(self, rows, coefs: np.ndarray) -> None:
-        """w[c] += coef * xa for each listed class, one row (coef,) of `coefs` each."""
-        self._w[rows] += coefs * self._xa
+    def _write(self, w, coef, t, _) -> None:
+        """w[c] += coef * xa in place for each row of w, the rows to update:
+        coef is their (n, 1) coefficient column, then two (n, d+1) scratch rows."""
+        w += np.multiply(coef, self._xa, out=t)
 
 
 class Perceptron(LinearBaseline):
@@ -134,6 +152,8 @@ class PA(LinearBaseline):
 class ROMMA(LinearBaseline):
     """Relaxed maximum-margin projection update on mistakes."""
 
+    width = 2    # (coef_w, coef_x): w[c] <- coef_w * w[c] + coef_x * xa
+
     def _begin(self):
         w = self._w
         self._a = float(self._xa @ self._xa)
@@ -150,9 +170,9 @@ class ROMMA(LinearBaseline):
             return 1.0, yc
         return (a * b - yc * m) / denom, b * (yc - m) / denom
 
-    def _write(self, rows, coefs):
-        w = self._w    # coefs: one row (coef_w, coef_x) per class
-        w[rows] = coefs[:, :1] * w[rows] + coefs[:, 1:] * self._xa
+    def _write(self, w, coef_w, coef_x, t, _):
+        np.multiply(coef_w, w, out=w)
+        w += np.multiply(coef_x, self._xa, out=t)
 
 
 class ConfidenceBaseline(LinearBaseline):
@@ -160,7 +180,7 @@ class ConfidenceBaseline(LinearBaseline):
     Its `_write` is AROW's and SCW's: given one row (step, beta) per class,
     with sx = sigma[c] * xa, w[c] += step * sx and sigma[c] -= beta * sx * sx."""
 
-    stack = 2
+    stack = width = 2
 
     def __init__(self, input_dim, classes):
         super().__init__(input_dim, classes)
@@ -172,12 +192,11 @@ class ConfidenceBaseline(LinearBaseline):
         """The (classes, d+1) variances: a view of the state, written in place."""
         return self._sigma
 
-    def _write(self, rows, coefs):
-        sigma = self._sigma[rows]     # a view of every row, else a copy
-        sx = sigma * self._xa
-        self._w[rows] += coefs[:, :1] * sx
-        sigma -= coefs[:, 1:] * sx * sx
-        self._sigma[rows] = sigma
+    def _write(self, w, sigma, step, beta, sx, t):
+        np.multiply(sigma, self._xa, out=sx)
+        w += np.multiply(step, sx, out=t)
+        np.multiply(beta, sx, out=t)
+        sigma -= np.multiply(t, sx, out=t)
 
 
 class CW(ConfidenceBaseline):
@@ -191,10 +210,13 @@ class CW(ConfidenceBaseline):
         alpha = max(0.0, gamma)
         return (alpha * yc, 2.0 * alpha * phi) if alpha > 0.0 else None
 
-    def _write(self, rows, coefs):
-        xa, sigma = self._xa, self._sigma[rows]    # coefs: one row (step, gain) per class
-        self._w[rows] += coefs[:, :1] * sigma * xa
-        self._sigma[rows] = 1.0 / (1.0 / sigma + coefs[:, 1:] * xa * xa)
+    def _write(self, w, sigma, step, gain, t, u):
+        xa = self._xa    # sigma <- 1 / (1 / sigma + gain * xa * xa)
+        w += np.multiply(np.multiply(step, sigma, out=t), xa, out=t)
+        np.multiply(np.multiply(gain, xa, out=u), xa, out=u)
+        np.divide(1.0, sigma, out=sigma)
+        sigma += u
+        np.divide(1.0, sigma, out=sigma)
 
 
 class AROW(ConfidenceBaseline):

@@ -434,8 +434,10 @@ class LoopLinearBaseline:
         if not 0 <= y < self.classes:
             raise InputError(f"label {y} outside 0..{self.classes - 1}")
         xa = np.append(x, 1.0)
-        scores = (self.w @ xa).tolist()
-        if not math.isfinite(sum(scores)):
+        # each score is the class's own dot, the margin its update reads: a
+        # gemv over all rows may round differently (FMA, blocking)
+        scores = [float(self.w[c] @ xa) for c in range(self.classes)]
+        if not all(map(math.isfinite, scores)):
             raise DivergenceError(position)
         pred = scores.index(max(scores))   # first maximum, as np.argmax
         self._begin_update()

@@ -99,6 +99,19 @@ def test_non_finite_feature_is_an_input_error(name):
     assert err.value.position == 9
 
 
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_finite_scores_whose_sum_overflows_are_not_divergence(name):
+    # each score is finite, only their sum overflows: the step predicts and
+    # learns as the per-class loop does, and raises nothing (numpy's overflow
+    # warnings, from ROMMA's w @ w, are silenced as the CLI silences them)
+    model, loop = BASELINES[name](1, 2), LOOP_BASELINES[name](1, 2)
+    model.w[:] = loop.w[:] = [[1e308, 0.0], [1e308, 0.0]]
+    x = np.array([1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert model.step(x, 0, 5) == loop.step(x, 0, 5) == 0
+    assert model.w.tobytes() == loop.w.tobytes()
+
+
 def batched_loop_stream(seed, n, dim, classes):
     """Rows that reach every branch of the binary rules: random rows, all-zero
     rows, a row repeated with either label (ROMMA's degenerate projection) and
@@ -115,11 +128,14 @@ def batched_loop_stream(seed, n, dim, classes):
     return rows
 
 
-@pytest.mark.parametrize("start", ["fresh", "seeded"])
+# input dims 1, 4 and 7 on one axis with the start; dim 4's cases keep the
+# ids they had when it was the only dim
+@pytest.mark.parametrize("start, dim", [
+    pytest.param(start, dim, id=start if dim == 4 else f"{start}-dim{dim}")
+    for dim in (4, 1, 7) for start in ("fresh", "seeded")])
 @pytest.mark.parametrize("classes", [2, 3, 5])
 @pytest.mark.parametrize("name", sorted(BASELINES))
-def test_class_batched_step_matches_per_class_loop(name, classes, start):
-    dim = 4
+def test_class_batched_step_matches_per_class_loop(name, classes, start, dim):
     model, loop = BASELINES[name](dim, classes), LOOP_BASELINES[name](dim, classes)
     if start == "seeded":
         # the same start for both, with negative zeros that a passive row must keep
@@ -140,8 +156,10 @@ def test_class_batched_step_matches_per_class_loop(name, classes, start):
         moved = sum(not np.array_equal(a, b) for a, b in zip(before, loop.w))
         partial += 0 < moved < classes
     # from the seeded start, some steps update some classes and not others
-    # (from a fresh one, a binary model's rows stay each other's negatives)
-    assert partial > 0 or start == "fresh"
+    # (from a fresh one, a binary model's rows stay each other's negatives;
+    # at dim 1 the seeded zeros take the one feature weight, and the hinge
+    # rules, OGD's and AROW's, may keep every class updating for all 300 rows)
+    assert partial > 0 or start == "fresh" or dim == 1
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))

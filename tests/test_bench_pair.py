@@ -98,6 +98,24 @@ def test_compare_prints_table_and_exits_zero(tmp_path, capsys):
     assert "9/10" in out and "hedge_net.hedge_update_us" in out
 
 
+def test_compare_prints_each_sides_probe_speed_factor(tmp_path, capsys):
+    # a canned run's rescaled throughput is half its raw one; give the
+    # change's runs factors 0.8, 0.6 and 0.7, and let one parent run fail
+    doc, path, _ = run_sweep(tmp_path, canned, seeds=[1, 2, 3])
+    w = doc["workloads"]["deep-flip"]
+    change = [r for r in w["runs"]["paired"] if r["side"] == "change"]
+    for r, factor in zip(change, (0.8, 0.6, 0.7)):
+        r["wall"]["throughput_ips"] = r["metrics"]["throughput_ips"] / factor
+    w["runs"]["paired"].append({"seed": 4, "side": "parent", "failed": 1, "attempted": 0,
+                                "metrics": {}, "wall": {}})
+    assert bench_pair.speed_factors(w) == {"parent": 0.5, "change": pytest.approx(0.7)}
+    path.write_text(json.dumps(doc))
+    assert bench_pair.main(["--compare", str(path)]) == 0
+    assert "\n- deep-flip: 0.500 -> 0.700\n" in capsys.readouterr().out
+    w["runs"]["paired"] = [r for r in w["runs"]["paired"] if r["side"] == "parent"]
+    assert bench_pair.speed_factors(w) == {"parent": 0.5, "change": None}
+
+
 def stats(parent, q1, q3, change, wins, better="higher"):
     return {"parent_median": parent, "parent_q1": q1, "parent_q3": q3,
             "change_median": change, "wins": wins, "pairs": 10, "better": better}
