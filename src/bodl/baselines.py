@@ -27,10 +27,9 @@ class LinearBaseline:
     it runs the subclass's binary `_rule` on Python floats over the class
     list and fills a coefficient buffer, one row per class to update. When
     every class updates, `_write` works in place on w (and sigma) through
-    operands bound at construction: the state rows, the coefficient columns
-    and two scratch rows. When only some do, their rows are gathered through
-    one fancy index, written the same way and scattered back, so the other
-    rows keep their bits."""
+    operands bound at construction by `_operands`. When only some do, their
+    rows are gathered through one fancy index, written the same way and
+    scattered back, so the other rows keep their bits."""
 
     stack = 1    # per-class vectors held: w, then sigma for CW, AROW and SCW
     width = 1    # coefficients per updated class: 2 for ROMMA, CW, AROW and SCW
@@ -48,12 +47,11 @@ class LinearBaseline:
         self._xs = np.ones((self.stack, input_dim + 1))
         self._xa, self._xsq = self._xs[0], self._xs[-1]
         self._pairs = (self._state[:, :, None, :], self._xs[:, None, :, None])
-        # _write's operands when every class updates, bound once: w (and
-        # sigma), the (classes, 1) coefficient columns and two scratch rows
+        # _write's operands when every class updates, bound once
         self._coefs = np.empty(classes * self.width)    # filled from one flat list
-        self._scratch = np.empty((2, classes, input_dim + 1))
+        self._scratch = np.empty((self.stack + 1, classes, input_dim + 1))
         columns = self._coefs.reshape(classes, -1).T[:, :, None]
-        self._full = (*self._state, *columns, *self._scratch)
+        self._full = self._operands(self._state, columns, self._scratch)
 
     @property
     def w(self) -> np.ndarray:
@@ -96,7 +94,7 @@ class LinearBaseline:
             coefs_n, state_n = self._coefs[:len(coefs)], self._state[:, rows]
             coefs_n[:] = coefs
             columns = coefs_n.reshape(n, -1).T[:, :, None]
-            self._write(*state_n, *columns, *self._scratch[:, :n])
+            self._write(*self._operands(state_n, columns, self._scratch[:, :n]))
             self._state[:, rows] = state_n
         return pred
 
@@ -108,6 +106,12 @@ class LinearBaseline:
         variance v = sigma[c] @ (xa * xa) (CW, AROW, SCW; m again, unused, for
         the others), or None to leave the class as it is."""
         raise NotImplementedError
+
+    def _operands(self, state, columns, scratch) -> tuple:
+        """`_write`'s arguments for the rows to update, given their (stack, n,
+        d+1) state, (width, n, 1) coefficient columns and (stack + 1, n, d+1)
+        scratch: each state row, each column, then two scratch rows."""
+        return (*state, *columns, *scratch[:2])
 
     def _write(self, w, coef, t, _) -> None:
         """w[c] += coef * xa in place for each row of w, the rows to update:
@@ -177,8 +181,10 @@ class ROMMA(LinearBaseline):
 
 class ConfidenceBaseline(LinearBaseline):
     """Adds a diagonal variance per class, one entry per augmented feature.
-    Its `_write` is AROW's and SCW's: given one row (step, beta) per class,
-    with sx = sigma[c] * xa, w[c] += step * sx and sigma[c] -= beta * sx * sx."""
+    Its `_write` is AROW's and SCW's: given one row (step, -beta) per class,
+    with sx = sigma[c] * xa, w[c] += step * sx and sigma[c] += -beta * sx * sx,
+    which is sigma[c] - beta * sx * sx to the bit. It writes w and sigma as
+    one stacked state."""
 
     stack = width = 2
 
@@ -192,11 +198,14 @@ class ConfidenceBaseline(LinearBaseline):
         """The (classes, d+1) variances: a view of the state, written in place."""
         return self._sigma
 
-    def _write(self, w, sigma, step, beta, sx, t):
-        np.multiply(sigma, self._xa, out=sx)
-        w += np.multiply(step, sx, out=t)
-        np.multiply(beta, sx, out=t)
-        sigma -= np.multiply(t, sx, out=t)
+    def _operands(self, state, columns, scratch):
+        return state, columns, scratch[0], scratch[1:]    # sx, then t stacked as the state
+
+    def _write(self, state, coefs, sx, t):
+        np.multiply(state[1], self._xa, out=sx)
+        np.multiply(coefs, sx, out=t)       # step * sx, then -beta * sx
+        t[1] *= sx
+        state += t
 
 
 class CW(ConfidenceBaseline):
@@ -209,6 +218,8 @@ class CW(ConfidenceBaseline):
         gamma = (-(1.0 + 2.0 * phi * m) + math.sqrt(disc)) / (4.0 * phi * v)
         alpha = max(0.0, gamma)
         return (alpha * yc, 2.0 * alpha * phi) if alpha > 0.0 else None
+
+    _operands = LinearBaseline._operands
 
     def _write(self, w, sigma, step, gain, t, u):
         xa = self._xa    # sigma <- 1 / (1 / sigma + gain * xa * xa)
@@ -227,7 +238,7 @@ class AROW(ConfidenceBaseline):
         if loss <= 0.0:
             return None
         beta = 1.0 / (v + R)
-        return loss * beta * yc, beta
+        return loss * beta * yc, -beta
 
 
 class SCW(ConfidenceBaseline):
@@ -243,7 +254,7 @@ class SCW(ConfidenceBaseline):
         if alpha <= 0.0:
             return None
         sqrt_u = 0.5 * (-alpha * v * phi + math.sqrt(alpha * alpha * v * v * phi * phi + 4.0 * v))
-        return alpha * yc, alpha * phi / (sqrt_u + v * alpha * phi)
+        return alpha * yc, -(alpha * phi / (sqrt_u + v * alpha * phi))
 
 
 BASELINES = {

@@ -36,6 +36,9 @@ from .memory import EpisodicMemory
 from .streams import Standardizer, StreamSource, parse_stream_spec
 
 NETWORK_LEARNERS = ("bodl-2", "bodl-1", "bodl-base")
+# instances standardized per Standardizer call: the block's statistics run
+# ahead of the loop, but each instance's z-scores read only the rows before it
+STANDARDIZE_BLOCK = 512
 DEFAULT_SIMILARITY_WEIGHT = 0.1
 
 
@@ -270,9 +273,26 @@ class NetworkLearner:
         return pred
 
 
+def _standardize_block(std: Standardizer, instances: list) -> np.ndarray:
+    """The z-scores of consecutive instances' features, in one call. A row
+    not of shape (input_dim,) raises InputError naming its shape and stream
+    position, before any statistic moves."""
+    try:
+        rows = np.array([inst.features for inst in instances])
+    except ValueError:      # ragged rows
+        rows = None
+    if rows is None or rows.shape[1:] != (std.dim,):
+        bad = next(inst for inst in instances if np.shape(inst.features) != (std.dim,))
+        raise InputError(f"feature shape {np.shape(bad.features)}, expected ({std.dim},) "
+                         f"at stream position {bad.position}")
+    return std.standardize(rows)
+
+
 def prequential_run(cfg: RunConfig) -> MetricsReport:
     """Run one learner over one stream, scoring every prediction before the
-    corresponding update. Returns the finalized report."""
+    corresponding update. Features are standardized STANDARDIZE_BLOCK
+    instances at a time, when a block's first instance is pulled, so a
+    mis-shaped row stops the run there. Returns the finalized report."""
     cfg.validate()
     source = (cfg.stream if isinstance(cfg.stream, StreamSource)
               else parse_stream_spec(str(cfg.stream), default_seed=cfg.seed))
@@ -293,8 +313,13 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
         learner = BASELINES[cfg.learner](source.input_dim, source.classes, **hyper)
     else:
         learner = NetworkLearner(cfg, source, report)
-    for inst in source:
-        x = std.standardize(inst.features) if std else inst.features
+    for i, inst in enumerate(source):
+        if std is None:
+            x = inst.features
+        else:
+            if i % STANDARDIZE_BLOCK == 0:
+                block = iter(_standardize_block(std, source.instances[i:i + STANDARDIZE_BLOCK]))
+            x = next(block)
         pred = learner.step(x, inst.label, inst.position)
         update_metrics(report, pred, inst.label)
 

@@ -33,14 +33,6 @@ SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 # most 4e200 and their sum stays finite for any stream under 4e107 rows.
 MAX_ROW_NORM = 1e100
 
-# Once every feature's Standardizer._m2 is at least this, its variance
-# _m2 / count stays positive for any count below 2**63, so the zero-variance
-# mask can stop. _m2 never decreases: the new mean lies between the old mean
-# and x, so each term delta * (x - mean) is >= 0. A bare _m2 > 0 is not
-# enough, as the quotient can underflow: 3 * 2**-1074 over a count of 6
-# rounds to 0.
-SCALED_M2 = 1e-290
-
 # The most random draws a generated stream may take, rows x (d + 1): 1 GiB of
 # float64. A larger spec is refused before anything is drawn or allocated.
 MAX_GENERATED_DRAWS = 2**27
@@ -149,10 +141,13 @@ def load_csv(path: str | Path) -> StreamSource:
 class Standardizer:
     """Running per-feature z-scoring without lookahead.
 
-    Each instance is transformed with statistics of the instances seen
-    *before* it, then folded in (Welford). The first instance maps to the
-    zero vector; a feature with zero variance so far is passed through
-    centered but unscaled.
+    Each row is transformed with statistics of the rows seen *before* it,
+    then folded in (Welford). The first row maps to the zero vector; a
+    feature with zero variance so far is passed through centered but
+    unscaled. `standardize` takes a block of consecutive rows: only the
+    mean's recurrence runs row by row, and the second moments and z-scores
+    of the whole block follow in one vectorized pass, with the same
+    operations on the same operands as one row at a time.
     """
 
     def __init__(self, dim: int):
@@ -162,7 +157,6 @@ class Standardizer:
         self.count = 0
         self.mean = np.zeros(dim)
         self._m2 = np.zeros(dim)
-        self._scaled = False    # every variance is positive from now on
 
     @property
     def variance(self) -> np.ndarray:
@@ -171,28 +165,49 @@ class Standardizer:
         return self._m2 / self.count
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
-        """`x` scored against the instances before it, which it then joins.
-        A row not of shape (dim,) raises InputError and moves no statistic:
+        """The z-scores of a (k, dim) block of consecutive rows, each row
+        scored against every row before it, in this call and in earlier
+        ones; the rows then join the statistics. One (dim,) row gives back
+        one row. Any other shape raises InputError and moves no statistic:
         it would broadcast against the running mean instead."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.mean.shape:
-            raise InputError(f"feature shape {x.shape}, expected {self.mean.shape}")
-        delta = x - self.mean
-        if self.count == 0:
-            z = np.zeros(self.dim)
-        else:
-            z = self._m2 / self.count          # the variance, then the divisor, then z
-            unscaled = None if self._scaled else ~(z > 0.0)
-            np.sqrt(z, out=z)
-            np.maximum(z, 1e-8, out=z)
-            if unscaled is not None:
-                np.copyto(z, 1.0, where=unscaled)
-                self._scaled = bool(self._m2.min() >= SCALED_M2)
-            np.divide(delta, z, out=z)
-        self.count += 1
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        return z
+        rows = x if x.ndim == 2 else x[None]
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise InputError(f"feature shape {x.shape}, expected ({self.dim},) "
+                             f"or (rows, {self.dim})")
+        k, first = len(rows), self.count
+        # the mean before each row and after the last, each row's delta
+        means = np.empty((k + 1, self.dim))
+        means[0] = self.mean
+        delta = np.empty((k, self.dim))
+        subtract, divide, add = np.subtract, np.divide, np.add
+        for xi, d, m, m_next, t in zip(rows, delta, means, means[1:],
+                                       map(float, range(first + 1, first + k + 1))):
+            subtract(xi, m, d)
+            divide(d, t, m_next)
+            add(m, m_next, m_next)               # mean + delta / t
+        # the second moment before each row and after the last, summed in order
+        m2 = np.empty((k + 1, self.dim))
+        m2[0] = self._m2
+        terms = m2[1:]
+        np.subtract(rows, means[1:], terms)
+        np.multiply(delta, terms, terms)         # delta * (x - new mean)
+        np.add.accumulate(m2, axis=0, out=m2)
+        count = np.arange(first, first + k, dtype=np.float64)[:, None]
+        if first == 0:
+            count[:1] = 1.0                      # row 0 has no statistics: z set below
+        z = np.divide(m2[:k], count)             # the variance, then the divisor, then z
+        unscaled = ~(z > 0.0)
+        np.sqrt(z, z)
+        np.maximum(z, 1e-8, out=z)
+        np.copyto(z, 1.0, where=unscaled)
+        np.divide(delta, z, z)
+        if first == 0:
+            z[:1] = 0.0
+        self.count += k
+        self.mean[:] = means[k]
+        self._m2[:] = m2[k]
+        return z if x.ndim == 2 else z[0]
 
 
 def gen_drift_stream(

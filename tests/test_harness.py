@@ -10,6 +10,7 @@ from bodl import harness
 from bodl.bilevel import adapt_on_drift
 from bodl.errors import ConfigError, DivergenceError, InputError
 from bodl.harness import (
+    STANDARDIZE_BLOCK,
     MetricsReport,
     NetworkLearner,
     RunConfig,
@@ -18,6 +19,8 @@ from bodl.harness import (
 )
 from bodl.hedge_net import WEIGHT_FLOOR, hedge_update
 from bodl.streams import StreamInstance, StreamSource, gen_drift_stream, parse_stream_spec
+
+from oracles import ReferenceStandardizer
 
 # fast two-concept stream that reliably trips the detector (flip drift is
 # maximally abrupt), paired with a small one-layer network
@@ -280,13 +283,35 @@ def test_empty_stream_yields_empty_report():
 @pytest.mark.parametrize("standardize", [True, False])
 def test_mis_shaped_instance_rejected(learner, standardize):
     # a (1,) row in a 3-feature stream must not broadcast against the
-    # standardizer's running mean into a (3,) row the learner accepts
-    insts = [StreamInstance(np.ones(3), 0, 0), StreamInstance(np.ones(1), 1, 1),
-             StreamInstance(np.ones(3), 0, 2)]
-    cfg = RunConfig(stream=StreamSource(insts, 3, 2, "ragged"), learner=learner,
-                    standardize=standardize)
-    with pytest.raises(InputError, match=r"shape \(1,\), expected \(3,\)"):
-        prequential_run(cfg)
+    # standardizer's running mean into a (3,) row the learner accepts; in
+    # the second block, it stops the run when that block is standardized
+    for bad in (1, STANDARDIZE_BLOCK + 5):
+        insts = [StreamInstance(np.ones(1) if i == bad else np.full(3, i % 7), i % 2, i)
+                 for i in range(bad + 2)]
+        cfg = RunConfig(stream=StreamSource(insts, 3, 2, "ragged"), learner=learner,
+                        standardize=standardize, hidden_layers=1, width=8)
+        where = r" at stream position %d" % bad if standardize else ""
+        with pytest.raises(InputError, match=r"shape \(1,\), expected \(3,\)" + where):
+            prequential_run(cfg)
+
+
+@pytest.mark.parametrize("rows", [511, 512, 513, 1027])
+@pytest.mark.parametrize("learner", ["arow", "bodl-2"])
+def test_block_standardized_run_matches_row_by_row(rows, learner):
+    # runs across block edges: standardizing in blocks inside the loop gives
+    # the report of a run on the stream standardized row by row beforehand
+    source = gen_drift_stream("hyperplane", [rows // 2, rows - rows // 2], noise=0.05,
+                              dim=8, seed=4, mode="flip")
+    ref = ReferenceStandardizer(source.input_dim)
+    scored = StreamSource([StreamInstance(ref.standardize(inst.features), inst.label,
+                                          inst.position) for inst in source],
+                          source.input_dim, source.classes, source.provenance)
+    knobs = dict(learner=learner, seed=2, hidden_layers=1, width=8, optimizer="sgd", lr=0.05)
+    blocks = prequential_run(RunConfig(stream=source, **knobs)).as_dict()
+    before = prequential_run(RunConfig(stream=scored, standardize=False, **knobs)).as_dict()
+    for key in ("metrics", "per_class", "drift_events", "adaptations"):
+        assert blocks[key] == before[key]
+    assert blocks["metrics"]["total"] == rows
 
 
 def test_prediction_happens_before_learning():

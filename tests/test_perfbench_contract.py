@@ -6,12 +6,13 @@ leaves a hook dangling, or a change that makes the traced run differ from
 the untraced one, fails here rather than in a benchmark run.
 """
 
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from bodl.harness import RunConfig, prequential_run
+from bodl.harness import STANDARDIZE_BLOCK, RunConfig, prequential_run
 from bodl.streams import parse_stream_spec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -47,6 +48,23 @@ def test_traced_run_writes_the_untraced_report():
     assert plain.adaptations
     adapt_spans = list(tr.name).count(tr.names.index("harness.adapt_on_drift"))
     assert adapt_spans == len(plain.adaptations)
+
+
+@pytest.mark.parametrize("rows", [511, 512, 513, 1100])
+def test_traced_standardizer_spans_one_call_per_block(rows):
+    # the hook times every block's standardization: ceil(rows / 512) calls
+    source = parse_stream_spec(f"hyperplane:seg={rows};noise=0.05;d=8", default_seed=3)
+    cfg = RunConfig(stream=source, learner="arow")
+    plain = prequential_run(cfg)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        traced = prequential_run(cfg)
+    finally:
+        tr.uninstall()
+    assert traced.as_dict() == plain.as_dict()
+    spans = list(tr.name).count(tr.names.index("streams.standardize"))
+    assert spans == math.ceil(rows / STANDARDIZE_BLOCK) == math.ceil(rows / 512)
 
 
 def test_timed_source_yields_the_instances_in_order():

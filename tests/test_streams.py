@@ -1,5 +1,6 @@
 """CSV ingestion, online standardization, synthetic generators, spec grammar."""
 
+import itertools
 import re
 import tracemalloc
 from unittest import mock
@@ -245,7 +246,23 @@ def test_standardizer_never_peeks_at_current_instance():
     assert z[0] == pytest.approx((1e6 - 1.5) / 0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("row", [np.ones(1), np.ones(4), np.ones((1, 3)), np.float64(2.0)])
+def test_standardizer_block_never_peeks_past_each_row():
+    # in one block, z_0..z_t must not move when the rows after t change
+    rng = np.random.default_rng(5)
+    head, xs = rng.normal(size=(3, 2)), rng.normal(size=(12, 2))
+    first = Standardizer(2)
+    first.standardize(head)
+    z = first.standardize(xs)
+    for t in range(len(xs)):
+        changed = xs.copy()
+        changed[t + 1:] = rng.normal(1e6, 1e3, size=changed[t + 1:].shape)
+        again = Standardizer(2)
+        again.standardize(head)
+        assert again.standardize(changed)[:t + 1].tobytes() == z[:t + 1].tobytes()
+
+
+@pytest.mark.parametrize("row", [np.ones(1), np.ones(4), np.ones((1, 4)), np.ones((2, 1, 3)),
+                                 np.float64(2.0)])
 def test_standardizer_rejects_mis_shaped_row_before_moving(row):
     st = Standardizer(3)
     st.standardize(np.array([1.0, 2.0, 3.0]))
@@ -333,11 +350,43 @@ def test_standardizer_matches_reference_byte_for_byte_at_any_scale(xs):
         assert np.all(stz._m2 >= m2)          # _m2 never decreases
 
 
+# Block sizes, cycled over a stream: 1 to 9 rows, or one size over
+# harness.STANDARDIZE_BLOCK, which takes the rest of any stream drawn here.
+block_splits = st.lists(st.one_of(st.integers(1, 9), st.just(513)), min_size=1, max_size=12)
+
+
+def held_constant(stream):
+    xs, constant = stream
+    xs[:, constant] = xs[0, constant]
+    return xs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.one_of(standardizer_streams.map(held_constant), scaled_streams()), block_splits)
+@example(UNDERFLOWING_VARIANCE, [1])
+@example(UNDERFLOWING_VARIANCE, [4, 513])
+def test_standardizer_blocks_match_reference_row_by_row(xs, sizes):
+    stz, ref = Standardizer(xs.shape[1]), ReferenceStandardizer(xs.shape[1])
+    start = 0
+    for size in itertools.cycle(sizes):
+        block = xs[start:start + size]
+        z = stz.standardize(block)
+        assert z.shape == block.shape
+        assert z.tobytes() == np.array([ref.standardize(x) for x in block]).tobytes()
+        assert stz.mean.tobytes() == ref.mean.tobytes()
+        assert stz._m2.tobytes() == ref._m2.tobytes()
+        start += size
+        if start >= len(xs):
+            break
+    assert stz.count == len(xs)
+
+
 def test_standardizer_validation():
     with pytest.raises(ConfigError):
         Standardizer(0)
     st = Standardizer(2)
     assert np.array_equal(st.variance, np.zeros(2))
+    assert st.standardize(np.empty((0, 2))).shape == (0, 2) and st.count == 0
 
 
 # ---------------------------------------------------------------- generators
