@@ -157,15 +157,22 @@ def verdict(stats: dict, bound: float) -> str:
     return "ok"
 
 
+def raw_disagrees(stats: dict, raw: dict | None) -> bool:
+    """The raw wall median moves against the rescaled one, by more than the
+    parent's raw quartile spread: a move inside that spread is noise."""
+    if raw is None or raw["delta_pct"] * stats["delta_pct"] >= 0:
+        return False
+    return abs(raw["change_median"] - raw["parent_median"]) > raw["parent_q3"] - raw["parent_q1"]
+
+
 def add_verdicts(doc: dict, bench: dict) -> dict:
-    """Set `verdict` and `raw_disagrees` (the raw and rescaled Δ have opposite
-    signs) on every end-to-end metric of `doc`, and return it."""
+    """Set `verdict` and `raw_disagrees` (see `raw_disagrees`) on every
+    end-to-end metric of `doc`, and return it."""
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     for w in doc["workloads"].values():
         for name, s in w["end_to_end"].items():
-            raw = w["wall"].get(name)
             s["verdict"] = verdict(s, bounds[name])
-            s["raw_disagrees"] = raw is not None and raw["delta_pct"] * s["delta_pct"] < 0
+            s["raw_disagrees"] = raw_disagrees(s, w["wall"].get(name))
     return doc
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import AdamState, adam_step, check_label, cross_entropy, softmax
+from .numerics import AdamState, adam_step, check_label, cross_entropy, softmax, softmax_pair
 
 # Per-head losses are capped before exponentiation so that exp(-eta * loss)
 # cannot underflow to 0 for every head: RunConfig refuses an eta with
@@ -68,7 +68,8 @@ class NetworkParams:
     and `back_heads`, the transposed weights of heads 1..N as one (N, width,
     classes) array.
     `NetworkParams(layers, heads)` checks the shapes against `dims` and copies
-    the matrices into a new vector.
+    the matrices into a new vector. A deepcopy or pickle round trip gives
+    the same views over the copied vector.
     """
 
     def __init__(self, layers: list, heads: list):
@@ -108,6 +109,11 @@ class NetworkParams:
 
     def matrices(self) -> list:
         return [*self.layers, *self.heads]
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views over the copied vector; numpy
+        # alone would copy each view into an array of its own
+        return _viewing, (self.flat, self.dims)
 
 
 def _viewing(flat: np.ndarray, dims: tuple) -> NetworkParams:
@@ -220,8 +226,12 @@ class Workspace:
     `LayerActivations` record over those three slices. `layer_io` pairs each
     layer's input row with the slice its ReLU writes, the row's first `width`
     entries, so a layer's output is the next one's input and no augmented
-    vector is ever built by appending; each ReLU compares against `zero`, a
-    bound 0-d array, not a Python float to convert. `score_grads` is
+    vector is ever built by appending; each layer's mat-vec writes that
+    slice and its ReLU then runs on it in place, against `zero`, a bound 0-d
+    array, not a Python float to convert. At two classes `pair` holds the
+    head scores, their two column views and a scratch column, the operands
+    of `numerics.softmax_pair`; any other class count has `pair` None and
+    keeps `numerics.softmax`. `score_grads` is
     backward's (N+1, classes) gradient at the head scores, with one column
     view per label in `label_grads`. `from_heads` is the (N, width, 1)
     back-projection of heads 1..N, and `chain` the `_Chain` over its rows,
@@ -231,7 +241,7 @@ class Workspace:
     is the `NetworkParams` that receives the parameter gradient. No weight
     is bound here, so one workspace serves every `NetworkParams` of its
     dims. A workspace holds one record and one gradient at a time: the next
-    call into it overwrites them.
+    call into it overwrites them, so a copy or pickle of it is a fresh one.
     """
 
     def __init__(self, dims: tuple):
@@ -244,6 +254,7 @@ class Workspace:
         self.layer_io = tuple(zip((inputs, *block[:-1]), (row[:-1] for row in block)))
         scores = buf[hidden_end:].reshape(n + 1, c)
         self.head0_scores, self.hidden_scores = scores[0], scores[1:, :, None]
+        self.pair = (scores, scores[:, 0], scores[:, 1], np.empty(n + 1)) if c == 2 else None
         self.block_cols = block[:, :, None]
         self.acts = LayerActivations(inputs, block, scores)
         self.score_grads = grads = np.empty((n + 1, c))
@@ -255,6 +266,10 @@ class Workspace:
         deltas = self.chain.deltas
         self.deep_deltas, self.first_delta = deltas[1:, :, None], deltas[0, :, None]
         self.grad = _viewing(np.empty(sum(r * k for r, k in _shapes(dims))), dims)
+
+    def __reduce__(self):
+        # nothing here outlives a call, so a copy is a fresh workspace
+        return Workspace, (self.dims,)
 
 
 def _workspace(params: NetworkParams, out: Workspace | None) -> Workspace:
@@ -271,9 +286,11 @@ def forward(params: NetworkParams, x: np.ndarray,
     """Run the ReLU chain, then every softmax head at once, into the
     workspace `out` (a new one without it), and return its record.
 
-    Each ReLU writes its output straight into its hidden row, and the head
-    scores go to the buffer's end, where the softmax turns them into
-    probabilities in place. The trailing ones are rewritten on every call,
+    Each layer's mat-vec writes straight into its hidden row, where its ReLU
+    runs in place, and the head scores go to the buffer's end, where the
+    softmax turns them into probabilities in place: at two classes through
+    the workspace's bound columns (`numerics.softmax_pair`), with
+    `numerics.softmax`'s bits. The trailing ones are rewritten on every call,
     so a workspace whose buffer was overwritten still gives a fresh call's
     bits. The record returned is `out.acts`, the same object on every call.
     """
@@ -287,11 +304,15 @@ def forward(params: NetworkParams, x: np.ndarray,
     ws.x[...] = x
     ws.ones.fill(1.0)
     for w, (prev, relu) in zip(params.layers, ws.layer_io):
-        np.maximum(w.dot(prev), ws.zero, out=relu)
+        w.dot(prev, out=relu)
+        np.maximum(relu, ws.zero, out=relu)
     acts = ws.acts
     params.heads[0].dot(acts.inputs, out=ws.head0_scores)
     np.matmul(params.hidden_heads, ws.block_cols, out=ws.hidden_scores)
-    softmax(acts.probs, out=acts.probs)
+    if ws.pair is None:
+        softmax(acts.probs, out=acts.probs)
+    else:
+        softmax_pair(*ws.pair)
     return acts
 
 

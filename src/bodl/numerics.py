@@ -1,7 +1,8 @@
 """Dense float64 kernels of the hedged network: softmax, cross-entropy, Adam.
 
 Each function writes only into arrays it allocates, except `softmax`,
-which writes its result into `out` when one is given, and `adam_step`,
+which writes its result into `out` when one is given, `softmax_pair`,
+which works in place on the views it is given, and `adam_step`,
 which moves the parameter vector and the `AdamState` it is given in place.
 Everything runs in double precision so that analytic gradients can be
 checked against central finite differences.
@@ -34,6 +35,21 @@ def softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
+
+
+def softmax_pair(v: np.ndarray, v0: np.ndarray, v1: np.ndarray, top: np.ndarray) -> None:
+    """`softmax(v, out=v)` for a (k, 2) `v`, through its bound (k,) column
+    views `v0`, `v1` and a (k,) scratch vector `top`, with the same bits.
+    Over two entries the reductions are one `maximum` and one addition, and
+    a max that differs only in its zero's sign leaves every `exp` as it is.
+    Column by column, no operand is broadcast, which costs more than a call."""
+    np.maximum(v0, v1, out=top)
+    np.subtract(v0, top, out=v0)
+    np.subtract(v1, top, out=v1)
+    np.exp(v, out=v)
+    np.add(v0, v1, out=top)
+    np.divide(v0, top, out=v0)
+    np.divide(v1, top, out=v1)
 
 
 def check_label(label, classes: int) -> None:

@@ -157,6 +157,51 @@ def test_compare_marks_verdicts_in_a_file_without_them(tmp_path, capsys):
         "end_to_end"]["step_ms_p50"]                               # --compare writes nothing
 
 
+def raw(parent, q1, q3, change):
+    return {"parent_median": parent, "parent_q1": q1, "parent_q3": q3,
+            "change_median": change, "delta_pct": 100.0 * (change / parent - 1.0)}
+
+
+@pytest.mark.parametrize("rescaled_delta, figures, want", [
+    (-5.0, raw(100, 95, 105, 111), True),      # opposite, 11 against a spread of 10
+    (-5.0, raw(100, 95, 105, 108), False),     # opposite, inside the spread
+    (-5.0, raw(100, 95, 105, 110), False),     # opposite, exactly the spread
+    (5.0, raw(100, 95, 105, 80), True),
+    (5.0, raw(100, 100, 100, 99.9), True),     # no spread: any opposite move
+    (5.0, raw(100, 95, 105, 120), False),      # the same direction
+    (0.0, raw(100, 95, 105, 120), False),      # the rescaled median did not move
+    (5.0, None, False),                        # no raw figure
+])
+def test_raw_disagrees_needs_a_move_beyond_the_parents_raw_spread(rescaled_delta, figures,
+                                                                  want):
+    assert bench_pair.raw_disagrees({"delta_pct": rescaled_delta}, figures) is want
+
+
+def test_compare_leaves_a_raw_move_inside_the_parents_spread_unmarked(tmp_path, capsys):
+    # both moves oppose their rescaled medians (-10%); step_ms_p50's raw move
+    # of 0.04 lies inside its parent's raw quartiles, setup_s's does not
+    doc, path, _ = run_sweep(tmp_path, canned)
+    w = doc["workloads"]["deep-flip"]
+    w["wall"]["step_ms_p50"].update(raw(0.8, 0.7, 0.9, 0.84))
+    w["wall"]["setup_s"].update(raw(0.04, 0.039, 0.041, 0.045))
+    path.write_text(json.dumps(doc))
+    assert bench_pair.main(["--compare", str(path)]) == 0
+    rows = {line.split(" | ")[1]: line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| deep-flip |")}
+    assert rows["step_ms_p50"].endswith("| gain |")
+    assert rows["setup_s"].endswith("| gain, raw disagrees |")
+
+
+def test_committed_bench_files_mark_only_moves_beyond_the_raw_spread(capsys):
+    # opposite signs alone marked 7 rows of BENCH_19.json and 9 of BENCH_24.json
+    marked = {}
+    for name in ("BENCH_19.json", "BENCH_24.json"):
+        bench_pair.main(["--compare", str(REPO / name)])
+        marked[name] = [line.split(" | ")[:2] for line in capsys.readouterr().out.splitlines()
+                        if line.endswith("raw disagrees |")]
+    assert marked == {"BENCH_19.json": [["| linear-csv", "step_ms_p50"]], "BENCH_24.json": []}
+
+
 def test_compare_exits_nonzero_on_a_failed_pass(tmp_path):
     def one_failure(tree, workload, seed, seconds, trace):
         return canned(tree, workload, seed, seconds, trace,

@@ -1,10 +1,14 @@
 """Prequential harness: learner resolution, metrics, loop ordering."""
 
+import copy
 import json
+import pickle
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodl import harness
 from bodl.bilevel import adapt_on_drift
@@ -527,3 +531,62 @@ def test_online_steps_update_the_learners_own_vector(optimizer, monkeypatch):
             assert state.m is moments[0] and state.v is moments[1]
             assert state.step == online
     assert learner.report.adaptations
+
+
+# ---------------------------------------------------------------- copies
+
+def drifting_source(rows, dim, classes, seed):
+    """`rows` Gaussian instances labelled by a random linear rule, whose labels
+    rotate by one class halfway, so the detector fires."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, dim))
+    y = (X @ rng.standard_normal((dim, classes))).argmax(axis=1)
+    y[rows // 2:] = (y[rows // 2:] + 1) % classes
+    return StreamSource([StreamInstance(x, int(label), i) for i, (x, label) in
+                         enumerate(zip(X, y))], dim, classes, "drifting")
+
+
+def continue_learner(learner, instances):
+    """Step `learner` over `instances`, scoring each prediction into its report."""
+    for inst in instances:
+        update_metrics(learner.report, learner.step(inst.features, inst.label, inst.position),
+                       inst.label)
+    return learner
+
+
+def learner_bytes(learner):
+    opt = learner.opt_state
+    return (json.dumps(learner.report.as_dict()), learner.params.flat.tobytes(),
+            learner.weights.tobytes(), None if opt is None else (opt.m.tobytes(),
+                                                                 opt.v.tobytes(), opt.step))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(2, 3),
+                      st.integers(1, 3)),
+       learner=st.sampled_from(["bodl-2", "bodl-1", "bodl-base"]),
+       optimizer=st.sampled_from(["adam", "sgd"]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_copied_learner_continues_byte_for_byte(dims, learner, optimizer, seed, data):
+    # a deepcopy and a pickle round trip, taken at any step (the step at
+    # which an adaptation fires, and the one after, included), continue on
+    # the same rows exactly as the original and as a run never copied
+    d, width, classes, layers = dims
+    source = drifting_source(120, d, classes, seed)
+    cfg = RunConfig(stream=source, learner=learner, seed=seed, width=width,
+                    hidden_layers=layers, optimizer=optimizer, lr=0.05, inner_steps=3,
+                    detector_min_instances=5, detector_sensitivity=0.5, standardize=False)
+
+    def fresh():
+        return NetworkLearner(cfg, source, MetricsReport(classes=classes, config=cfg.echo()))
+
+    whole = continue_learner(fresh(), source)
+    fired = {a["position"] + k for a in whole.report.adaptations for k in (0, 1)}
+    positions = st.integers(0, len(source))
+    fork = data.draw(st.sampled_from(sorted(fired)) | positions if fired else positions,
+                     label="fork")
+    original = continue_learner(fresh(), source.instances[:fork])
+    forks = [original, copy.deepcopy(original), pickle.loads(pickle.dumps(original))]
+    want = learner_bytes(whole)
+    for fork_learner in forks:
+        assert learner_bytes(continue_learner(fork_learner, source.instances[fork:])) == want

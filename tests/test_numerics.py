@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bodl.errors import InputError
-from bodl.numerics import ADAM_BETA1, PROB_CLIP, AdamState, adam_step, cross_entropy, softmax
+from bodl.numerics import (
+    ADAM_BETA1,
+    PROB_CLIP,
+    AdamState,
+    adam_step,
+    cross_entropy,
+    softmax,
+    softmax_pair,
+)
 
 from oracles import list_adam_step, scalar_adam_step, scalar_softmax
 
@@ -39,6 +49,28 @@ def test_softmax_probability_vector_property():
         assert np.all(out >= 0.0)
         assert abs(float(out.sum()) - 1.0) <= 1e-12
         assert np.allclose(out, scalar_softmax(list(v)), rtol=1e-12)
+
+
+# scores where the two-column form could slip: both zeros, exp's edges,
+# differences that overflow, infinities and NaN
+EDGE_SCORES = [0.0, -0.0, 700.0, -700.0, 1e300, -1e300, 1.0, -1.0, np.inf, -np.inf, np.nan]
+SCORE = st.sampled_from(EDGE_SCORES) | st.floats(allow_nan=True, allow_infinity=True)
+SCORE_PAIR = st.tuples(SCORE, SCORE) | SCORE.map(lambda a: (a, a))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(scores=st.lists(SCORE_PAIR, min_size=1, max_size=8))
+@example(scores=[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (700.0, -700.0), (-700.0, 700.0),
+                 (1e300, -1e300), (-1e300, 1e300), (-1e300, -1e300), (3.5, 3.5), (2.0, -3.0)])
+def test_softmax_pair_matches_softmax_byte_for_byte(scores):
+    v = np.array(scores, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        want = softmax(v)
+        got = v.copy()
+        softmax_pair(got, got[:, 0], got[:, 1], np.empty(len(got)))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_cross_entropy_perfect_prediction():
