@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import BASELINES
 from .errors import ConfigError, DivergenceError
-from .harness import MetricsReport, RunConfig, prequential_run
+from .harness import NETWORK_LEARNERS, MetricsReport, RunConfig, prequential_run
 from .streams import parse_stream_spec, write_stream_csv
 
-ABLATION_LEARNERS = ("bodl-base", "bodl-1", "bodl-2")
+ABLATION_LEARNERS = NETWORK_LEARNERS[::-1]     # bodl-base, bodl-1, bodl-2
 
 
 def _add_run_options(p: argparse.ArgumentParser, with_learner: bool = True) -> None:
@@ -29,9 +30,7 @@ def _add_run_options(p: argparse.ArgumentParser, with_learner: bool = True) -> N
     p.add_argument("--stream", required=True,
                    help="stream spec: csv:<path> | sea:... | hyperplane:...")
     if with_learner:
-        p.add_argument("--learner",
-                       help="bodl-2 | bodl-1 | bodl-base | perceptron | romma | "
-                            "ogd | pa | cw | arow | scw")
+        p.add_argument("--learner", help=" | ".join([*NETWORK_LEARNERS, *BASELINES]))
     p.add_argument("--eta", type=float, help="head reweighting rate, in (0, 14]")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="similarity penalty weight (default per learner)")

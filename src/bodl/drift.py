@@ -44,17 +44,15 @@ def observe(state: DriftState, error: int) -> tuple[DriftState, bool]:
     p = state.error_rate + (error - state.error_rate) / t
     s = math.sqrt(p * (1.0 - p) / t)
     min_rate, min_std = state.min_rate, state.min_std
-    drifted = False
-    # Minima are only tracked (and drift only judged) once enough instances
-    # accumulated; earlier minima would lock onto small-sample flukes and
-    # fire constantly on stationary streams.
-    if t >= state.min_instances:
-        if p + s < min_rate + min_std:
-            min_rate, min_std = p, s
-        drifted = p + s > min_rate + state.sensitivity * min_std
+    # Minima are only tracked once enough instances accumulated; earlier
+    # minima would lock onto small-sample flukes and fire constantly on
+    # stationary streams. Until then the minima of a state from `observe`
+    # or `reset` are inf, so its threshold is inf and no drift fires.
+    if t >= state.min_instances and p + s < min_rate + min_std:
+        min_rate, min_std = p, s
     new_state = DriftState(state.min_instances, state.sensitivity,
                            t, p, s, min_rate, min_std)
-    return new_state, drifted
+    return new_state, p + s > new_state.threshold
 
 
 def reset(state: DriftState) -> DriftState:

@@ -36,7 +36,7 @@ from .memory import EpisodicMemory
 from .streams import Standardizer, StreamSource, parse_stream_spec
 
 NETWORK_LEARNERS = ("bodl-2", "bodl-1", "bodl-base")
-# instances standardized per Standardizer call: the block's statistics run
+# instances gathered, and standardized, per block: the block's statistics run
 # ahead of the loop, but each instance's z-scores read only the rows before it
 STANDARDIZE_BLOCK = 512
 DEFAULT_SIMILARITY_WEIGHT = 0.1
@@ -248,51 +248,55 @@ class NetworkLearner:
             raise DivergenceError(position)
         self.weights = hedge_update(self.weights, per_head, self.cfg.eta)
         self.detector, drifted = drift_mod.observe(self.detector, int(pred != y))
-        adapted = False
         if drifted:
             self.report.drift_events.append({
                 "position": int(position),
                 "error_rate": float(self.detector.error_rate),
                 "threshold": float(self.detector.threshold),
             })
-            if self.use_bilevel:
-                lo = max(0, t + 1 - self.cfg.recent_window)
-                rows = self.memory.sample_batch(self.cfg.memory_batch, self.rng)
-                self.params, record = adapt_on_drift(
-                    self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
-                    (self.X[rows], self.y[rows]), self.weights, self.lam, position,
-                    inner_rate=self.cfg.inner_rate, outer_rate=self.cfg.outer_rate,
-                    inner_steps=self.cfg.inner_steps)
-                self.report.adaptations.append(record)
-                adapted = True
             self.detector = drift_mod.reset(self.detector)
-        if not adapted:
+        if drifted and self.use_bilevel:
+            lo = max(0, t + 1 - self.cfg.recent_window)
+            rows = self.memory.sample_batch(self.cfg.memory_batch, self.rng)
+            self.params, record = adapt_on_drift(
+                self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
+                (self.X[rows], self.y[rows]), self.weights, self.lam, position,
+                inner_rate=self.cfg.inner_rate, outer_rate=self.cfg.outer_rate,
+                inner_steps=self.cfg.inner_steps)
+            self.report.adaptations.append(record)
+        else:
             grad = backward(self.params, acts, self.weights, y, self.lam, out=self.workspace)
             apply_update(self.params, grad, self.opt_state, self.cfg.lr)
         self.memory.maybe_insert(t, self.rng)
         return pred
 
 
-def _standardize_block(std: Standardizer, instances: list) -> np.ndarray:
-    """The z-scores of consecutive instances' features, in one call. A row
-    not of shape (input_dim,) raises InputError naming its shape and stream
-    position, before any statistic moves."""
+def _gather_block(instances: list, dim: int, std: Standardizer | None) -> np.ndarray:
+    """The features of consecutive instances as one (k, dim) array, z-scored
+    by `std` unless it is None. A row not of shape (dim,), or one with a
+    non-finite feature, raises InputError naming its stream position before
+    any statistic moves."""
     try:
         rows = np.array([inst.features for inst in instances])
     except ValueError:      # ragged rows
         rows = None
-    if rows is None or rows.shape[1:] != (std.dim,):
-        bad = next(inst for inst in instances if np.shape(inst.features) != (std.dim,))
-        raise InputError(f"feature shape {np.shape(bad.features)}, expected ({std.dim},) "
+    if rows is None or rows.shape[1:] != (dim,):
+        bad = next(inst for inst in instances if np.shape(inst.features) != (dim,))
+        raise InputError(f"feature shape {np.shape(bad.features)}, expected ({dim},) "
                          f"at stream position {bad.position}")
-    return std.standardize(rows)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise InputError("non-finite feature at stream position "
+                         f"{instances[int(finite.argmin())].position}")
+    return rows if std is None else std.standardize(rows)
 
 
 def prequential_run(cfg: RunConfig) -> MetricsReport:
     """Run one learner over one stream, scoring every prediction before the
-    corresponding update. Features are standardized STANDARDIZE_BLOCK
-    instances at a time, when a block's first instance is pulled, so a
-    mis-shaped row stops the run there. Returns the finalized report."""
+    corresponding update. Features are gathered, and standardized unless
+    cfg.standardize is off, STANDARDIZE_BLOCK instances at a time, when a
+    block's first instance is pulled, so a mis-shaped or non-finite row
+    stops the run there. Returns the finalized report."""
     cfg.validate()
     source = (cfg.stream if isinstance(cfg.stream, StreamSource)
               else parse_stream_spec(str(cfg.stream), default_seed=cfg.seed))
@@ -314,13 +318,10 @@ def prequential_run(cfg: RunConfig) -> MetricsReport:
     else:
         learner = NetworkLearner(cfg, source, report)
     for i, inst in enumerate(source):
-        if std is None:
-            x = inst.features
-        else:
-            if i % STANDARDIZE_BLOCK == 0:
-                block = iter(_standardize_block(std, source.instances[i:i + STANDARDIZE_BLOCK]))
-            x = next(block)
-        pred = learner.step(x, inst.label, inst.position)
+        if i % STANDARDIZE_BLOCK == 0:
+            block = iter(_gather_block(source.instances[i:i + STANDARDIZE_BLOCK],
+                                       source.input_dim, std))
+        pred = learner.step(next(block), inst.label, inst.position)
         update_metrics(report, pred, inst.label)
 
     report.wall_time = time.perf_counter() - started

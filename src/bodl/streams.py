@@ -164,17 +164,15 @@ class Standardizer:
             return np.zeros(self.dim)
         return self._m2 / self.count
 
-    def standardize(self, x: np.ndarray) -> np.ndarray:
+    def standardize(self, rows: np.ndarray) -> np.ndarray:
         """The z-scores of a (k, dim) block of consecutive rows, each row
         scored against every row before it, in this call and in earlier
-        ones; the rows then join the statistics. One (dim,) row gives back
-        one row. Any other shape raises InputError and moves no statistic:
-        it would broadcast against the running mean instead."""
-        x = np.asarray(x, dtype=np.float64)
-        rows = x if x.ndim == 2 else x[None]
+        ones; the rows then join the statistics. Any other shape raises
+        InputError and moves no statistic: it would broadcast against the
+        running mean instead."""
+        rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise InputError(f"feature shape {x.shape}, expected ({self.dim},) "
-                             f"or (rows, {self.dim})")
+            raise InputError(f"feature block of shape {rows.shape}, expected (rows, {self.dim})")
         k, first = len(rows), self.count
         # the mean before each row and after the last, each row's delta
         means = np.empty((k + 1, self.dim))
@@ -207,7 +205,7 @@ class Standardizer:
         self.count += k
         self.mean[:] = means[k]
         self._m2[:] = m2[k]
-        return z if x.ndim == 2 else z[0]
+        return z
 
 
 def gen_drift_stream(

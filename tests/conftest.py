@@ -3,6 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every property draws the same examples on every run, keeps no example
+# database and has no deadline per example; a test sets only max_examples.
+settings.register_profile("bodl", derandomize=True, database=None, deadline=None)
+settings.load_profile("bodl")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))   # for oracles.py
 

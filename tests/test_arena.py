@@ -95,7 +95,7 @@ def test_arena_matches_list_of_matrices_reference(optimizer, dims, lr):
                                    net_seed=3, data_seed=8)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(dims=st.tuples(st.integers(1, 24), st.integers(1, 40), st.integers(2, 5),
                       st.integers(1, 5)),
        optimizer=st.sampled_from(["adam", "sgd"]),
@@ -216,7 +216,7 @@ def assert_stacked_match_row_by_row(params, weights, X, y, lam):
     return acts
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(dims=st.tuples(st.integers(1, 24), st.integers(1, 40), st.integers(2, 5),
                       st.integers(1, 5)),
        rows=st.integers(1, 40), lam=st.just(0.0) | st.floats(1e-3, 10.0),

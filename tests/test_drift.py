@@ -103,7 +103,7 @@ def test_reset_reopens_the_gate():
         assert not drifted
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(min_instances=st.integers(1, 1000),
        sensitivity=st.floats(0.0, 1e6, exclude_min=True),
        bit=st.sampled_from([0, 1]),

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bodl import harness
@@ -288,15 +288,31 @@ def test_empty_stream_yields_empty_report():
 def test_mis_shaped_instance_rejected(learner, standardize):
     # a (1,) row in a 3-feature stream must not broadcast against the
     # standardizer's running mean into a (3,) row the learner accepts; in
-    # the second block, it stops the run when that block is standardized
+    # the second block, it stops the run when that block is gathered
     for bad in (1, STANDARDIZE_BLOCK + 5):
         insts = [StreamInstance(np.ones(1) if i == bad else np.full(3, i % 7), i % 2, i)
                  for i in range(bad + 2)]
         cfg = RunConfig(stream=StreamSource(insts, 3, 2, "ragged"), learner=learner,
                         standardize=standardize, hidden_layers=1, width=8)
-        where = r" at stream position %d" % bad if standardize else ""
-        with pytest.raises(InputError, match=r"shape \(1,\), expected \(3,\)" + where):
+        with pytest.raises(InputError, match=r"shape \(1,\), expected \(3,\) at stream "
+                                             r"position %d$" % bad):
             prequential_run(cfg)
+
+
+@pytest.mark.parametrize("bad", [1, STANDARDIZE_BLOCK + 5])
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("learner", ["bodl-base", "arow"])
+@pytest.mark.parametrize("row", [np.array([0.0, np.nan, 1.0]), np.array([np.inf, 0.0, 1.0])],
+                         ids=["nan", "inf"])
+def test_non_finite_row_names_its_stream_position(row, learner, standardize, bad):
+    # as a mis-shaped row does (above), a non-finite one stops the run with
+    # an InputError that says where in the stream it is, in either mode
+    insts = [StreamInstance(row if i == bad else np.full(3, i % 7), i % 2, i)
+             for i in range(bad + 2)]
+    cfg = RunConfig(stream=StreamSource(insts, 3, 2, "bad"), learner=learner,
+                    standardize=standardize, hidden_layers=1, width=8)
+    with pytest.raises(InputError, match=r"at stream position %d$" % bad):
+        prequential_run(cfg)
 
 
 @pytest.mark.parametrize("rows", [511, 512, 513, 1027])
@@ -561,7 +577,16 @@ def learner_bytes(learner):
                                                                  opt.v.tobytes(), opt.step))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+def test_hypothesis_profile_is_active():
+    # the properties' @settings give only max_examples; the rest is the
+    # profile that conftest.py loads
+    active = settings(max_examples=1)
+    assert (active.derandomize, active.database, active.deadline) == (True, None, None)
+
+
+# Without shrinking, a failing case is reported as found, not minimized:
+# shrinking a broken copy took minutes.
+@settings(max_examples=60, phases=[p for p in Phase if p is not Phase.shrink])
 @given(dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(2, 3),
                       st.integers(1, 3)),
        learner=st.sampled_from(["bodl-2", "bodl-1", "bodl-base"]),

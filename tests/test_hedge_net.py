@@ -68,7 +68,7 @@ def test_init_same_seed_bit_identical():
     assert np.array_equal(wa, wb)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.tuples(st.integers(1, 22), st.integers(1, 40), st.integers(2, 5), st.integers(1, 15)),
        st.integers(0, 2 ** 32 - 1))
 @example((8, 30, 2, 15), 0)
@@ -410,14 +410,14 @@ def assert_on_floored_simplex(out, floor):
     assert np.allclose(again, out, rtol=1e-12, atol=0.0)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(simplex_inputs)
 def test_floor_and_renormalize_projects_onto_floored_simplex(case):
     raw, floor = case
     assert_on_floored_simplex(_floor_and_renormalize(raw, floor), floor)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(simplex_inputs, st.data(), st.floats(1e-4, 10.0))
 def test_hedge_update_stays_on_floored_simplex(case, data, eta):
     raw, _ = case
@@ -445,7 +445,7 @@ hedge_cases = st.integers(1, 16).flatmap(lambda n: st.tuples(
 CASCADE = (np.full(4, 0.25), np.array([0.0, 10.5966, 50.0, 60.0]), False, 1.0)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(hedge_cases)
 @example((np.full(4, 0.25), np.array([0.0, 50.0, 49.0, 60.0]), False, 1.0))
 @example(CASCADE)
@@ -508,7 +508,7 @@ SWITCH_PAST_CAP = np.concatenate([np.tile([60.0, 50.0], (100, 1)),
                                   np.tile([0.0, 10.0], (200, 1))])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(regret_cases)
 @example((SWITCH_PAST_CAP, 0.002))
 @example((np.tile([0.0, 50.0, 49.0, 60.0], (300, 1)), 1.0))   # pins 3 heads, see below

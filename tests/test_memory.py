@@ -83,7 +83,7 @@ def test_inclusion_uniform_across_stream_positions():
     assert stats.chisquare(binned).pvalue > 0.01
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@settings(max_examples=5)
 @given(st.integers(1, 40))
 def test_algorithm_r_keeps_each_offer_with_probability_capacity_over_n(capacity):
     # Vitter's Algorithm R: after n offers each one is in the reservoir with

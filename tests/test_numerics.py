@@ -58,7 +58,7 @@ SCORE = st.sampled_from(EDGE_SCORES) | st.floats(allow_nan=True, allow_infinity=
 SCORE_PAIR = st.tuples(SCORE, SCORE) | SCORE.map(lambda a: (a, a))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(scores=st.lists(SCORE_PAIR, min_size=1, max_size=8))
 @example(scores=[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (700.0, -700.0), (-700.0, 700.0),
                  (1e300, -1e300), (-1e300, 1e300), (-1e300, -1e300), (3.5, 3.5), (2.0, -3.0)])
