@@ -236,7 +236,8 @@ class NetworkLearner:
 
     def step(self, x: np.ndarray, y: int, position: int) -> int:
         """Predict, then learn; returns the prediction. Raises DivergenceError
-        before the importances or parameters change if the loss is not finite."""
+        before the importances or parameters change if the loss is not finite,
+        and before a drift response is kept if its record is not finite."""
         acts = forward(self.params, x, out=self.workspace)
         pred = int(predict_ensemble(acts, self.weights).argmax())
 
@@ -258,11 +259,14 @@ class NetworkLearner:
         if drifted and self.use_bilevel:
             lo = max(0, t + 1 - self.cfg.recent_window)
             rows = self.memory.sample_batch(self.cfg.memory_batch, self.rng)
-            self.params, record = adapt_on_drift(
+            params, record = adapt_on_drift(
                 self.params, (self.X[lo:t + 1], self.y[lo:t + 1]),
                 (self.X[rows], self.y[rows]), self.weights, self.lam, position,
                 inner_rate=self.cfg.inner_rate, outer_rate=self.cfg.outer_rate,
                 inner_steps=self.cfg.inner_steps)
+            if not all(map(math.isfinite, record.values())):
+                raise DivergenceError(position)
+            self.params = params
             self.report.adaptations.append(record)
         else:
             grad = backward(self.params, acts, self.weights, y, self.lam, out=self.workspace)

@@ -15,6 +15,7 @@ heads 1..N are scored by one batched matmul into one (N+1, classes) array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -228,10 +229,10 @@ class Workspace:
     entries, so a layer's output is the next one's input and no augmented
     vector is ever built by appending; each layer's mat-vec writes that
     slice and its ReLU then runs on it in place, against `zero`, a bound 0-d
-    array, not a Python float to convert. At two classes `pair` holds the
-    head scores, their two column views and a scratch column, the operands
-    of `numerics.softmax_pair`; any other class count has `pair` None and
-    keeps `numerics.softmax`. `score_grads` is
+    array, not a Python float to convert. `softmax()` turns the scores into
+    probabilities in place: `numerics.softmax_pair` over the scores, their
+    column views and a scratch column at two classes, else `numerics.softmax`
+    into the scores. `score_grads` is
     backward's (N+1, classes) gradient at the head scores, with one column
     view per label in `label_grads`. `from_heads` is the (N, width, 1)
     back-projection of heads 1..N, and `chain` the `_Chain` over its rows,
@@ -254,7 +255,8 @@ class Workspace:
         self.layer_io = tuple(zip((inputs, *block[:-1]), (row[:-1] for row in block)))
         scores = buf[hidden_end:].reshape(n + 1, c)
         self.head0_scores, self.hidden_scores = scores[0], scores[1:, :, None]
-        self.pair = (scores, scores[:, 0], scores[:, 1], np.empty(n + 1)) if c == 2 else None
+        self.softmax = (partial(softmax_pair, scores, scores[:, 0], scores[:, 1], np.empty(n + 1))
+                        if c == 2 else partial(softmax, scores, out=scores))
         self.block_cols = block[:, :, None]
         self.acts = LayerActivations(inputs, block, scores)
         self.score_grads = grads = np.empty((n + 1, c))
@@ -288,11 +290,11 @@ def forward(params: NetworkParams, x: np.ndarray,
 
     Each layer's mat-vec writes straight into its hidden row, where its ReLU
     runs in place, and the head scores go to the buffer's end, where the
-    softmax turns them into probabilities in place: at two classes through
-    the workspace's bound columns (`numerics.softmax_pair`), with
-    `numerics.softmax`'s bits. The trailing ones are rewritten on every call,
-    so a workspace whose buffer was overwritten still gives a fresh call's
-    bits. The record returned is `out.acts`, the same object on every call.
+    workspace's bound `softmax()` turns them into probabilities in place,
+    with `numerics.softmax`'s bits at every class count. The trailing ones
+    are rewritten on every call, so a workspace whose buffer was overwritten
+    still gives a fresh call's bits. The record returned is `out.acts`, the
+    same object on every call.
     """
     x = np.asarray(x, dtype=np.float64)
     d = params.dims[0]
@@ -306,14 +308,10 @@ def forward(params: NetworkParams, x: np.ndarray,
     for w, (prev, relu) in zip(params.layers, ws.layer_io):
         w.dot(prev, out=relu)
         np.maximum(relu, ws.zero, out=relu)
-    acts = ws.acts
-    params.heads[0].dot(acts.inputs, out=ws.head0_scores)
+    params.heads[0].dot(ws.acts.inputs, out=ws.head0_scores)
     np.matmul(params.hidden_heads, ws.block_cols, out=ws.hidden_scores)
-    if ws.pair is None:
-        softmax(acts.probs, out=acts.probs)
-    else:
-        softmax_pair(*ws.pair)
-    return acts
+    ws.softmax()
+    return ws.acts
 
 
 def _matvecs(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -355,21 +353,21 @@ def predict_ensemble(acts: LayerActivations, weights: np.ndarray) -> np.ndarray:
     return weights.dot(acts.probs)
 
 
-def _similarity_penalty(hidden: np.ndarray) -> float:
-    """Mean squared distance between consecutive rows of the (N, width) hidden block."""
-    n = len(hidden)
+def _similarity_penalty(hidden: np.ndarray) -> float | np.ndarray:
+    """Mean squared distance between consecutive rows of an (..., N, width)
+    hidden block, 0.0 below two layers. The pairs are added in order, so a
+    row has the same bits alone or in a stack; one np.sum would round differently."""
+    n = hidden.shape[-2]
     if n < 2:
         return 0.0
-    diffs = hidden[:-1] - hidden[1:]
-    total = 0.0
-    for sq in np.matmul(diffs[:, None, :], diffs[:, :, None]).ravel().tolist():
-        total += sq     # pair by pair, in order: one np.sum would round differently
-    return total / (n - 1)
+    diffs = hidden[..., :-1, :] - hidden[..., 1:, :]
+    squares = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0]
+    return np.add.accumulate(squares, axis=-1)[..., -1] / (n - 1)
 
 
 def total_loss(acts: LayerActivations, weights: np.ndarray, y: int,
                lam: float) -> tuple[float, np.ndarray]:
-    """Weighted per-head cross-entropy plus the similarity penalty.
+    """Weighted per-head cross-entropy plus `_similarity_penalty`, shared with `row_losses`.
 
     Returns the scalar objective and the vector of raw per-head losses (the
     input to the multiplicative importance update).
@@ -382,25 +380,23 @@ def row_losses(acts: LayerActivations, weights: np.ndarray, y: np.ndarray,
                lam: float) -> np.ndarray:
     """`total_loss`'s objective for each row of a `forward_rows` record with
     labels `y`, bit for bit: each row's head losses meet the importances in
-    one dot product, and its penalty pairs are added in order."""
+    one dot product, and its penalty is `total_loss`'s, `_similarity_penalty`
+    over the stacked hidden block."""
     per_head = cross_entropy(acts.probs, y)
-    hidden = acts.block[:, :, :-1]
-    n = hidden.shape[1]
-    penalty = 0.0
-    if n >= 2:
-        diffs = hidden[:, :-1] - hidden[:, 1:]
-        squares = np.matmul(diffs[:, :, None, :], diffs[:, :, :, None])[:, :, 0, 0]
-        penalty = np.add.accumulate(squares, axis=1)[:, -1] / (n - 1)
+    penalty = _similarity_penalty(acts.block[:, :, :-1])
     return np.matmul(weights, per_head[:, :, None])[:, 0] + lam * penalty
 
 
-def _check_heads(params: NetworkParams, acts: LayerActivations, weights: np.ndarray) -> None:
-    # the gradient vector is not cleared first, so a head without an
-    # importance or an output must be an error, not an unwritten matrix
-    heads = acts.probs.shape[-2]
+def _check_record(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
+                  y: int | np.ndarray) -> None:
+    """Raise InputError unless `params`, `weights` and `acts` agree on the heads and `y` is a
+    class of `acts`. The gradient vector is not cleared first, so a head without an
+    importance or an output must be an error, not an unwritten matrix."""
+    heads, classes = acts.probs.shape[-2:]
     if not len(weights) == heads == len(params.heads):
         raise InputError(f"{len(params.heads)} heads, but {len(weights)} importances and "
                          f"{heads} head outputs")
+    check_label(y, classes)
 
 
 def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
@@ -421,15 +417,13 @@ def backward(params: NetworkParams, acts: LayerActivations, weights: np.ndarray,
     `params` any network of `out`'s dims: the chain reads the weights from
     `params.back_down` on every call.
     """
-    probs = acts.probs
-    _check_heads(params, acts, weights)
-    check_label(y, probs.shape[1])
+    _check_record(params, acts, weights, y)
     ws = _workspace(params, out)
     grad = ws.grad                # every entry is written below
     inputs, block = acts.inputs, acts.block
 
     score_grads = ws.score_grads  # d loss / d head-scores, scaled by importance
-    score_grads[...] = probs
+    score_grads[...] = acts.probs
     label_col = ws.label_grads[y]  # score_grads[:, y]
     label_col -= 1.0
     score_grads *= weights[:, None]
@@ -459,8 +453,7 @@ def backward_sum(params: NetworkParams, acts: LayerActivations, weights: np.ndar
     """
     probs = acts.probs
     rows, n = len(probs), len(params.layers)
-    _check_heads(params, acts, weights)
-    check_label(y, probs.shape[2])
+    _check_record(params, acts, weights, y)
     inputs, block = acts.inputs, acts.block
 
     score_grads = probs.copy()

@@ -92,6 +92,19 @@ def test_non_finite_feature_is_an_input_error(name):
     assert np.array_equal(model.w, before)
     if sigma is not None:
         assert np.array_equal(model.sigma, sigma_before)
+    # on zero weights an infinite feature scores 0 * inf, whose NaN numpy
+    # warns of before the check: under numpy's ignore the step still refuses
+    # the feature and learns nothing
+    fresh = BASELINES[name](3, 2)
+    assert not fresh.w.any()
+    fresh_sigma = getattr(fresh, "sigma", None)
+    fresh_sigma_before = None if fresh_sigma is None else fresh_sigma.copy()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InputError, match="non-finite feature at stream position 1"):
+            fresh.step(np.array([np.inf, 0.0, 1.0]), 1, 1)
+    assert not fresh.w.any()
+    if fresh_sigma is not None:
+        assert np.array_equal(fresh.sigma, fresh_sigma_before)
     # finite features on non-finite weights still name the diverged position
     model.w[0, 0] = np.inf
     with pytest.raises(DivergenceError) as err:

@@ -470,6 +470,23 @@ def test_divergence_is_caught_before_the_importances_update():
     assert abs(float(learner.weights.sum()) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("rows", [436, 800])
+def test_diverging_drift_response_stops_with_its_position(rows):
+    # an inner rate of 1e200 overflows the first drift response, at position
+    # 435: the run stops there, whether the stream ends after it or goes on,
+    # and no report with a NaN adaptation record is returned
+    full = parse_stream_spec("hyperplane:seg=400,400;noise=0.05;mode=flip;d=10",
+                             default_seed=1)
+    source = StreamSource(list(full)[:rows], full.input_dim, full.classes, "cut")
+    cfg = RunConfig(source, learner="bodl-2", seed=1, hidden_layers=1, width=8,
+                    optimizer="sgd", lr=0.02, recent_window=64, inner_steps=50,
+                    inner_rate=1e200, outer_rate=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            prequential_run(cfg)
+    assert info.value.position == 435
+
+
 def test_diverging_baseline_stops_with_its_position():
     # ROMMA's weights reach inf on this noisy stream; the first non-finite
     # scores come at position 4508

@@ -162,6 +162,12 @@ def test_forward_rejects_bad_input():
         forward(params, np.zeros(5))
     with pytest.raises(InputError):
         forward(params, np.array([1.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(InputError):
+        forward_rows(params, np.zeros((3, 5)))
+    with pytest.raises(InputError):
+        forward_rows(params, np.zeros(4))
+    with pytest.raises(InputError):
+        forward_rows(params, np.array([[0.0] * 4, [1.0, np.nan, 0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------- predict
